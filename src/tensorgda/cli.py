@@ -78,18 +78,21 @@ def parse_synth_spec(text: str) -> dict:
             raise ConfigurationError(f"malformed synth item {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
         key = key.lower().replace("-", "_")
-        if key in ("c", "classes"):
-            spec["classes"] = int(value)
-        elif key == "per_class":
-            spec["per_class"] = int(value)
-        elif key == "shape":
-            shape = parse_dims(value)
-        elif key == "separation":
-            spec["separation"] = float(value)
-        elif key == "noise":
-            spec["noise"] = float(value)
-        else:
-            raise ConfigurationError(f"unknown synth key {key!r}")
+        try:
+            if key in ("c", "classes"):
+                spec["classes"] = int(value)
+            elif key == "per_class":
+                spec["per_class"] = int(value)
+            elif key == "shape":
+                shape = parse_dims(value)
+            elif key == "separation":
+                spec["separation"] = float(value)
+            elif key == "noise":
+                spec["noise"] = float(value)
+            else:
+                raise ConfigurationError(f"unknown synth key {key!r}")
+        except ValueError:
+            raise ConfigurationError(f"invalid synth value {key}={value!r}") from None
     if shape is None:
         raise ConfigurationError("synth spec needs a shape, e.g. shape=8x8x4")
     spec["shape"] = shape
@@ -150,7 +153,12 @@ def apply_config_file(args, parser_dests) -> None:
         if dest not in parser_dests:
             raise ConfigurationError(f"{path}:{lineno}: unknown option {key!r}")
         if getattr(args, dest, None) is None:
-            setattr(args, dest, parser_dests[dest](value))
+            try:
+                setattr(args, dest, parser_dests[dest](value))
+            except ValueError:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: invalid value {value!r} for {key!r}"
+                ) from None
 
 
 # value parsers for config-file entries, per destination

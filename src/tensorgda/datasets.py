@@ -226,6 +226,13 @@ def synth_gaussian_classes(
     return LabeledTensorSet.from_samples(samples, labels, subjects)
 
 
+def _directive_int(path, lineno: int, key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise DatasetError(f"{path}:{lineno}: @{key} {value!r} is not an integer") from None
+
+
 def load_manifest(path) -> LabeledTensorSet:
     """Load a manifest of image files and/or frame directories."""
     path = Path(path)
@@ -247,9 +254,9 @@ def load_manifest(path) -> LabeledTensorSet:
                 raise DatasetError(f"{path}:{lineno}: malformed directive {line!r}")
             key, value = parts[0].lower(), parts[1].strip()
             if key == "frames":
-                frames = int(value)
+                frames = _directive_int(path, lineno, key, value)
             elif key in ("trim-seed", "trim_seed"):
-                trim_seed = int(value)
+                trim_seed = _directive_int(path, lineno, key, value)
             elif key == "root":
                 root = Path(value) if os.path.isabs(value) else path.parent / value
             else:

@@ -208,15 +208,29 @@ def class_means(data: LabeledTensorSet):
     return means, np.mean(data.samples, axis=-1)
 
 
+def deviation_stacks(data: LabeledTensorSet, means=None) -> tuple:
+    """The deviations behind both scatters, each stacked along a new last
+    axis: the within-class deviations ``X_i - M_c(i)`` in sample order, and
+    the class-mean deviations ``sqrt(n_c) * (M_c - M)`` in class order.
+    ``means`` is the :func:`class_means` pair, computed when omitted."""
+    per_class, global_mean = class_means(data) if means is None else means
+    per_class = np.stack(per_class, axis=-1)
+    within = data.samples - per_class[..., np.searchsorted(data.classes, data.labels)]
+    between = (per_class - global_mean[..., None]) * np.sqrt(data.class_counts())
+    return within, between
+
+
 def scatter_matrices(
-    data: LabeledTensorSet, projectors, mode: int, means=None
+    data: LabeledTensorSet, projectors, mode: int, stacks=None
 ) -> ScatterPair:
     """Between/within scatter along ``mode`` under the other modes'
     projectors.
 
     ``projectors`` lists one matrix per mode; the entry at ``mode`` is
-    ignored.  Each centered tensor is projected along every other mode
-    first, then its mode-``mode`` unfolding contributes an outer product.
+    ignored.  ``stacks`` is the :func:`deviation_stacks` pair, built from
+    ``data`` when omitted.  Each stack is projected along every other mode
+    by one multi-mode product, and its scatter is one GEMM ``F @ F.T`` on
+    the mode-``mode`` unfolding ``F``.
     This equals the textbook form that sandwiches the Kronecker product of
     the other projectors, without ever materializing it.
     """
@@ -229,52 +243,30 @@ def scatter_matrices(
                 f"projector for mode {j} has {projectors[j].shape[0]} rows, "
                 f"expected {data.sample_shape[j]}"
             )
-    if means is None:
-        means = class_means(data)
-    per_class, global_mean = means
     others = [(projectors[j].T, j) for j in range(n) if j != mode]
 
-    size = data.sample_shape[mode]
-    s_b = np.zeros((size, size))
-    s_w = np.zeros((size, size))
-    counts = data.class_counts()
-    for idx, c in enumerate(data.classes):
-        centered = tensor.multi_mode_product(per_class[idx] - global_mean, others)
-        flat = tensor.unfold(centered, mode)
-        s_b += counts[idx] * (flat @ flat.T)
-        for i in np.flatnonzero(data.labels == c):
-            dev = tensor.multi_mode_product(
-                data.samples[..., i] - per_class[idx], others
-            )
-            flat = tensor.unfold(dev, mode)
-            s_w += flat @ flat.T
-    return ScatterPair(s_b=(s_b + s_b.T) / 2.0, s_w=(s_w + s_w.T) / 2.0)
+    def scatter(stack):
+        flat = tensor.unfold(tensor.multi_mode_product(stack, others), mode)
+        return flat @ flat.T
+
+    within, between = deviation_stacks(data) if stacks is None else stacks
+    return ScatterPair(s_b=scatter(between), s_w=scatter(within))
+
+
+def _trace_ratio(pair: ScatterPair, u: np.ndarray) -> float:
+    """``tr(U^T S_b U) / tr(U^T S_w U)``, or ``inf`` for a zero denominator."""
+    denominator = float(np.sum(u * (pair.s_w @ u)))
+    if denominator == 0.0:
+        return float("inf")
+    return float(np.sum(u * (pair.s_b @ u))) / denominator
 
 
 def eval_objective(data: LabeledTensorSet, means, factors) -> float:
-    """Ratio of projected between-class to within-class scatter.
-
-    Numerator: sum over classes of ``n_i`` times the squared norm of the
-    fully projected class-mean deviation; denominator: squared norms of the
-    projected within-class deviations.  Returns ``inf`` when the denominator
-    vanishes (all samples equal their class means after projection).
-    """
-    per_class, global_mean = means
-    transposed = [(u.T, k) for k, u in enumerate(factors)]
-    counts = data.class_counts()
-    numerator = 0.0
-    denominator = 0.0
-    for idx, c in enumerate(data.classes):
-        projected = tensor.multi_mode_product(per_class[idx] - global_mean, transposed)
-        numerator += int(counts[idx]) * float(np.sum(projected**2))
-        for i in np.flatnonzero(data.labels == c):
-            projected = tensor.multi_mode_product(
-                data.samples[..., i] - per_class[idx], transposed
-            )
-            denominator += float(np.sum(projected**2))
-    if denominator == 0.0:
-        return float("inf")
-    return numerator / denominator
+    """Projected between- over within-class scatter: ``tr(U_0^T S_b U_0) /
+    tr(U_0^T S_w U_0)`` on the mode-0 pair, as :func:`k_mode_optimize`
+    records it; ``inf`` when the denominator vanishes."""
+    pair = scatter_matrices(data, factors, 0, stacks=deviation_stacks(data, means))
+    return _trace_ratio(pair, factors[0])
 
 
 @dataclass(frozen=True)
@@ -296,10 +288,12 @@ def k_mode_optimize(core_data: LabeledTensorSet, config: TrainingConfig) -> KMod
 
     Factors start as truncated identities (the top HOSVD directions when a
     HOSVD stage preceded).  Each sweep updates modes in order, each update
-    seeing the already-refreshed factors of lower modes.  The objective is
-    recorded at initialization and after every sweep; iteration stops at
-    ``max_iters`` sweeps or when every mode's projection operator moves
-    less than ``conv_tol``.
+    seeing the already-refreshed factors of lower modes; every pair comes
+    from deviation stacks built once.  The objective is read from pairs
+    already built: first from sweep 1's first pair, then after each sweep
+    from the last mode's pair under its new factor (no other factor has
+    moved since).  Iteration stops at ``max_iters`` sweeps or when every
+    mode's projection operator moves less than ``conv_tol``.
     """
     n = core_data.order
     shape = core_data.sample_shape
@@ -313,20 +307,22 @@ def k_mode_optimize(core_data: LabeledTensorSet, config: TrainingConfig) -> KMod
             )
 
     factors = [np.eye(shape[k])[:, : dims[k]] for k in range(n)]
-    means = class_means(core_data)
-    objective_trace = [eval_objective(core_data, means, factors)]
+    stacks = deviation_stacks(core_data)
+    objective_trace = []
     change_trace = []
     sweeps = 0
     for _ in range(config.max_iters):
         previous = [u @ u.T for u in factors]
         for k in range(n):
-            pair = scatter_matrices(core_data, factors, k, means=means)
+            pair = scatter_matrices(core_data, factors, k, stacks=stacks)
+            if not objective_trace:
+                objective_trace.append(_trace_ratio(pair, factors[k]))
             try:
                 factors[k] = ratio_trace_eig(pair.s_b, pair.s_w, dims[k], config.ridge)
             except SingularityError as exc:
                 raise SingularityError(f"mode {k}: {exc}") from exc
         sweeps += 1
-        objective_trace.append(eval_objective(core_data, means, factors))
+        objective_trace.append(_trace_ratio(pair, factors[n - 1]))
         change = max(
             float(np.linalg.norm(factors[k] @ factors[k].T - previous[k]))
             for k in range(n)

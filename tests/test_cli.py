@@ -286,3 +286,32 @@ class TestConfigFileAndErrors:
     def test_missing_source_is_usage_error(self, tmp_path, capsys):
         code = run(["train", "--output", tmp_path / "m.json"])
         assert code == 2
+
+    def test_non_integer_synth_value_is_usage_error(self, tmp_path, capsys):
+        code = run([
+            "train", "--synth", "c=2,per_class=x,shape=3x3",
+            "--output", tmp_path / "m.json",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "per_class" in err and "Traceback" not in err
+
+    def test_non_numeric_config_value_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("max_iters = abc\n")
+        code = run([
+            "train", "--config", config,
+            "--synth", "c=2,per_class=3,shape=3x3,separation=4,noise=1",
+            "--output", tmp_path / "m.json",
+        ])
+        assert code == 2
+        assert "max_iters" in capsys.readouterr().err
+
+    def test_non_integer_frames_directive_is_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("@frames ten\nseq\t1\n")
+        code = run([
+            "train", "--manifest", manifest, "--output", tmp_path / "m.json",
+        ])
+        assert code == 3
+        assert "@frames" in capsys.readouterr().err

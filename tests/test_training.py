@@ -153,24 +153,31 @@ class TestScatterMatrices:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_materialized_kronecker_oracle(self, seed):
+        """Equal grouped classes, and unequal interleaved ones, which catch
+        a misaligned count weight or label-to-class-mean lookup."""
         rng = np.random.default_rng(seed)
         shape = (4, 3, 5)
         dims = (2, 2, 3)
         samples = [rng.standard_normal(shape) for _ in range(8)]
-        data = LabeledTensorSet.from_samples(samples, [1, 1, 1, 1, 2, 2, 2, 2])
+        grouped = LabeledTensorSet.from_samples(samples, [1, 1, 1, 1, 2, 2, 2, 2])
         projectors = [
             np.linalg.qr(rng.standard_normal((shape[j], dims[j])))[0]
             for j in range(3)
         ]
-        for mode in range(3):
-            pair = scatter_matrices(data, projectors, mode)
-            s_b, s_w = scatter_via_materialized_kronecker(data, projectors, mode)
-            np.testing.assert_allclose(
-                pair.s_b, s_b, atol=1e-9 * max(1.0, np.linalg.norm(s_b))
-            )
-            np.testing.assert_allclose(
-                pair.s_w, s_w, atol=1e-9 * max(1.0, np.linalg.norm(s_w))
-            )
+        labels = [2, 1, 3, 1, 2, 1, 3, 1, 1]
+        interleaved = LabeledTensorSet.from_samples(
+            [rng.standard_normal(shape) for _ in labels], labels
+        )
+        for data in (grouped, interleaved):
+            for mode in range(3):
+                pair = scatter_matrices(data, projectors, mode)
+                s_b, s_w = scatter_via_materialized_kronecker(data, projectors, mode)
+                np.testing.assert_allclose(
+                    pair.s_b, s_b, atol=1e-9 * max(1.0, np.linalg.norm(s_b))
+                )
+                np.testing.assert_allclose(
+                    pair.s_w, s_w, atol=1e-9 * max(1.0, np.linalg.norm(s_w))
+                )
 
     def test_trace_matches_objective_terms(self):
         """tr(S_B(k)) equals the objective numerator with an identity factor
@@ -255,7 +262,45 @@ class TestEvalObjective:
         assert got == pytest.approx(num / den, rel=1e-10)
 
 
+def objective_via_sample_loop(data, factors):
+    """Reference objective: project every class-mean and within-class
+    deviation through all factors, one tensor at a time."""
+    means, overall = class_means(data)
+    counts = data.class_counts()
+    transposed = [(u.T, k) for k, u in enumerate(factors)]
+    num = 0.0
+    den = 0.0
+    for i, c in enumerate(data.classes):
+        z = tensor.multi_mode_product(means[i] - overall, transposed)
+        num += int(counts[i]) * float(np.sum(z**2))
+        for j in np.flatnonzero(data.labels == c):
+            z = tensor.multi_mode_product(data.samples[..., j] - means[i], transposed)
+            den += float(np.sum(z**2))
+    return num / den
+
+
 class TestKModeOptimize:
+    @pytest.mark.parametrize(
+        "shape, labels",
+        [
+            ((6, 5), [1, 2, 1, 3, 2, 1, 3, 3, 2, 1]),
+            ((5, 4, 3), [2, 1, 3, 1, 2, 1, 3, 1, 1, 2, 3]),
+        ],
+    )
+    def test_objective_trace_matches_sample_loop(self, shape, labels):
+        rng = np.random.default_rng(len(shape))
+        data = LabeledTensorSet.from_samples(
+            [rng.standard_normal(shape) + label for label in labels], labels
+        )
+        result = k_mode_optimize(data, TrainingConfig(target_dims=(2,) * len(shape)))
+        initial = [np.eye(s)[:, :2] for s in shape]
+        assert result.objective_trace[0] == pytest.approx(
+            objective_via_sample_loop(data, initial), rel=1e-10
+        )
+        assert result.objective_trace[-1] == pytest.approx(
+            objective_via_sample_loop(data, result.factors), rel=1e-10
+        )
+
     @pytest.mark.parametrize("seed", range(5))
     def test_vector_case_matches_lda_oracle(self, seed):
         rng = np.random.default_rng(seed)
