@@ -25,13 +25,10 @@ from .evaluation import (
     evaluate_loo,
     evaluate_split,
     export_projection_2d,
-    project,
     train_method,
 )
 from .hosvd import (
-    CompressionReport,
     HosvdResult,
-    compression_ratios,
     hosvd,
     psnr,
     reconstruct,
@@ -58,7 +55,6 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompressionReport",
     "ConfigurationError",
     "ConvergenceError",
     "DatasetError",
@@ -79,7 +75,6 @@ __all__ = [
     "TrainingConfig",
     "class_means",
     "classify",
-    "compression_ratios",
     "eval_objective",
     "evaluate_loo",
     "evaluate_split",
@@ -87,7 +82,6 @@ __all__ = [
     "hosvd",
     "k_mode_optimize",
     "load_model",
-    "project",
     "psnr",
     "ratio_trace_eig",
     "reconstruct",

@@ -41,15 +41,9 @@ from .evaluation import (
     train_method,
     write_projection_csv,
 )
-from .hosvd import (
-    hopca_compression_fraction,
-    hosvd,
-    pca_compression_fraction,
-    psnr,
-)
-from .linalg import svd as linalg_svd
+from .hosvd import hopca_compression_fraction, pca_compression_fraction, psnr
 from .model_io import load_model, save_model, save_report
-from .training import TrainingConfig
+from .training import TrainingConfig, hosvd_stage, vector_pca
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -116,21 +110,21 @@ def load_data(args):
 
 
 def build_config(args) -> TrainingConfig:
-    theta = args.theta if args.theta is not None else 0.98
-    if not 0.0 < theta <= 1.0:
-        raise ConfigurationError(f"theta must lie in (0, 1], got {theta}")
-    return TrainingConfig(
-        target_dims=parse_dims(args.dims) if args.dims else None,
-        theta=theta,
-        hosvd_ranks=parse_dims(args.ranks) if args.ranks else None,
-        max_iters=args.max_iters if args.max_iters is not None else 10,
-        conv_tol=args.conv_tol if args.conv_tol is not None else 1e-6,
-        ridge=args.ridge if args.ridge is not None else 1e-6,
-        seed=args.seed,
-        pca_dims=args.pca_dims,
-        fisherface_pca_dims=args.fisher_pca_dims,
-        fisherface_lda_dims=args.fisher_lda_dims,
-    )
+    """The training config of the flags that are set; ``TrainingConfig``
+    supplies the defaults and validates."""
+    values = {
+        "target_dims": parse_dims(args.dims) if args.dims else None,
+        "theta": args.theta,
+        "hosvd_ranks": parse_dims(args.ranks) if args.ranks else None,
+        "max_iters": args.max_iters,
+        "conv_tol": args.conv_tol,
+        "ridge": args.ridge,
+        "seed": args.seed,
+        "pca_dims": args.pca_dims,
+        "fisherface_pca_dims": args.fisher_pca_dims,
+        "fisherface_lda_dims": args.fisher_lda_dims,
+    }
+    return TrainingConfig(**{k: v for k, v in values.items() if v is not None})
 
 
 def apply_config_file(args, parser_dests) -> None:
@@ -165,6 +159,7 @@ def apply_config_file(args, parser_dests) -> None:
 _CONFIG_TYPES = {
     "manifest": str,
     "synth": str,
+    "seed": int,
     "method": str,
     "theta": float,
     "ranks": str,
@@ -190,7 +185,7 @@ def add_common_flags(sub, with_method: bool = True):
     sub.add_argument("--synth", help="inline synthetic spec, e.g. "
                      "'c=10,per_class=10,shape=8x8,separation=8,noise=1'")
     sub.add_argument("--config", help="key = value file supplying defaults")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=None, help="default 0")
     sub.add_argument("--theta", type=float, default=None,
                      help="HOSVD energy threshold (default 0.98)")
     sub.add_argument("--ranks", default=None, help="explicit HOSVD ranks, e.g. 6x6x3")
@@ -276,20 +271,7 @@ def cmd_compress(args) -> int:
     data = load_data(args)
     n = data.order
     t0 = time.perf_counter()
-    if args.ranks:
-        ranks = list(parse_dims(args.ranks))
-        if len(ranks) != n:
-            raise ConfigurationError(f"expected {n} ranks, got {len(ranks)}")
-        decomposition = hosvd(
-            data.samples, ranks=ranks + [data.n_samples], exempt_modes={n}
-        )
-    else:
-        theta = args.theta if args.theta is not None else 0.98
-        if not 0.0 < theta <= 1.0:
-            raise ConfigurationError(f"theta must lie in (0, 1], got {theta}")
-        decomposition = hosvd(
-            data.samples, theta=theta, exempt_modes={n}
-        )
+    decomposition = hosvd_stage(data, build_config(args))
     hosvd_seconds = time.perf_counter() - t0
     dims = decomposition.kept_ranks[:n]
     factors = decomposition.factors[:n]
@@ -298,14 +280,10 @@ def cmd_compress(args) -> int:
     length = int(np.prod(extents))
 
     hopca_fraction = hopca_compression_fraction(m_samples, extents, dims)
-    if args.pca_components is not None:
-        p = args.pca_components
-    else:
+    p = args.pca_components
+    if p is None:
         p = _match_pca_components(hopca_fraction, m_samples, length)
-    if not 1 <= p <= min(m_samples - 1, length):
-        raise ConfigurationError(
-            f"pca components must lie in [1, {min(m_samples - 1, length)}]"
-        )
+    mean_vec, centered, basis = vector_pca(data, p, "pca components")
     pca_fraction = pca_compression_fraction(m_samples, length, p)
 
     # multilinear reconstruction: project onto each mode's kept basis;
@@ -314,10 +292,6 @@ def cmd_compress(args) -> int:
     projections = [
         (f @ f.T, k) for k, f in enumerate(factors) if f.shape[0] != f.shape[1]
     ]
-    vectors = data.samples.reshape(length, m_samples, order="F")
-    mean_vec = np.mean(vectors, axis=1)
-    centered = vectors - mean_vec[:, None]
-    basis = linalg_svd(centered).u[:, :p]
     pca_recon = mean_vec[:, None] + basis @ (basis.T @ centered)
 
     psnr_h = []
@@ -489,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("synth", help="write a synthetic dataset to disk")
     p.add_argument("--spec", required=True,
                    help="e.g. 'c=10,per_class=10,shape=8x8,separation=8,noise=1'")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="default 0")
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -502,6 +476,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "config", None):
             apply_config_file(args, _CONFIG_TYPES)
+        if args.seed is None:
+            args.seed = TrainingConfig.seed
         code = args.func(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

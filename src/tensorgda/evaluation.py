@@ -10,11 +10,12 @@ different methods evaluated with the same seed see identical splits.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, DatasetError
+from .hosvd import hopca_compression_fraction, pca_compression_fraction
 from .training import (
     GdaModel,
     LabeledTensorSet,
@@ -26,32 +27,26 @@ from .training import (
     train_pca,
 )
 
-METHODS = ("gda", "mda", "hopca", "pca", "fisherface")
+_TRAINERS = {
+    "gda": train_gda,
+    "mda": train_mda,
+    "hopca": train_hopca,
+    "pca": lambda data, config: train_pca(data, dims=config.pca_dims),
+    "fisherface": lambda data, config: train_fisherface(
+        data,
+        pca_dims=config.fisherface_pca_dims,
+        lda_dims=config.fisherface_lda_dims,
+        ridge=config.ridge,
+    ),
+}
+METHODS = tuple(_TRAINERS)
 
 
 def train_method(method: str, data: LabeledTensorSet, config: TrainingConfig) -> GdaModel:
     """Dispatch one of the named methods on a training set."""
-    if method == "gda":
-        return train_gda(data, config)
-    if method == "mda":
-        return train_mda(data, config)
-    if method == "hopca":
-        return train_hopca(data, config)
-    if method == "pca":
-        return train_pca(data, dims=config.pca_dims)
-    if method == "fisherface":
-        return train_fisherface(
-            data,
-            pca_dims=config.fisherface_pca_dims,
-            lda_dims=config.fisherface_lda_dims,
-            ridge=config.ridge,
-        )
-    raise ConfigurationError(f"unknown method {method!r}; choose from {METHODS}")
-
-
-def project(model: GdaModel, x: np.ndarray) -> np.ndarray:
-    """Low-dimensional representation of one sample under a trained model."""
-    return model.project(x)
+    if method not in _TRAINERS:
+        raise ConfigurationError(f"unknown method {method!r}; choose from {METHODS}")
+    return _TRAINERS[method](data, config)
 
 
 def classify(model: GdaModel, x: np.ndarray):
@@ -111,20 +106,6 @@ def _count_correct(model: GdaModel, test: LabeledTensorSet, classes, confusion) 
     return correct
 
 
-def _compression_fraction(model: GdaModel, n_train: int) -> float:
-    # storage of the projected gallery plus the projectors, relative to raw
-    if model.vectorized:
-        length = int(np.prod(model.sample_shape))
-        p = model.combined[0].shape[1]
-        return (n_train * p + length * p) / (n_train * length)
-    dims = model.projected_shape
-    extents = model.sample_shape
-    compressed = n_train * int(np.prod(dims)) + sum(
-        e * d for e, d in zip(extents, dims)
-    )
-    return compressed / (n_train * int(np.prod(extents)))
-
-
 def split_indices(data: LabeledTensorSet, train_per_class: int, seed: int, trial: int):
     """Seeded per-class split; returns (train, test) index arrays.
 
@@ -146,6 +127,56 @@ def split_indices(data: LabeledTensorSet, train_per_class: int, seed: int, trial
     return np.array(sorted(train)), np.array(sorted(test))
 
 
+def _run_folds(
+    data: LabeledTensorSet, method: str, config: TrainingConfig, folds, **report_fields
+) -> ExperimentReport:
+    """Train on each ``(train_idx, test_idx)`` fold and classify its test
+    samples.  The report's headline is the mean fold accuracy;
+    ``report_fields`` fills the protocol-specific fields."""
+    classes = tuple(data.classes.tolist())
+    confusion = np.zeros((len(classes), len(classes)), dtype=int)
+    accuracies = []
+    dims_per_fold = []
+    fractions = []
+    traces = []
+    timings = {"train_s": 0.0, "classify_s": 0.0}
+    for train_idx, test_idx in folds:
+        train_set = data.subset(train_idx)
+        test_set = data.subset(test_idx)
+        t0 = time.perf_counter()
+        model = train_method(method, train_set, config)
+        timings["train_s"] += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        correct = _count_correct(model, test_set, classes, confusion)
+        timings["classify_s"] += time.perf_counter() - t0
+        accuracies.append(100.0 * correct / test_set.n_samples)
+        dims_per_fold.append(model.projected_shape)
+        # storage of the projected gallery plus the projectors, relative to raw
+        if model.vectorized:
+            fractions.append(pca_compression_fraction(
+                train_set.n_samples, int(np.prod(model.sample_shape)),
+                model.projected_shape[0],
+            ))
+        else:
+            fractions.append(hopca_compression_fraction(
+                train_set.n_samples, model.sample_shape, model.projected_shape
+            ))
+        traces.append(model.objective_trace)
+    return ExperimentReport(
+        method=method,
+        classes=classes,
+        trial_accuracies=tuple(accuracies),
+        mean_accuracy=float(np.mean(accuracies)),
+        confusion=confusion,
+        test_counts=tuple(int(x) for x in confusion.sum(axis=1)),
+        per_trial_dims=tuple(dims_per_fold),
+        compression_fractions=tuple(fractions),
+        objective_traces=tuple(traces),
+        timings=timings,
+        **report_fields,
+    )
+
+
 def evaluate_split(
     data: LabeledTensorSet,
     method: str,
@@ -157,43 +188,10 @@ def evaluate_split(
     """Random per-class splits, averaged over ``trials`` seeded repetitions."""
     if trials < 1:
         raise ConfigurationError("trials must be at least 1")
-    classes = tuple(data.classes.tolist())
-    confusion = np.zeros((len(classes), len(classes)), dtype=int)
-    accuracies = []
-    dims_per_trial = []
-    fractions = []
-    traces = []
-    timings = {"train_s": 0.0, "classify_s": 0.0}
-    for trial in range(trials):
-        train_idx, test_idx = split_indices(data, train_per_class, seed, trial)
-        train_set = data.subset(train_idx)
-        test_set = data.subset(test_idx)
-        t0 = time.perf_counter()
-        model = train_method(method, train_set, config)
-        timings["train_s"] += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        correct = _count_correct(model, test_set, classes, confusion)
-        timings["classify_s"] += time.perf_counter() - t0
-        accuracies.append(100.0 * correct / test_set.n_samples)
-        dims_per_trial.append(model.projected_shape)
-        fractions.append(_compression_fraction(model, train_set.n_samples))
-        traces.append(model.objective_trace)
-    test_counts = tuple(int(x) for x in confusion.sum(axis=1))
-    return ExperimentReport(
-        protocol="split",
-        method=method,
-        seed=seed,
-        classes=classes,
-        trial_accuracies=tuple(accuracies),
-        mean_accuracy=float(np.mean(accuracies)),
-        macro_accuracy=None,
-        confusion=confusion,
-        test_counts=test_counts,
-        per_trial_dims=tuple(dims_per_trial),
-        compression_fractions=tuple(fractions),
-        objective_traces=tuple(traces),
-        train_per_class=train_per_class,
-        timings=timings,
+    folds = (split_indices(data, train_per_class, seed, trial) for trial in range(trials))
+    return _run_folds(
+        data, method, config, folds, protocol="split", seed=seed,
+        macro_accuracy=None, train_per_class=train_per_class,
     )
 
 
@@ -201,54 +199,25 @@ def evaluate_loo(
     data: LabeledTensorSet, method: str, config: TrainingConfig, seed: int = 0
 ) -> ExperimentReport:
     """Subject-wise leave-one-out: one fold per subject, training on all
-    other subjects' samples."""
+    other subjects' samples.  The headline is the per-sample accuracy; the
+    mean over subjects is the macro accuracy."""
     if data.subjects is None:
         raise DatasetError("leave-one-out needs subject annotations")
     subjects = np.unique(data.subjects)
     if len(subjects) < 2:
         raise DatasetError("leave-one-out needs at least 2 subjects")
-    classes = tuple(data.classes.tolist())
-    confusion = np.zeros((len(classes), len(classes)), dtype=int)
-    fold_accuracies = []
-    dims_per_fold = []
-    fractions = []
-    traces = []
-    total_correct = 0
-    total_seen = 0
-    timings = {"train_s": 0.0, "classify_s": 0.0}
-    for held_out in subjects:
-        train_idx = np.flatnonzero(data.subjects != held_out)
-        test_idx = np.flatnonzero(data.subjects == held_out)
-        train_set = data.subset(train_idx)
-        test_set = data.subset(test_idx)
-        assert held_out not in set(train_set.subjects.tolist())
-        t0 = time.perf_counter()
-        model = train_method(method, train_set, config)
-        timings["train_s"] += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        correct = _count_correct(model, test_set, classes, confusion)
-        timings["classify_s"] += time.perf_counter() - t0
-        fold_accuracies.append(100.0 * correct / test_set.n_samples)
-        total_correct += correct
-        total_seen += test_set.n_samples
-        dims_per_fold.append(model.projected_shape)
-        fractions.append(_compression_fraction(model, train_set.n_samples))
-        traces.append(model.objective_trace)
-    test_counts = tuple(int(x) for x in confusion.sum(axis=1))
-    return ExperimentReport(
-        protocol="loo",
-        method=method,
-        seed=seed,
-        classes=classes,
-        trial_accuracies=tuple(fold_accuracies),
-        mean_accuracy=100.0 * total_correct / total_seen,
-        macro_accuracy=float(np.mean(fold_accuracies)),
-        confusion=confusion,
-        test_counts=test_counts,
-        per_trial_dims=tuple(dims_per_fold),
-        compression_fractions=tuple(fractions),
-        objective_traces=tuple(traces),
-        timings=timings,
+    folds = (
+        (np.flatnonzero(data.subjects != s), np.flatnonzero(data.subjects == s))
+        for s in subjects
+    )
+    report = _run_folds(
+        data, method, config, folds, protocol="loo", seed=seed, macro_accuracy=None
+    )
+    correct = int(np.trace(report.confusion))
+    return replace(
+        report,
+        mean_accuracy=100.0 * correct / int(report.confusion.sum()),
+        macro_accuracy=report.mean_accuracy,
     )
 
 

@@ -10,13 +10,13 @@ Left singular bases are computed from the unfolding's thin SVD, or from the
 configured crossover (identical bases, much cheaper for wide unfoldings).
 
 Also houses the lossy-compression bookkeeping: PSNR against an 8-bit peak
-and the storage ratios of vector PCA versus multilinear truncation.
+and the storage fractions of vector PCA versus multilinear truncation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,30 +42,6 @@ class HosvdResult:
     kept_ranks: tuple
     mode_energy: tuple
     input_shape: tuple
-
-
-@dataclass(frozen=True)
-class CompressionReport:
-    """Storage and quality figures for one compression run.
-
-    ``pca_ratio``/``hopca_ratio`` are uncompressed-over-compressed (the
-    conventional ">1 means smaller" orientation); ``cr_pca``/``cr_hopca``
-    are their reciprocals, compressed-size/uncompressed-size fractions.
-    ``psnr_db`` is ``math.inf`` when reconstruction is exact, or ``None``
-    when no reconstruction was evaluated.
-    """
-
-    cr_pca: float
-    cr_hopca: float
-    pca_ratio: float
-    hopca_ratio: float
-    n_samples: int
-    sample_extents: tuple
-    pca_dims: int
-    hopca_dims: tuple
-    psnr_db: float | None = None
-    psnr_pca_db: float | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def select_rank(singular_values, theta: float) -> int:
@@ -201,40 +177,10 @@ def psnr(original: np.ndarray, degraded: np.ndarray) -> float:
     return 20.0 * math.log10(255.0 / math.sqrt(mse))
 
 
-def compression_ratios(
-    M: int, m: int, n: int, p: int, d: int, q: int
-) -> CompressionReport:
-    """Storage ratios for ``M`` samples of ``m x n`` data.
-
-    Vector PCA keeps ``p`` components (storage ``M*p + m*n*p``); two-sided
-    truncation keeps ``d x q`` dims (storage ``M*d*q + m*d + n*q``).  The
-    raw ratios are uncompressed/compressed; the ``cr_*`` fields are their
-    reciprocal fractions.
-    """
-    for name, v in (("M", M), ("m", m), ("n", n), ("p", p), ("d", d), ("q", q)):
-        if v <= 0:
-            raise DimensionError(f"{name} must be positive, got {v}")
-    pca_ratio = (M * m * n) / (M * p + m * n * p)
-    hopca_ratio = (M * m * n) / (M * d * q + m * d + n * q)
-    return CompressionReport(
-        cr_pca=1.0 / pca_ratio,
-        cr_hopca=1.0 / hopca_ratio,
-        pca_ratio=pca_ratio,
-        hopca_ratio=hopca_ratio,
-        n_samples=M,
-        sample_extents=(m, n),
-        pca_dims=p,
-        hopca_dims=(d, q),
-    )
-
-
 def hopca_compression_fraction(n_samples: int, extents, dims) -> float:
     """Compressed/uncompressed fraction of multilinear truncation for
-    ``n_samples`` tensors of the given extents kept at ``dims`` per mode.
-
-    Order-2 inputs reproduce the two-sided formula in
-    :func:`compression_ratios`.
-    """
+    ``n_samples`` tensors of the given extents kept at ``dims`` per mode:
+    the truncated cores plus one ``I_k x J_k`` basis per mode."""
     extents = tuple(int(e) for e in extents)
     dims = tuple(int(d) for d in dims)
     if len(extents) != len(dims):
@@ -248,7 +194,8 @@ def hopca_compression_fraction(n_samples: int, extents, dims) -> float:
 
 
 def pca_compression_fraction(n_samples: int, vector_length: int, p: int) -> float:
-    """Compressed/uncompressed fraction of vector PCA with ``p`` components."""
+    """Compressed/uncompressed fraction of vector PCA with ``p`` components:
+    the ``p`` coefficients per sample plus the ``p`` basis vectors."""
     if n_samples <= 0 or vector_length <= 0 or p <= 0:
         raise DimensionError("all counts must be positive")
     return (n_samples * p + vector_length * p) / (n_samples * vector_length)

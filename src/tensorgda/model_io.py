@@ -4,7 +4,9 @@ Model container: a single JSON document (sorted keys, no whitespace) with a
 format-version tag.  Arrays are stored as base64 of their raw little-endian
 float64 buffers in row-major (C) order, alongside their shapes, so a
 save/load round trip is bit-exact and repeated saves of the same model are
-byte-identical.  Stage timings are deliberately not serialized.
+byte-identical.  Stage timings are deliberately not serialized.  Loading
+checks the document (exact key sets, known kind, base64 and buffer sizes,
+shapes that fit ``sample_shape``) before it builds a model.
 
 Report files: a line-oriented text document, ``key = value`` pairs followed
 by ``[section]`` tables (tab-separated).  Floats are written with ``repr``
@@ -16,11 +18,13 @@ from __future__ import annotations
 
 import base64
 import json
+import math
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from .errors import DatasetError
-from .evaluation import ExperimentReport
+from .errors import ConfigurationError, DatasetError
+from .evaluation import METHODS, ExperimentReport
 from .training import GdaModel, TrainingConfig
 
 MODEL_FORMAT = "tensorgda-model"
@@ -35,8 +39,19 @@ def _encode_array(a: np.ndarray) -> dict:
     }
 
 
+def _check_keys(what: str, blob, expected: set) -> None:
+    if not isinstance(blob, dict):
+        raise TypeError(f"{what} must be an object")
+    missing, unknown = sorted(expected - blob.keys()), sorted(blob.keys() - expected)
+    if missing:
+        raise ValueError(f"{what} lacks key(s) {', '.join(missing)}")
+    if unknown:
+        raise ValueError(f"{what} has unknown key(s) {', '.join(unknown)}")
+
+
 def _decode_array(blob: dict) -> np.ndarray:
-    buf = base64.b64decode(blob["data"])
+    _check_keys("array", blob, {"shape", "data"})
+    buf = base64.b64decode(blob["data"], validate=True)
     return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(blob["shape"])
 
 
@@ -72,45 +87,70 @@ def model_to_json(model: GdaModel) -> str:
         else [float(e) for e in model.mode_energy],
         "objective_trace": [float(v) for v in model.objective_trace],
         "subspace_change_trace": [float(v) for v in model.subspace_change_trace],
-        "config": None if model.config is None else _config_to_dict(model.config),
+        "config": None if model.config is None else asdict(model.config),
         "warnings": list(model.warnings),
     }
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
-def _config_to_dict(config: TrainingConfig) -> dict:
-    return {
-        "target_dims": None if config.target_dims is None else list(config.target_dims),
-        "theta": config.theta,
-        "hosvd_ranks": None if config.hosvd_ranks is None else list(config.hosvd_ranks),
-        "max_iters": config.max_iters,
-        "conv_tol": config.conv_tol,
-        "ridge": config.ridge,
-        "seed": config.seed,
-        "gram_crossover": config.gram_crossover,
-        "pca_dims": config.pca_dims,
-        "fisherface_pca_dims": config.fisherface_pca_dims,
-        "fisherface_lda_dims": config.fisherface_lda_dims,
-    }
-
-
 def _config_from_dict(blob: dict) -> TrainingConfig:
-    def tup(v):
-        return None if v is None else tuple(v)
-
+    _check_keys("config", blob, {f.name for f in fields(TrainingConfig)})
     return TrainingConfig(
-        target_dims=tup(blob["target_dims"]),
-        theta=blob["theta"],
-        hosvd_ranks=tup(blob["hosvd_ranks"]),
-        max_iters=blob["max_iters"],
-        conv_tol=blob["conv_tol"],
-        ridge=blob["ridge"],
-        seed=blob["seed"],
-        gram_crossover=blob["gram_crossover"],
-        pca_dims=blob["pca_dims"],
-        fisherface_pca_dims=blob["fisherface_pca_dims"],
-        fisherface_lda_dims=blob["fisherface_lda_dims"],
+        **{k: tuple(v) if isinstance(v, list) else v for k, v in blob.items()}
     )
+
+
+def _known_kind(kind: str) -> str:
+    if kind not in METHODS:
+        raise ValueError(f"unknown kind {kind!r}")
+    return kind
+
+
+def _optional(decode):
+    return lambda value: None if value is None else decode(value)
+
+
+def _decode_arrays(blobs) -> list:
+    return [_decode_array(b) for b in blobs]
+
+
+# how each model field is read back from its JSON key of the same name
+_DECODERS = {
+    "kind": _known_kind,
+    "sample_shape": tuple,
+    "combined": _decode_arrays,
+    "gallery": _decode_array,
+    "gallery_labels": np.array,
+    "vectorized": bool,
+    "hosvd_factors": _optional(_decode_arrays),
+    "disc_factors": _optional(_decode_arrays),
+    "mean_vector": _optional(_decode_array),
+    "hosvd_ranks": _optional(tuple),
+    "mode_energy": _optional(tuple),
+    "objective_trace": tuple,
+    "subspace_change_trace": tuple,
+    "config": _optional(_config_from_dict),
+    "warnings": tuple,
+}
+
+
+def _check_shapes(model: GdaModel) -> None:
+    """Projectors, gallery and mean vector must fit ``sample_shape``."""
+    if model.vectorized:
+        rows = [math.prod(model.sample_shape)]
+    else:
+        rows = list(model.sample_shape)
+    got = [p.shape[0] if p.ndim == 2 else None for p in model.combined]
+    if got != rows:
+        raise ValueError(
+            f"projector rows {got} do not fit sample_shape {list(model.sample_shape)}"
+        )
+    gallery_shape = model.projected_shape + (len(model.gallery_labels),)
+    if model.gallery.shape != gallery_shape:
+        raise ValueError(f"gallery shape {model.gallery.shape}, expected {gallery_shape}")
+    mean = model.mean_vector
+    if model.vectorized and mean is not None and mean.shape != (rows[0],):
+        raise ValueError(f"mean vector shape {mean.shape}, expected {(rows[0],)}")
 
 
 def save_model(model: GdaModel, path) -> None:
@@ -123,42 +163,22 @@ def load_model(path) -> GdaModel:
     try:
         with open(path, "r", encoding="ascii") as handle:
             document = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or non-ASCII bytes
         raise DatasetError(f"cannot load model from {path}: {exc}") from exc
-    if document.get("format") != MODEL_FORMAT:
+    if not isinstance(document, dict) or document.get("format") != MODEL_FORMAT:
         raise DatasetError(f"{path} is not a {MODEL_FORMAT} file")
     if document.get("version") != MODEL_VERSION:
         raise DatasetError(
             f"{path} has model version {document.get('version')}, "
             f"expected {MODEL_VERSION}"
         )
-    return GdaModel(
-        kind=document["kind"],
-        sample_shape=tuple(document["sample_shape"]),
-        combined=[_decode_array(p) for p in document["combined"]],
-        gallery=_decode_array(document["gallery"]),
-        gallery_labels=np.array(document["gallery_labels"]),
-        vectorized=document["vectorized"],
-        hosvd_factors=None
-        if document["hosvd_factors"] is None
-        else [_decode_array(f) for f in document["hosvd_factors"]],
-        disc_factors=None
-        if document["disc_factors"] is None
-        else [_decode_array(f) for f in document["disc_factors"]],
-        mean_vector=None
-        if document["mean_vector"] is None
-        else _decode_array(document["mean_vector"]),
-        hosvd_ranks=None
-        if document["hosvd_ranks"] is None
-        else tuple(document["hosvd_ranks"]),
-        mode_energy=None
-        if document["mode_energy"] is None
-        else tuple(document["mode_energy"]),
-        objective_trace=tuple(document["objective_trace"]),
-        subspace_change_trace=tuple(document["subspace_change_trace"]),
-        config=None if document["config"] is None else _config_from_dict(document["config"]),
-        warnings=tuple(document["warnings"]),
-    )
+    try:
+        _check_keys("model", document, {"format", "version", *_DECODERS})
+        model = GdaModel(**{key: decode(document[key]) for key, decode in _DECODERS.items()})
+        _check_shapes(model)
+    except (TypeError, ValueError, ConfigurationError) as exc:
+        raise DatasetError(f"{path} is not a valid model: {exc}") from None
+    return model
 
 
 def _fmt(value) -> str:

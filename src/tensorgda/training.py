@@ -17,7 +17,7 @@ bit-identical models.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -114,7 +114,11 @@ class TrainingConfig:
     is the post-HOSVD extent.  ``theta`` drives HOSVD rank selection unless
     explicit ``hosvd_ranks`` are given.  Convergence is declared when the
     largest per-mode change of the projection operator ``U @ U.T`` drops
-    below ``conv_tol`` (Frobenius norm).
+    below ``conv_tol`` (Frobenius norm).  ``seed`` is echo-only: training
+    is deterministic and no trainer reads it; it records the seed of the
+    run that drew the data or the splits.
+
+    This class owns every default and all validation of these knobs.
     """
 
     target_dims: tuple | None = None
@@ -356,6 +360,26 @@ def _singleton_warnings(data: LabeledTensorSet) -> tuple:
     )
 
 
+def hosvd_stage(data: LabeledTensorSet, config: TrainingConfig):
+    """HOSVD of the stacked samples with the sample mode exempt, truncated
+    to ``config.hosvd_ranks`` when given, else by ``config.theta``."""
+    n = data.order
+    ranks = None
+    if config.hosvd_ranks is not None:
+        if len(config.hosvd_ranks) != n:
+            raise ConfigurationError(
+                f"expected {n} HOSVD ranks, got {len(config.hosvd_ranks)}"
+            )
+        ranks = list(config.hosvd_ranks) + [data.n_samples]
+    return hosvd(
+        data.samples,
+        ranks=ranks,
+        theta=config.theta if ranks is None else None,
+        exempt_modes={n},
+        gram_crossover=config.gram_crossover,
+    )
+
+
 def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str) -> GdaModel:
     if data.n_samples < 2 or data.n_classes < 2:
         raise ConfigurationError("training needs at least 2 samples and 2 classes")
@@ -364,26 +388,8 @@ def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str
 
     t0 = time.perf_counter()
     if kind in ("gda", "hopca"):
-        if config.hosvd_ranks is not None:
-            ranks = list(config.hosvd_ranks)
-            if len(ranks) != n:
-                raise ConfigurationError(
-                    f"expected {n} HOSVD ranks, got {len(ranks)}"
-                )
-            decomposition = hosvd(
-                data.samples,
-                ranks=ranks + [data.n_samples],
-                exempt_modes={n},
-                gram_crossover=config.gram_crossover,
-            )
-        else:
-            decomposition = hosvd(
-                data.samples,
-                theta=config.theta,
-                exempt_modes={n},
-                gram_crossover=config.gram_crossover,
-            )
-        hosvd_factors = [decomposition.factors[k] for k in range(n)]
+        decomposition = hosvd_stage(data, config)
+        hosvd_factors = list(decomposition.factors[:n])
         kept = decomposition.kept_ranks[:n]
         mode_energy = decomposition.mode_energy[:n]
         core_data = LabeledTensorSet(decomposition.core, data.labels, data.subjects)
@@ -401,16 +407,6 @@ def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str
                 f"target dim {d} exceeds the {kept[k]} dims kept for mode {k}; "
                 "raise theta or the HOSVD ranks"
             )
-    core_config = TrainingConfig(
-        target_dims=tuple(dims),
-        theta=config.theta,
-        hosvd_ranks=config.hosvd_ranks,
-        max_iters=config.max_iters,
-        conv_tol=config.conv_tol,
-        ridge=config.ridge,
-        seed=config.seed,
-        gram_crossover=config.gram_crossover,
-    )
 
     t0 = time.perf_counter()
     if kind == "hopca":
@@ -418,7 +414,7 @@ def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str
         objective_trace: tuple = ()
         change_trace: tuple = ()
     else:
-        result = k_mode_optimize(core_data, core_config)
+        result = k_mode_optimize(core_data, replace(config, target_dims=tuple(dims)))
         disc = result.factors
         objective_trace = result.objective_trace
         change_trace = result.subspace_change_trace
@@ -460,27 +456,33 @@ def train_hopca(data: LabeledTensorSet, config: TrainingConfig | None = None) ->
     return _train_multilinear(data, config or TrainingConfig(), "hopca")
 
 
-def _vectorized(data: LabeledTensorSet) -> np.ndarray:
-    """Samples as columns, each vectorized in column-major order."""
-    return data.samples.reshape(-1, data.n_samples, order="F")
+def vector_pca(data: LabeledTensorSet, dims: int | None = None, name: str = "pca dims"):
+    """Vector PCA of the samples, each vectorized in column-major order.
 
-
-def train_pca(data: LabeledTensorSet, dims: int | None = None) -> GdaModel:
-    """Vectorizing PCA baseline (top principal directions of the centered
-    sample vectors, computed from the thin SVD of the data matrix)."""
-    t0 = time.perf_counter()
-    vectors = _vectorized(data)
+    Returns the mean vector, the centered sample columns and the top
+    ``dims`` principal directions (default: all ``min(m - 1, length)``),
+    taken from the thin SVD of the centered data matrix.
+    """
+    vectors = data.samples.reshape(-1, data.n_samples, order="F")
     length, m = vectors.shape
     limit = min(m - 1, length)
     if dims is None:
         dims = limit
     if not 1 <= dims <= limit:
         raise ConfigurationError(
-            f"pca dims must lie in [1, {limit}] for {m} samples of length {length}"
+            f"{name} must lie in [1, {limit}] for {m} samples of length "
+            f"{length}, got {dims}"
         )
     mean_vector = np.mean(vectors, axis=1)
     centered = vectors - mean_vector[:, None]
-    basis = svd(centered).u[:, :dims]
+    return mean_vector, centered, svd(centered).u[:, :dims]
+
+
+def train_pca(data: LabeledTensorSet, dims: int | None = None) -> GdaModel:
+    """Vectorizing PCA baseline (top principal directions of the centered
+    sample vectors)."""
+    t0 = time.perf_counter()
+    mean_vector, _, basis = vector_pca(data, dims)
     model = GdaModel(
         kind="pca",
         sample_shape=data.sample_shape,
@@ -505,28 +507,18 @@ def train_fisherface(
     """PCA to ``pca_dims`` (default ``m - C``) then vector discriminant
     analysis to ``lda_dims`` (default ``C - 1``) on the reduced vectors."""
     t0 = time.perf_counter()
-    vectors = _vectorized(data)
-    length, m = vectors.shape
     n_classes = data.n_classes
     if n_classes < 2:
         raise ConfigurationError("fisherface needs at least 2 classes")
     if pca_dims is None:
-        pca_dims = m - n_classes
-    limit = min(m - 1, length)
-    if not 1 <= pca_dims <= limit:
-        raise ConfigurationError(
-            f"fisherface pca dims must lie in [1, {limit}], got {pca_dims}"
-        )
+        pca_dims = data.n_samples - n_classes
+    mean_vector, centered, pca_basis = vector_pca(data, pca_dims, "fisherface pca dims")
     if lda_dims is None:
         lda_dims = n_classes - 1
     if not 1 <= lda_dims <= min(n_classes - 1, pca_dims):
         raise ConfigurationError(
             f"fisherface lda dims must lie in [1, {min(n_classes - 1, pca_dims)}]"
         )
-
-    mean_vector = np.mean(vectors, axis=1)
-    centered = vectors - mean_vector[:, None]
-    pca_basis = svd(centered).u[:, :pca_dims]
     reduced = pca_basis.T @ centered
 
     s_b = np.zeros((pca_dims, pca_dims))

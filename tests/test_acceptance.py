@@ -20,6 +20,7 @@ from tensorgda.evaluation import classify, evaluate_split, split_indices
 from tensorgda.hosvd import (
     hopca_compression_fraction,
     hosvd,
+    pca_compression_fraction,
     psnr,
     reconstruct,
 )
@@ -281,12 +282,10 @@ def test_psnr_and_compression_figures(tmp_path):
     assert psnr(a, b) == pytest.approx(expect, rel=1e-10)
 
     # formula recheck is exact arithmetic
-    from tensorgda.hosvd import compression_ratios
-
-    report = compression_ratios(M=10, m=4, n=5, p=2, d=2, q=2)
-    assert report.pca_ratio == (10 * 4 * 5) / (10 * 2 + 4 * 5 * 2)
-    assert report.cr_pca == 1.0 / report.pca_ratio
-    assert report.hopca_ratio == (10 * 4 * 5) / (10 * 2 * 2 + 4 * 2 + 5 * 2)
+    assert pca_compression_fraction(10, 4 * 5, 2) == (10 * 2 + 4 * 5 * 2) / (10 * 4 * 5)
+    assert hopca_compression_fraction(10, (4, 5), (2, 2)) == (
+        10 * 2 * 2 + 4 * 2 + 5 * 2
+    ) / (10 * 4 * 5)
 
     # theta = 1 must surface the infinite-PSNR sentinel through the CLI
     out = tmp_path / "compress.txt"
@@ -300,6 +299,10 @@ def test_psnr_and_compression_figures(tmp_path):
         if line.startswith("psnr_hopca_mean_db")
     )
     assert sentinel.endswith("= inf")
+    values = dict(
+        line.split(" = ") for line in out.read_text().splitlines() if " = " in line
+    )
+    assert float(values["pca_ratio"]) == 1.0 / float(values["cr_pca"])
 
     # video-scale storage fraction lands in the expected decade
     fraction = hopca_compression_fraction(80, (64, 48, 10), (6, 3, 3))

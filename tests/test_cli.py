@@ -1,4 +1,6 @@
 
+import json
+
 import numpy as np
 import pytest
 
@@ -315,3 +317,73 @@ class TestConfigFileAndErrors:
         ])
         assert code == 3
         assert "@frames" in capsys.readouterr().err
+
+    def test_config_file_sets_seed_and_flag_wins(self, tmp_path):
+        synth = ["--synth", "c=3,per_class=4,shape=4x4,separation=6,noise=1"]
+        config = tmp_path / "run.conf"
+        config.write_text("seed = 5\n")
+        paths = {name: tmp_path / f"{name}.json" for name in ("file", "flag", "both", "six")}
+        assert run(["train", *synth, "--config", config, "--output", paths["file"]]) == 0
+        assert run(["train", *synth, "--seed", 5, "--output", paths["flag"]]) == 0
+        assert run([
+            "train", *synth, "--config", config, "--seed", 6, "--output", paths["both"],
+        ]) == 0
+        assert run(["train", *synth, "--seed", 6, "--output", paths["six"]]) == 0
+        assert paths["file"].read_bytes() == paths["flag"].read_bytes()
+        assert paths["both"].read_bytes() == paths["six"].read_bytes()
+        assert paths["file"].read_bytes() != paths["six"].read_bytes()
+
+
+def _drop_gallery(doc):
+    del doc["gallery"]
+
+
+def _bad_base64(doc):
+    doc["combined"][0]["data"] = "not*base64"
+
+
+def _buffer_misfits_shape(doc):
+    rows, cols = doc["combined"][0]["shape"]
+    doc["combined"][0]["shape"] = [rows + 1, cols]
+
+
+def _unknown_kind(doc):
+    doc["kind"] = "lda"
+
+
+def _config_lacks_key(doc):
+    del doc["config"]["gram_crossover"]
+
+
+def _config_unknown_key(doc):
+    doc["config"]["frobnicate"] = 1
+
+
+def _transposed_sample_shape(doc):
+    doc["sample_shape"] = doc["sample_shape"][::-1]
+
+
+class TestBadModelFile:
+    SYNTH = ["--synth", "c=2,per_class=4,shape=6x5,separation=6,noise=1"]
+
+    @pytest.mark.parametrize("corrupt", [
+        _drop_gallery,
+        _bad_base64,
+        _buffer_misfits_shape,
+        _unknown_kind,
+        _config_lacks_key,
+        _config_unknown_key,
+        _transposed_sample_shape,
+    ])
+    def test_exits_3_with_one_line(self, corrupt, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        assert run(["train", *self.SYNTH, "--output", path]) == 0
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["classify", *self.SYNTH, "--model", path])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"error: {path} is not a valid model")
+        assert err.count("\n") == 1

@@ -8,7 +8,6 @@ from tensorgda.evaluation import (
     evaluate_loo,
     evaluate_split,
     export_projection_2d,
-    project,
     split_indices,
     train_method,
     write_projection_csv,
@@ -39,13 +38,13 @@ class TestProject:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 4))
         model = identity_model((3, 4))
-        np.testing.assert_array_equal(project(model, x), x)
+        np.testing.assert_array_equal(model.project(x), x)
 
     def test_zero_tensor(self):
         data = synth_gaussian_classes(2, 4, (4, 3), 3.0, 1.0, seed=1)
         model = train_gda(data, TrainingConfig(target_dims=(1, 1)))
         np.testing.assert_array_equal(
-            project(model, np.zeros((4, 3))), np.zeros((1, 1))
+            model.project(np.zeros((4, 3))), np.zeros((1, 1))
         )
 
     def test_matches_sequential_products_any_order(self):
@@ -53,14 +52,14 @@ class TestProject:
         model = train_gda(data, TrainingConfig(target_dims=(2, 2)))
         rng = np.random.default_rng(3)
         x = rng.standard_normal((5, 4))
-        forward = project(model, x)
+        forward = model.project(x)
         reverse = (model.combined[0].T @ x) @ model.combined[1]
         np.testing.assert_allclose(forward, reverse, rtol=1e-12, atol=1e-14)
 
     def test_shape_mismatch(self):
         model = identity_model((3, 4))
         with pytest.raises(Exception):
-            project(model, np.zeros((4, 3)))
+            model.project(np.zeros((4, 3)))
 
 
 class TestClassify:

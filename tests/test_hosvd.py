@@ -6,7 +6,6 @@ import pytest
 from tensorgda import tensor
 from tensorgda.errors import DegenerateModeError, DimensionError
 from tensorgda.hosvd import (
-    compression_ratios,
     hopca_compression_fraction,
     hosvd,
     pca_compression_fraction,
@@ -255,28 +254,30 @@ class TestPsnr:
 
 class TestCompressionRatios:
     def test_direct_arithmetic(self):
-        report = compression_ratios(M=10, m=4, n=5, p=2, d=2, q=2)
-        assert report.pca_ratio == pytest.approx(200 / 60)
-        assert report.cr_pca == pytest.approx(0.3)
+        fraction = pca_compression_fraction(10, 4 * 5, 2)
+        assert 1.0 / fraction == pytest.approx(200 / 60)
+        assert fraction == pytest.approx(0.3)
 
     def test_tiny_case_expands(self):
-        report = compression_ratios(M=1, m=1, n=1, p=1, d=1, q=1)
-        assert report.pca_ratio == pytest.approx(0.5)
-        assert report.cr_pca == pytest.approx(2.0)
+        fraction = pca_compression_fraction(1, 1 * 1, 1)
+        assert 1.0 / fraction == pytest.approx(0.5)
+        assert fraction == pytest.approx(2.0)
+        assert hopca_compression_fraction(1, (1, 1), (1, 1)) == pytest.approx(3.0)
 
     def test_two_sided_formula(self):
-        report = compression_ratios(M=100, m=112, n=92, p=10, d=8, q=8)
         expect = 100 * 112 * 92 / (100 * 8 * 8 + 112 * 8 + 92 * 8)
-        assert report.hopca_ratio == pytest.approx(expect)
-        assert report.cr_hopca == pytest.approx(1 / expect)
+        fraction = hopca_compression_fraction(100, (112, 92), (8, 8))
+        assert 1.0 / fraction == pytest.approx(expect)
+        assert fraction == pytest.approx(1 / expect)
 
     def test_order2_fraction_helper_consistent(self):
-        report = compression_ratios(M=30, m=12, n=9, p=3, d=4, q=2)
-        assert hopca_compression_fraction(30, (12, 9), (4, 2)) == pytest.approx(
-            report.cr_hopca
+        # the order-2 (two-sided) storage formula, M samples of m x n data
+        M, m, n, p, d, q = 30, 12, 9, 3, 4, 2
+        assert hopca_compression_fraction(M, (m, n), (d, q)) == pytest.approx(
+            (M * d * q + m * d + n * q) / (M * m * n)
         )
-        assert pca_compression_fraction(30, 12 * 9, 3) == pytest.approx(
-            report.cr_pca
+        assert pca_compression_fraction(M, m * n, p) == pytest.approx(
+            (M * p + m * n * p) / (M * m * n)
         )
 
     def test_video_scale_magnitude(self):
@@ -286,4 +287,8 @@ class TestCompressionRatios:
 
     def test_positivity_enforced(self):
         with pytest.raises(DimensionError):
-            compression_ratios(M=0, m=1, n=1, p=1, d=1, q=1)
+            pca_compression_fraction(0, 1, 1)
+        with pytest.raises(DimensionError):
+            hopca_compression_fraction(0, (1, 1), (1, 1))
+        with pytest.raises(DimensionError):
+            hopca_compression_fraction(1, (1, 1), (0, 1))
