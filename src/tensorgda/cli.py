@@ -119,7 +119,6 @@ def build_config(args) -> TrainingConfig:
         "max_iters": args.max_iters,
         "conv_tol": args.conv_tol,
         "ridge": args.ridge,
-        "seed": args.seed,
         "pca_dims": args.pca_dims,
         "fisherface_pca_dims": args.fisher_pca_dims,
         "fisherface_lda_dims": args.fisher_lda_dims,
@@ -127,15 +126,14 @@ def build_config(args) -> TrainingConfig:
     return TrainingConfig(**{k: v for k, v in values.items() if v is not None})
 
 
-def apply_config_file(args, parser_dests) -> None:
-    """Fill unset flags from a ``key = value`` config file."""
-    if not args.config:
-        return
-    path = Path(args.config)
+def read_config_file(path) -> dict:
+    """Parsed and checked flag values of a ``key = value`` config file."""
+    path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DatasetError(f"cannot read config {path}: {exc}") from exc
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -144,15 +142,20 @@ def apply_config_file(args, parser_dests) -> None:
             raise ConfigurationError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         dest = key.replace("-", "_")
-        if dest not in parser_dests:
+        if dest not in _CONFIG_TYPES:
             raise ConfigurationError(f"{path}:{lineno}: unknown option {key!r}")
-        if getattr(args, dest, None) is None:
-            try:
-                setattr(args, dest, parser_dests[dest](value))
-            except ValueError:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: invalid value {value!r} for {key!r}"
-                ) from None
+        try:
+            values[dest] = _CONFIG_TYPES[dest](value)
+        except ValueError:
+            raise ConfigurationError(
+                f"{path}:{lineno}: invalid value {value!r} for {key!r}"
+            ) from None
+        if dest in _CONFIG_CHOICES and values[dest] not in _CONFIG_CHOICES[dest]:
+            raise ConfigurationError(
+                f"{path}:{lineno}: {key} must be one of "
+                f"{', '.join(_CONFIG_CHOICES[dest])}, got {value!r}"
+            )
+    return values
 
 
 # value parsers for config-file entries, per destination
@@ -178,6 +181,11 @@ _CONFIG_TYPES = {
     "output": str,
     "output_dir": str,
 }
+
+PROTOCOLS = ("split", "loo")
+PLANES = ("1x2", "2x1", "pair")
+# the allowed values of the config-file entries whose flags have choices
+_CONFIG_CHOICES = {"protocol": PROTOCOLS, "plane": PLANES}
 
 
 def add_common_flags(sub, with_method: bool = True):
@@ -432,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("evaluate", help="run an evaluation protocol")
     add_common_flags(p)
-    p.add_argument("--protocol", choices=("split", "loo"), default="split")
+    p.add_argument("--protocol", choices=PROTOCOLS, default="split")
     p.add_argument("--train-per-class", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--output-dir", default=".", help="directory for report files")
@@ -450,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("visualize", help="export 2D projection coordinates")
     add_common_flags(p)
     p.add_argument("--model", default=None, help="use a saved model instead of training")
-    p.add_argument("--plane", choices=("1x2", "2x1", "pair"), default="pair")
+    p.add_argument("--plane", choices=PLANES, default="pair")
     p.add_argument("--output", default="projection.csv")
     p.set_defaults(func=cmd_visualize)
 
@@ -467,6 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
+    for sub in subs.choices.values():
+        sub.set_defaults(command_parser=sub)
     return parser
 
 
@@ -475,9 +485,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            apply_config_file(args, _CONFIG_TYPES)
+            # the file's values become the subcommand's defaults, so flags
+            # given on the command line still win when parsed again
+            args.command_parser.set_defaults(**read_config_file(args.config))
+            args = parser.parse_args(argv)
         if args.seed is None:
-            args.seed = TrainingConfig.seed
+            args.seed = 0
         code = args.func(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

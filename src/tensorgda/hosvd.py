@@ -5,9 +5,12 @@ core tensor: ``t ~ core x_0 V_0 x_1 V_1 ...``.  Per-mode ranks are either
 given explicitly or chosen as the smallest count whose singular values
 retain a fraction ``theta`` of that mode's total singular-value mass.
 
-Left singular bases are computed from the unfolding's thin SVD, or from the
-``I_k x I_k`` Gram matrix when the unfolding has more columns than the
-configured crossover (identical bases, much cheaper for wide unfoldings).
+Every mode's left singular basis comes from one path: the triangle ``R``
+of a QR factorization of the transposed unfolding (``unfolding = R.T @
+Q.T``), then the SVD of the small ``R.T``, whose left singular vectors and
+singular values are the unfolding's.  The QR step shrinks a wide unfolding
+to ``I_k`` columns without forming the Gram matrix, so small singular
+values keep their accuracy.
 
 Also houses the lossy-compression bookkeeping: PSNR against an 8-bit peak
 and the storage fractions of vector PCA versus multilinear truncation.
@@ -22,10 +25,8 @@ import numpy as np
 
 from . import tensor
 from .errors import DegenerateModeError, DimensionError
+# sym_eig is unused here but stays bound: perfbench/tracing.py wraps it by name
 from .linalg import svd, sym_eig
-
-#: column count above which per-mode bases come from the Gram matrix
-GRAM_CROSSOVER = 32768
 
 
 @dataclass(frozen=True)
@@ -61,22 +62,19 @@ def select_rank(singular_values, theta: float) -> int:
     return int(np.searchsorted(cumulative / total, theta, side="left")) + 1
 
 
-def _mode_basis(unfolding: np.ndarray, needed: int | None, crossover: int):
-    """Left singular vectors and singular values of an unfolding.
+def _mode_basis(unfolding: np.ndarray, needed: int | None):
+    """Left singular vectors and singular values of an ``I_k x n`` unfolding.
 
-    Uses the thin SVD unless the unfolding is wider than ``crossover``
-    columns or more vectors are needed than the thin SVD can supply, in
-    which case the symmetric eigendecomposition of the Gram matrix is used
-    (full ``I_k`` orthonormal basis, singular values as root eigenvalues).
+    The SVD of ``R.T`` from ``qr(unfolding.T)`` supplies ``min(I_k, n)``
+    vectors.  When an explicit rank asks for more (only possible when
+    ``n < I_k``), ``R`` gains zero rows up to ``needed``, so the SVD
+    completes the basis with orthonormal directions of singular value zero.
     """
-    rows, cols = unfolding.shape
-    thin = min(rows, cols)
-    if cols <= crossover and (needed is None or needed <= thin):
-        result = svd(unfolding)
-        return result.u, result.s
-    gram = unfolding @ unfolding.T
-    eig = sym_eig(gram)
-    return eig.vectors, np.sqrt(np.clip(eig.values, 0.0, None))
+    r = np.linalg.qr(unfolding.T, mode="r")
+    if needed is not None and needed > r.shape[0]:
+        r = np.vstack([r, np.zeros((needed - r.shape[0], r.shape[1]))])
+    result = svd(r.T)
+    return result.u, result.s
 
 
 def hosvd(
@@ -84,7 +82,6 @@ def hosvd(
     ranks=None,
     theta: float | None = None,
     exempt_modes=(),
-    gram_crossover: int = GRAM_CROSSOVER,
 ) -> HosvdResult:
     """Decompose ``t`` into per-mode orthonormal factors and a core tensor.
 
@@ -122,7 +119,7 @@ def hosvd(
             energy.append(1.0)
             continue
         needed = None if ranks is None else int(ranks[k])
-        basis, sigmas = _mode_basis(tensor.unfold(t, k), needed, gram_crossover)
+        basis, sigmas = _mode_basis(tensor.unfold(t, k), needed)
         if needed is None:
             needed = select_rank(sigmas, theta)
         total = float(np.sum(sigmas))

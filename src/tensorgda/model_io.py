@@ -28,7 +28,7 @@ from .evaluation import METHODS, ExperimentReport
 from .training import GdaModel, TrainingConfig
 
 MODEL_FORMAT = "tensorgda-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 def _encode_array(a: np.ndarray) -> dict:

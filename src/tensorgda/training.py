@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor
 from .errors import ConfigurationError, DatasetError, DimensionError, SingularityError
-from .hosvd import GRAM_CROSSOVER, hosvd
+from .hosvd import hosvd
 from .linalg import ratio_trace_eig, svd
 
 
@@ -114,9 +114,7 @@ class TrainingConfig:
     is the post-HOSVD extent.  ``theta`` drives HOSVD rank selection unless
     explicit ``hosvd_ranks`` are given.  Convergence is declared when the
     largest per-mode change of the projection operator ``U @ U.T`` drops
-    below ``conv_tol`` (Frobenius norm).  ``seed`` is echo-only: training
-    is deterministic and no trainer reads it; it records the seed of the
-    run that drew the data or the splits.
+    below ``conv_tol`` (Frobenius norm).
 
     This class owns every default and all validation of these knobs.
     """
@@ -127,8 +125,6 @@ class TrainingConfig:
     max_iters: int = 10
     conv_tol: float = 1e-6
     ridge: float = 1e-6
-    seed: int = 0
-    gram_crossover: int = GRAM_CROSSOVER
     pca_dims: int | None = None
     fisherface_pca_dims: int | None = None
     fisherface_lda_dims: int | None = None
@@ -376,7 +372,6 @@ def hosvd_stage(data: LabeledTensorSet, config: TrainingConfig):
         ranks=ranks,
         theta=config.theta if ranks is None else None,
         exempt_modes={n},
-        gram_crossover=config.gram_crossover,
     )
 
 

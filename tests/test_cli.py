@@ -333,6 +333,47 @@ class TestConfigFileAndErrors:
         assert paths["both"].read_bytes() == paths["six"].read_bytes()
         assert paths["file"].read_bytes() != paths["six"].read_bytes()
 
+    SYNTH_LINE = "synth = c=3,per_class=4,shape=4x4,separation=6,noise=1\n"
+
+    def test_config_file_sets_method(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text(self.SYNTH_LINE + "method = hopca\n")
+        model_path = tmp_path / "m.json"
+        assert run(["train", "--config", config, "--output", model_path]) == 0
+        assert "method = hopca" in capsys.readouterr().out
+        assert load_model(model_path).kind == "hopca"
+
+    def test_config_file_sets_output(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.conf").write_text(self.SYNTH_LINE + "output = other.json\n")
+        assert run(["train", "--config", "run.conf"]) == 0
+        assert (tmp_path / "other.json").exists()
+        assert not (tmp_path / "model.json").exists()
+
+    def test_config_value_outside_choices_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text(self.SYNTH_LINE + "protocol = bogus\n")
+        code = run([
+            "evaluate", "--config", config, "--output-dir", tmp_path / "reports",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "protocol" in err
+        assert not (tmp_path / "reports").exists()
+
+    def test_explicit_flag_overrides_config_value(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text(
+            self.SYNTH_LINE + "method = hopca\noutput = " + str(tmp_path / "file.json") + "\n"
+        )
+        flag_path = tmp_path / "flag.json"
+        assert run([
+            "train", "--config", config, "--method", "mda", "--output", flag_path,
+        ]) == 0
+        assert "method = mda" in capsys.readouterr().out
+        assert load_model(flag_path).kind == "mda"
+        assert not (tmp_path / "file.json").exists()
+
 
 def _drop_gallery(doc):
     del doc["gallery"]
@@ -352,7 +393,7 @@ def _unknown_kind(doc):
 
 
 def _config_lacks_key(doc):
-    del doc["config"]["gram_crossover"]
+    del doc["config"]["ridge"]
 
 
 def _config_unknown_key(doc):
@@ -387,3 +428,16 @@ class TestBadModelFile:
         assert code == 3
         assert err.startswith(f"error: {path} is not a valid model")
         assert err.count("\n") == 1
+
+    def test_version_1_model_exits_3_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        assert run(["train", *self.SYNTH, "--output", path]) == 0
+        doc = json.loads(path.read_text())
+        doc["version"] = 1
+        doc["config"].update(seed=0, gram_crossover=32768)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["classify", *self.SYNTH, "--model", path])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == f"error: {path} has model version 1, expected 2\n"

@@ -164,19 +164,27 @@ class TestHosvd:
         assert result.kept_ranks[2] == 8
         assert result.mode_energy[2] == 1.0
 
-    def test_gram_path_matches_svd_path(self):
+    def test_small_singular_values_of_wide_unfolding_stay_accurate(self):
+        # a 4 x 40000 unfolding whose singular values span 1e-10: the
+        # energies at explicit ranks give the spectrum the HOSVD used
         rng = np.random.default_rng(11)
-        t = rng.standard_normal((5, 4, 6))
-        direct = hosvd(t, ranks=(3, 3, 3))
-        grammed = hosvd(t, ranks=(3, 3, 3), gram_crossover=1)
-        for k in range(3):
-            assert (
-                principal_angles(direct.factors[k], grammed.factors[k]).max()
-                <= 1e-8
-            )
-        np.testing.assert_allclose(
-            reconstruct(grammed), reconstruct(direct), atol=1e-8
-        )
+        sigmas = np.array([1.0, 1e-3, 1e-6, 1e-10])
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        v, _ = np.linalg.qr(rng.standard_normal((40000, 4)))
+        t = (u * sigmas) @ v.T
+        energy = [hosvd(t, ranks=(r, 1)).mode_energy[0] for r in (1, 2, 3)]
+        used = np.diff([0.0, *energy, 1.0])
+        oracle = np.linalg.svd(t, compute_uv=False)
+        np.testing.assert_allclose(used, oracle / oracle.sum(), rtol=1e-4)
+
+    def test_tall_unfolding_keeps_thin_factors(self):
+        rng = np.random.default_rng(14)
+        t = rng.standard_normal((20000, 3))
+        result = hosvd(t, theta=0.98)
+        assert result.factors[0].shape[1] <= 3
+        assert result.factors[1].shape[0] == 3
+        f = result.factors[0]
+        np.testing.assert_allclose(f.T @ f, np.eye(f.shape[1]), atol=1e-10)
 
     def test_rank_beyond_thin_svd_supply(self):
         # a 5 x 3 unfolding has only 3 thin singular triplets; asking for 4
