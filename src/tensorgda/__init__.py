@@ -22,6 +22,7 @@ from .errors import (
 from .evaluation import (
     ExperimentReport,
     classify,
+    classify_many,
     evaluate_loo,
     evaluate_split,
     export_projection_2d,
@@ -75,6 +76,7 @@ __all__ = [
     "TrainingConfig",
     "class_means",
     "classify",
+    "classify_many",
     "eval_objective",
     "evaluate_loo",
     "evaluate_split",

@@ -6,7 +6,9 @@ synthetic spec (``--synth "c=10,per_class=10,shape=8x8,separation=8,noise=1"``).
 A ``--config`` file of ``key = value`` lines can set any long flag; explicit
 command-line flags win.
 
-Exit codes: 0 success, 2 usage/configuration, 3 data, 4 numeric failure.
+Exit codes: 0 success, 2 usage/configuration, 3 data (including an input
+file that cannot be read or decoded and an output file that cannot be
+written), 4 numeric failure.
 All outputs are deterministic given the inputs and ``--seed``; wall-clock
 timings are printed to stdout but never written into output files.
 """
@@ -34,7 +36,7 @@ from .errors import (
 )
 from .evaluation import (
     METHODS,
-    classify,
+    classify_many,
     evaluate_loo,
     evaluate_split,
     export_projection_2d,
@@ -131,7 +133,7 @@ def read_config_file(path) -> dict:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read config {path}: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -368,14 +370,13 @@ def cmd_visualize(args) -> int:
 def cmd_classify(args) -> int:
     model = load_model(args.model)
     data = load_data(args)
+    labels, _, distances = classify_many(model, data.samples)
     lines = ["index\tpredicted\tdistance\ttruth"]
     correct = 0
-    for i in range(data.n_samples):
-        label, _, dist = classify(model, data.samples[..., i])
-        truth = data.labels[i]
+    for i, (label, dist, truth) in enumerate(zip(labels, distances, data.labels)):
         if label == truth:
             correct += 1
-        lines.append(f"{i}\t{label}\t{repr(dist)}\t{truth}")
+        lines.append(f"{i}\t{label}\t{repr(float(dist))}\t{truth}")
     text = "\n".join(lines) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -497,6 +498,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (DatasetError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:  # reads map theirs to DatasetError; this is mostly output
+        print(f"error: cannot access {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_DATA
     except (SingularityError, ConvergenceError, NumericInputError,
             DegenerateModeError) as exc:

@@ -238,7 +238,7 @@ def load_manifest(path) -> LabeledTensorSet:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read manifest {path}: {exc}") from exc
     root = path.parent
     frames = None

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DatasetError
+from .errors import ConfigurationError, DatasetError, DimensionError
 from .hosvd import hopca_compression_fraction, pca_compression_fraction
 from .training import (
     GdaModel,
@@ -50,18 +50,106 @@ def train_method(method: str, data: LabeledTensorSet, config: TrainingConfig) ->
 
 
 def classify(model: GdaModel, x: np.ndarray):
-    """Nearest-neighbor label of one sample.
+    """Nearest-neighbor label of one sample: :func:`classify_many` on a
+    stack of one.
 
-    Returns ``(label, best_index, distance)``; equidistant gallery entries
-    resolve to the lowest index.
+    Returns ``(label, best_index, distance)``.  The distance comes from a
+    direct difference after a GEMM screen, so a query equal to a gallery
+    sample lands at exactly 0.0, and equidistant entries resolve to the
+    lowest index.  Its bits equal those :func:`classify_many` returns for
+    the same sample in any batch.
+    """
+    labels, indices, distances = classify_many(model, np.asarray(x)[..., None])
+    return labels[0], int(indices[0]), float(distances[0])
+
+
+# queries screened by one GEMM; bounds the (block, n) screen for large inputs
+_QUERY_BLOCK = 256
+_EPS = np.finfo(np.float64).eps
+_ETA = np.finfo(np.float64).smallest_subnormal
+
+
+def classify_many(model: GdaModel, samples: np.ndarray):
+    """Nearest-neighbor labels of a stack of samples (sample axis last).
+
+    Returns ``(labels, indices, distances)`` with one entry per sample.  A
+    distance is ``sqrt(sum((g - z)**2))`` by direct difference of the
+    projected query ``z`` and the gallery entry ``g``, so a query equal to a
+    gallery sample lands at exactly 0.0.  Among equal returned distances the
+    lowest gallery index wins.  A returned distance depends only on
+    ``(z, g)``, never on the other queries or entries, so its bits do not
+    depend on how the samples are batched.
+
+    Only a few entries are computed directly.  Each query is projected
+    exactly as the gallery was, then screened against every entry at once by
+    one GEMM: ``a_j = |g_j|^2 - 2 z.g_j``, which is ``|z - g_j|^2 - |z|^2``
+    up to rounding (the expansion used by exact brute-force k-NN; Johnson,
+    Douze & Jegou, IEEE Trans. Big Data 2019).  The candidates are the
+    entries with ``a_j <= min(a) + slack``; they are recomputed directly.
+
+    Why no excluded entry can equal or beat the winner.  Let ``d`` be the
+    projected size, ``u = eps/2`` the unit roundoff, ``g_k = k*u/(1 - k*u)``
+    and ``M = |z|^2 + max_j |g_j|^2``, so ``2|z||g_j| <= M`` and the exact
+    ``delta_j = |z - g_j|^2 <= 2M``.  By the dot-product bound (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 3.1),
+    which holds for any summation order, the doubled GEMM product and the
+    cached norm are each off by at most ``g_d * M``, and the subtraction adds at
+    most ``2u*M``: ``|a_j - (delta_j - |z|^2)| <= 2 g_(d+1) M``.  The direct
+    sum adds ``d`` nonnegative terms, each within three roundings, so it is
+    within ``g_(d+2) delta_j <= 2 g_(d+2) M`` of ``delta_j``.  Let ``k`` be the
+    screen's argmin.  An excluded ``e`` then has a direct sum above ``k``'s by
+    more than ``slack - 4 g_(d+1) M - 4 g_(d+2) M``, and a margin of
+    ``8u * 2M`` on top makes the correctly rounded ``sqrt`` of ``e``'s
+    strictly larger; rounding ``min(a) + slack`` costs another ``2u*M``.  The
+    sum is about ``(8d + 32) u M``.  The slack ``8 (d + 4) eps M`` is
+    ``(16d + 64) u M``, twice that, which covers the higher-order terms.  Its
+    ``8 (d + 4) eta`` term, with ``eta`` the smallest subnormal, covers the
+    absolute error of at most ``eta/2`` per operation that gradual underflow
+    adds.  So every excluded entry is strictly farther than ``k``, and ``k``
+    is a candidate.
+
+    A query whose screen minimum is not finite, or whose ``M`` is within a
+    factor 4 of overflow (a NaN or inf query, an overflowing norm), is
+    answered by the full direct scan instead.
     """
     if model.gallery.size == 0:
         raise DatasetError("model has an empty gallery")
-    z = model.project(x)
-    deltas = model.gallery - z[..., None]
-    distances = np.sqrt(np.sum(deltas**2, axis=tuple(range(deltas.ndim - 1))))
+    samples = np.asarray(samples)
+    if samples.ndim == 0:
+        raise DimensionError("samples need a trailing sample axis")
+    gallery, sq_norms, max_sq_norm = model.gallery_matrix()
+    size, count = gallery.shape[0], samples.shape[-1]
+    slack_factor = 8.0 * (size + 4)
+    indices = np.empty(count, dtype=np.intp)
+    distances = np.empty(count)
+    for start in range(0, count, _QUERY_BLOCK):
+        block = range(start, min(start + _QUERY_BLOCK, count))
+        queries = np.empty((len(block), size))
+        for row, i in enumerate(block):
+            queries[row] = model.project(samples[..., i]).reshape(-1)
+        screen = sq_norms - 2.0 * (queries @ gallery)
+        smallest = screen.min(axis=1)
+        scale = np.einsum("ij,ij->i", queries, queries) + max_sq_norm
+        bounded = np.isfinite(smallest) & np.isfinite(4.0 * scale)
+        slack = slack_factor * (_EPS * scale + _ETA)
+        for row, i in enumerate(block):
+            if bounded[row]:
+                candidates = np.flatnonzero(screen[row] <= smallest[row] + slack[row])
+            else:
+                candidates = np.arange(gallery.shape[1])
+            indices[i], distances[i] = _nearest(gallery, queries[row], candidates)
+    return model.gallery_labels[indices], indices, distances
+
+
+def _nearest(gallery: np.ndarray, z: np.ndarray, candidates: np.ndarray):
+    """``(index, distance)`` of the direct-difference nearest candidate
+    column of ``gallery``; the lowest index wins among equal distances.
+    Each distance is one contiguous row reduction, so it depends only on
+    ``(z, g_j)``."""
+    deltas = gallery.T[candidates] - z
+    distances = np.sqrt(np.sum(deltas * deltas, axis=1))
     best = int(np.argmin(distances))
-    return model.gallery_labels[best], best, float(distances[best])
+    return candidates[best], distances[best]
 
 
 @dataclass
@@ -97,9 +185,8 @@ class ExperimentReport:
 def _count_correct(model: GdaModel, test: LabeledTensorSet, classes, confusion) -> int:
     class_index = {c: i for i, c in enumerate(classes)}
     correct = 0
-    for i in range(test.n_samples):
-        predicted, _, _ = classify(model, test.samples[..., i])
-        truth = test.labels[i]
+    predictions, _, _ = classify_many(model, test.samples)
+    for predicted, truth in zip(predictions, test.labels):
         confusion[class_index[truth], class_index[predicted]] += 1
         if predicted == truth:
             correct += 1

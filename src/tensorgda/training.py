@@ -16,6 +16,7 @@ bit-identical models.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -134,8 +135,10 @@ class TrainingConfig:
             raise ConfigurationError(f"theta must lie in (0, 1], got {self.theta}")
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be at least 1")
-        if self.conv_tol < 0 or self.ridge < 0:
-            raise ConfigurationError("conv_tol and ridge must be nonnegative")
+        for name in ("conv_tol", "ridge"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,8 @@ class GdaModel:
     @ disc_factors[k]``; for vectorized kinds (pca/fisherface) ``combined``
     holds a single matrix applied to mean-centered vectorized samples.
     ``stage_seconds`` carries wall-clock stage timings and is never
-    serialized.
+    serialized.  ``gallery`` holds one projected sample per index of its
+    last axis; treat it as immutable and assign a new array to change it.
     """
 
     kind: str
@@ -173,6 +177,21 @@ class GdaModel:
     config: TrainingConfig | None = None
     warnings: tuple = ()
     stage_seconds: dict = field(default_factory=dict, compare=False)
+    _gallery_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def gallery_matrix(self) -> tuple:
+        """``(matrix, sq_norms, max_sq_norm)``: the gallery as a ``(d, n)``
+        matrix, one column per sample flattened in C order (a view of a
+        C-contiguous gallery), its column squared norms and their maximum.
+        Cached for the gallery array it was built from, so assigning a new
+        ``gallery`` rebuilds it."""
+        cache = self._gallery_cache
+        if cache is None or cache[0] is not self.gallery:
+            matrix = self.gallery.reshape(-1, self.gallery.shape[-1])
+            sq_norms = np.einsum("ij,ij->j", matrix, matrix)
+            cache = (self.gallery, matrix, sq_norms, float(sq_norms.max()))
+            self._gallery_cache = cache
+        return cache[1:]
 
     @property
     def projected_shape(self) -> tuple:
@@ -340,11 +359,12 @@ def k_mode_optimize(core_data: LabeledTensorSet, config: TrainingConfig) -> KMod
 
 def _projected_gallery(model: GdaModel, data: LabeledTensorSet) -> np.ndarray:
     """Project every training sample through the exact query path, so a
-    query equal to a gallery sample lands at distance zero."""
-    return np.stack(
-        [model.project(data.samples[..., i]) for i in range(data.n_samples)],
-        axis=-1,
-    )
+    query equal to a gallery sample lands at distance zero.  The result is
+    C-contiguous, so its ``(d, n)`` matrix view needs no copy."""
+    gallery = np.empty(model.projected_shape + (data.n_samples,))
+    for i in range(data.n_samples):
+        gallery[..., i] = model.project(data.samples[..., i])
+    return gallery
 
 
 def _singleton_warnings(data: LabeledTensorSet) -> tuple:

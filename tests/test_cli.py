@@ -441,3 +441,67 @@ class TestBadModelFile:
         err = capsys.readouterr().err
         assert code == 3
         assert err == f"error: {path} has model version 1, expected 2\n"
+
+
+class TestNonFiniteTrainingValues:
+    SYNTH = ["--synth", "c=2,per_class=4,shape=6x5,separation=6,noise=1"]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--conv-tol", "nan"),
+        ("--conv-tol", "inf"),
+        ("--ridge", "inf"),
+        ("--ridge", "nan"),
+    ])
+    def test_exits_2_with_one_line_and_writes_nothing(self, flag, value, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        code = run(["train", *self.SYNTH, flag, value, "--output", path])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be finite")
+        assert err.count("\n") == 1
+        assert not path.exists()
+
+
+class TestFileBoundary:
+    SYNTH = ["--synth", "c=2,per_class=4,shape=6x5,separation=6,noise=1"]
+
+    def _exits_3_with_one_line(self, argv, capsys):
+        capsys.readouterr()
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"method = gda\n# caf\xe9\n")
+        err = self._exits_3_with_one_line(
+            ["train", *self.SYNTH, "--config", config, "--output", tmp_path / "m.json"],
+            capsys,
+        )
+        assert f"cannot read config {config}" in err
+
+    def test_non_utf8_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_bytes(b"caf\xe9.pgm\t1\n")
+        err = self._exits_3_with_one_line(
+            ["train", "--manifest", manifest, "--output", tmp_path / "m.json"], capsys
+        )
+        assert f"cannot read manifest {manifest}" in err
+
+    def test_train_output_in_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "m.json"
+        err = self._exits_3_with_one_line(
+            ["train", *self.SYNTH, "--output", path], capsys
+        )
+        assert err == f"error: cannot access {path}: No such file or directory\n"
+
+    def test_classify_output_in_missing_directory(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        assert run(["train", *self.SYNTH, "--output", model]) == 0
+        path = tmp_path / "missing" / "predictions.tsv"
+        err = self._exits_3_with_one_line(
+            ["classify", *self.SYNTH, "--model", model, "--output", path], capsys
+        )
+        assert err == f"error: cannot access {path}: No such file or directory\n"

@@ -58,7 +58,19 @@ def _cases():
     cases["o3-visualize-pair"] = (
         ["visualize", *ORDER3, "--method", "fisherface", "--plane", "pair"], False
     )
+    for name in CLASSIFY:
+        cases[name] = (["classify", "--manifest", "{queries}", "--model", "{model}"], False)
     return cases
+
+
+# classify cases: name -> (synth spec, seed, method); the model trains on
+# subjects 1-3 of each class, and the queries are every sample, so the
+# gallery samples themselves are among them
+CLASSIFY = {
+    "o2-classify-gda": (ORDER2[1], ORDER2[3], "gda"),
+    "o2-classify-pca": (ORDER2[1], ORDER2[3], "pca"),
+    "o3-classify-hopca": (ORDER3[1], ORDER3[3], "hopca"),
+}
 
 
 CASES = _cases()
@@ -79,12 +91,35 @@ def unequal_folds_manifest(directory: Path) -> Path:
     return manifest
 
 
+def classify_inputs(name, directory: Path):
+    """``(queries manifest, model file)`` of a classify case: an on-disk set
+    of every sample, and a model trained on its subjects 1-3."""
+    spec, seed, method = CLASSIFY[name]
+    assert main(["synth", "--spec", spec, "--seed", seed, "--output-dir", str(directory)]) == 0
+    queries = directory / "manifest.tsv"
+    lines = queries.read_text().splitlines()
+    train = directory / "train.tsv"
+    train.write_text("\n".join(
+        line for line in lines
+        if line.startswith(("#", "@")) or int(line.split("\t")[2]) <= 3
+    ) + "\n")
+    model = directory / "model.json"
+    assert main([
+        "train", "--manifest", str(train), "--method", method, "--output", str(model)
+    ]) == 0
+    return queries, model
+
+
 def run_case(name, directory: Path) -> dict:
     """Run one case into ``directory``; ``file name -> SHA-256`` of its output."""
     argv, takes_dir = CASES[name]
     if "{manifest}" in argv:
         manifest = unequal_folds_manifest(directory.parent / f"{name}-data")
         argv = [str(manifest) if a == "{manifest}" else a for a in argv]
+    if "{model}" in argv:
+        queries, model = classify_inputs(name, directory.parent / f"{name}-data")
+        inputs = {"{queries}": str(queries), "{model}": str(model)}
+        argv = [inputs.get(a, a) for a in argv]
     directory.mkdir(parents=True, exist_ok=True)
     target = ["--output-dir", str(directory)] if takes_dir else ["--output", str(directory / "out")]
     assert main([*argv, *target]) == 0
@@ -96,6 +131,12 @@ def run_case(name, directory: Path) -> dict:
 
 # captured with numpy 2.4 / OpenBLAS 0.3.31 on x86-64
 GOLDENS = {
+    'o2-classify-gda': {
+        'out': 'bc418cc2f7446bfad53a21c066bd5e15f06977add253c475adb0d09cfffcf785',
+    },
+    'o2-classify-pca': {
+        'out': '32e71f64644e9681e3a5bc2691f2c13ee6270b2aaeaa69a32cf26efd622961df',
+    },
     'o2-compress-ranks': {
         'out': 'f0b052ed305aa9f39556730c078962a73c95fc0b3182780b4814f7c349231084',
     },
@@ -143,6 +184,9 @@ GOLDENS = {
     },
     'o2-visualize-1x2': {
         'out': '002b9d72e155c029c587daee2dddadda20a9dcafedfc6d8824ae87c382188347',
+    },
+    'o3-classify-hopca': {
+        'out': '547f84641f98869dd73e53d3bad03e2b307d602becfd719456d769d377b04558',
     },
     'o3-compress-ranks': {
         'out': 'aaa7bb6db7152c752ea7a45b69b7f0277470500b5e0d59e408e11bb5d1b97bae',
