@@ -40,10 +40,7 @@ from .model_io import load_model, save_model
 from .training import (
     GdaModel,
     LabeledTensorSet,
-    ScatterPair,
     TrainingConfig,
-    class_means,
-    eval_objective,
     k_mode_optimize,
     scatter_matrices,
     train_fisherface,
@@ -69,15 +66,12 @@ __all__ = [
     "LabeledTensorSet",
     "NumericInputError",
     "PgmParseError",
-    "ScatterPair",
     "SingularityError",
     "SvdResult",
     "TensorGdaError",
     "TrainingConfig",
-    "class_means",
     "classify",
     "classify_many",
-    "eval_objective",
     "evaluate_loo",
     "evaluate_split",
     "export_projection_2d",

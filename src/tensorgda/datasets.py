@@ -116,24 +116,22 @@ def load_image(path) -> np.ndarray:
         raise PgmParseError(f"{path}: {exc.message}", exc.offset) from None
 
 
-def save_pgm(path, matrix: np.ndarray, binary: bool = True, maxval: int = 255) -> None:
-    """Write an integer-valued matrix as a P5 (or P2) graymap."""
+def save_pgm(path, matrix: np.ndarray, binary: bool = True) -> None:
+    """Write an integer-valued matrix in 0..255 as a P5 (or P2) graymap."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise DimensionError(f"expected a matrix, got shape {matrix.shape}")
-    if not 0 < maxval <= 255:
-        raise DatasetError(f"maxval {maxval} outside 1..255")
     rounded = np.rint(matrix)
-    if np.any(rounded != matrix) or matrix.min() < 0 or matrix.max() > maxval:
-        raise DatasetError("pixel values must be integers in 0..maxval")
+    if np.any(rounded != matrix) or matrix.min() < 0 or matrix.max() > 255:
+        raise DatasetError("pixel values must be integers in 0..255")
     height, width = matrix.shape
     pixels = rounded.astype(np.uint8)
     with open(path, "wb") as handle:
         if binary:
-            handle.write(f"P5\n{width} {height}\n{maxval}\n".encode("ascii"))
+            handle.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
             handle.write(pixels.tobytes(order="C"))
         else:
-            handle.write(f"P2\n{width} {height}\n{maxval}\n".encode("ascii"))
+            handle.write(f"P2\n{width} {height}\n255\n".encode("ascii"))
             for row in pixels:
                 handle.write((" ".join(str(int(v)) for v in row) + "\n").encode("ascii"))
 

@@ -350,9 +350,9 @@ def export_projection_2d(model: GdaModel, data: LabeledTensorSet, plane: str = "
     raise ConfigurationError(f"unknown plane {plane!r}; choose 1x2, 2x1 or pair")
 
 
-def write_projection_csv(rows, path, delimiter: str = ",") -> None:
-    """Write 2D projection rows as delimited text with a header."""
+def write_projection_csv(rows, path) -> None:
+    """Write 2D projection rows as comma-separated text with a header."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(delimiter.join(("x", "y", "label")) + "\n")
+        handle.write("x,y,label\n")
         for x, y, label in rows:
-            handle.write(delimiter.join((repr(x), repr(y), str(label))) + "\n")
+            handle.write(f"{x!r},{y!r},{label}\n")

@@ -1,17 +1,21 @@
 """Serialization of trained models and experiment reports.
 
 Model container: a single JSON document (sorted keys, no whitespace) with a
-format-version tag.  Arrays are stored as base64 of their raw little-endian
+format-version tag.  It stores each fact once: the served projectors
+``combined``, not the factors they were multiplied from, and no flag that
+``kind`` implies.  Arrays are stored as base64 of their raw little-endian
 float64 buffers in row-major (C) order, alongside their shapes, so a
 save/load round trip is bit-exact and repeated saves of the same model are
 byte-identical.  Stage timings are deliberately not serialized.  Loading
-checks the document (exact key sets, known kind, base64 and buffer sizes,
-shapes that fit ``sample_shape``) before it builds a model.
+checks the document before it builds a model: exact key sets, the JSON type
+of every value, a known kind, base64 and buffer sizes, shapes that fit
+``sample_shape``, and a ``mean_vector`` exactly when the kind is
+vectorized.  A rejection names the key at fault.
 
 Report files: a line-oriented text document, ``key = value`` pairs followed
 by ``[section]`` tables (tab-separated).  Floats are written with ``repr``
-(shortest exact round trip), so reports are byte-reproducible; wall-clock
-timings are excluded unless explicitly requested.
+(shortest exact round trip), and wall-clock timings are never written, so
+reports are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,7 +32,11 @@ from .evaluation import METHODS, ExperimentReport
 from .training import GdaModel, TrainingConfig
 
 MODEL_FORMAT = "tensorgda-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -39,24 +47,12 @@ def _encode_array(a: np.ndarray) -> dict:
     }
 
 
-def _check_keys(what: str, blob, expected: set) -> None:
-    if not isinstance(blob, dict):
-        raise TypeError(f"{what} must be an object")
-    missing, unknown = sorted(expected - blob.keys()), sorted(blob.keys() - expected)
-    if missing:
-        raise ValueError(f"{what} lacks key(s) {', '.join(missing)}")
-    if unknown:
-        raise ValueError(f"{what} has unknown key(s) {', '.join(unknown)}")
+def _int_list(values) -> list:
+    return [int(v) for v in values]
 
 
-def _decode_array(blob: dict) -> np.ndarray:
-    _check_keys("array", blob, {"shape", "data"})
-    buf = base64.b64decode(blob["data"], validate=True)
-    return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(blob["shape"])
-
-
-def _encode_labels(labels: np.ndarray) -> list:
-    return [int(x) for x in labels]
+def _float_list(values) -> list:
+    return [float(v) for v in values]
 
 
 def model_to_json(model: GdaModel) -> str:
@@ -65,77 +61,132 @@ def model_to_json(model: GdaModel) -> str:
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "kind": model.kind,
-        "vectorized": model.vectorized,
         "sample_shape": list(model.sample_shape),
         "combined": [_encode_array(p) for p in model.combined],
-        "hosvd_factors": None
-        if model.hosvd_factors is None
-        else [_encode_array(f) for f in model.hosvd_factors],
-        "disc_factors": None
-        if model.disc_factors is None
-        else [_encode_array(f) for f in model.disc_factors],
-        "mean_vector": None
-        if model.mean_vector is None
-        else _encode_array(model.mean_vector),
+        "mean_vector": _optional(_encode_array)(model.mean_vector),
         "gallery": _encode_array(model.gallery),
-        "gallery_labels": _encode_labels(model.gallery_labels),
-        "hosvd_ranks": None
-        if model.hosvd_ranks is None
-        else [int(r) for r in model.hosvd_ranks],
-        "mode_energy": None
-        if model.mode_energy is None
-        else [float(e) for e in model.mode_energy],
-        "objective_trace": [float(v) for v in model.objective_trace],
-        "subspace_change_trace": [float(v) for v in model.subspace_change_trace],
-        "config": None if model.config is None else asdict(model.config),
+        "gallery_labels": _int_list(model.gallery_labels),
+        "hosvd_ranks": _optional(_int_list)(model.hosvd_ranks),
+        "mode_energy": _optional(_float_list)(model.mode_energy),
+        "objective_trace": _float_list(model.objective_trace),
+        "subspace_change_trace": _float_list(model.subspace_change_trace),
+        "config": _optional(asdict)(model.config),
         "warnings": list(model.warnings),
     }
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
-def _config_from_dict(blob: dict) -> TrainingConfig:
-    _check_keys("config", blob, {f.name for f in fields(TrainingConfig)})
-    return TrainingConfig(
-        **{k: tuple(v) if isinstance(v, list) else v for k, v in blob.items()}
-    )
+def _decode_object(blob, decoders: dict, header=()) -> dict:
+    """The values of the JSON object ``blob``, each read by the decoder of
+    its key.  The keys must be exactly ``header`` plus those of
+    ``decoders``; an error names the key at fault."""
+    if not isinstance(blob, dict):
+        raise TypeError("must be an object")
+    expected = {*header, *decoders}
+    missing, unknown = sorted(expected - blob.keys()), sorted(blob.keys() - expected)
+    if missing:
+        raise ValueError(f"lacks key(s) {', '.join(missing)}")
+    if unknown:
+        raise ValueError(f"has unknown key(s) {', '.join(unknown)}")
+    values = {}
+    for key, decode in decoders.items():
+        try:
+            values[key] = decode(blob[key])
+        except (TypeError, ValueError, OverflowError, ConfigurationError) as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return values
 
 
-def _known_kind(kind: str) -> str:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _typed(accept, what: str):
+    """A decoder that passes a JSON value through once ``accept`` holds."""
+    def decode(value):
+        if not accept(value):
+            raise TypeError(f"must be {what}")
+        return value
+    return decode
+
+
+def _list_of(accept, what: str):
+    """A decoder of a JSON list whose entries all pass ``accept``, as a tuple."""
+    def decode(value):
+        if not isinstance(value, list) or not all(accept(v) for v in value):
+            raise TypeError(f"must be a list of {what}")
+        return tuple(value)
+    return decode
+
+
+_integer = _typed(_is_int, "an integer")
+_number = _typed(_is_number, "a number")
+_counts = _list_of(lambda v: _is_int(v) and v >= 1, "positive integers")
+_numbers = _list_of(_is_number, "numbers")
+_array_blobs = _list_of(lambda v: isinstance(v, dict), "arrays")
+
+
+def _floats(value) -> tuple:
+    return tuple(float(v) for v in _numbers(value))
+
+
+_ARRAY_DECODERS = {
+    "shape": _list_of(lambda v: _is_int(v) and v >= 0, "nonnegative integers"),
+    "data": lambda value: base64.b64decode(value, validate=True),
+}
+
+
+def _decode_array(blob) -> np.ndarray:
+    array = _decode_object(blob, _ARRAY_DECODERS)
+    values = np.frombuffer(array["data"], dtype="<f8").astype(np.float64)
+    return values.reshape(array["shape"])
+
+
+def _known_kind(kind) -> str:
     if kind not in METHODS:
-        raise ValueError(f"unknown kind {kind!r}")
+        raise ValueError(f"{kind!r} is not one of {', '.join(METHODS)}")
     return kind
 
 
-def _optional(decode):
-    return lambda value: None if value is None else decode(value)
-
-
-def _decode_arrays(blobs) -> list:
-    return [_decode_array(b) for b in blobs]
-
+# how each TrainingConfig value is read back from the config echo
+_CONFIG_DECODERS = {
+    "target_dims": _optional(_counts),
+    "theta": _number,
+    "hosvd_ranks": _optional(_counts),
+    "max_iters": _integer,
+    "conv_tol": _number,
+    "ridge": _number,
+    "pca_dims": _optional(_integer),
+    "fisherface_pca_dims": _optional(_integer),
+    "fisherface_lda_dims": _optional(_integer),
+}
 
 # how each model field is read back from its JSON key of the same name
 _DECODERS = {
     "kind": _known_kind,
-    "sample_shape": tuple,
-    "combined": _decode_arrays,
+    "sample_shape": _counts,
+    "combined": lambda value: [_decode_array(b) for b in _array_blobs(value)],
     "gallery": _decode_array,
-    "gallery_labels": np.array,
-    "vectorized": bool,
-    "hosvd_factors": _optional(_decode_arrays),
-    "disc_factors": _optional(_decode_arrays),
+    "gallery_labels": lambda value: np.array(_list_of(_is_int, "integers")(value)),
     "mean_vector": _optional(_decode_array),
-    "hosvd_ranks": _optional(tuple),
-    "mode_energy": _optional(tuple),
-    "objective_trace": tuple,
-    "subspace_change_trace": tuple,
-    "config": _optional(_config_from_dict),
-    "warnings": tuple,
+    "hosvd_ranks": _optional(_counts),
+    "mode_energy": _optional(_floats),
+    "objective_trace": _floats,
+    "subspace_change_trace": _floats,
+    "config": _optional(
+        lambda blob: TrainingConfig(**_decode_object(blob, _CONFIG_DECODERS))
+    ),
+    "warnings": _list_of(lambda w: isinstance(w, str), "strings"),
 }
 
 
-def _check_shapes(model: GdaModel) -> None:
-    """Projectors, gallery and mean vector must fit ``sample_shape``."""
+def _check_consistency(model: GdaModel) -> None:
+    """Projectors, gallery and mean vector must fit ``sample_shape``, and
+    only the vectorized kinds carry a mean vector."""
     if model.vectorized:
         rows = [math.prod(model.sample_shape)]
     else:
@@ -143,14 +194,20 @@ def _check_shapes(model: GdaModel) -> None:
     got = [p.shape[0] if p.ndim == 2 else None for p in model.combined]
     if got != rows:
         raise ValueError(
-            f"projector rows {got} do not fit sample_shape {list(model.sample_shape)}"
+            f"combined: projector rows {got} do not fit sample_shape "
+            f"{list(model.sample_shape)}"
         )
     gallery_shape = model.projected_shape + (len(model.gallery_labels),)
     if model.gallery.shape != gallery_shape:
-        raise ValueError(f"gallery shape {model.gallery.shape}, expected {gallery_shape}")
+        raise ValueError(f"gallery: shape {model.gallery.shape}, expected {gallery_shape}")
     mean = model.mean_vector
-    if model.vectorized and mean is not None and mean.shape != (rows[0],):
-        raise ValueError(f"mean vector shape {mean.shape}, expected {(rows[0],)}")
+    if not model.vectorized and mean is not None:
+        raise ValueError(f"mean_vector: must be null for kind {model.kind!r}")
+    if model.vectorized and (mean is None or mean.shape != (rows[0],)):
+        found = "null" if mean is None else f"shape {mean.shape}"
+        raise ValueError(
+            f"mean_vector: kind {model.kind!r} needs shape {(rows[0],)}, got {found}"
+        )
 
 
 def save_model(model: GdaModel, path) -> None:
@@ -167,16 +224,15 @@ def load_model(path) -> GdaModel:
         raise DatasetError(f"cannot load model from {path}: {exc}") from exc
     if not isinstance(document, dict) or document.get("format") != MODEL_FORMAT:
         raise DatasetError(f"{path} is not a {MODEL_FORMAT} file")
-    if document.get("version") != MODEL_VERSION:
+    version = document.get("version")
+    if not _is_int(version) or version != MODEL_VERSION:
         raise DatasetError(
-            f"{path} has model version {document.get('version')}, "
-            f"expected {MODEL_VERSION}"
+            f"{path} has model version {version!r}, expected {MODEL_VERSION}"
         )
     try:
-        _check_keys("model", document, {"format", "version", *_DECODERS})
-        model = GdaModel(**{key: decode(document[key]) for key, decode in _DECODERS.items()})
-        _check_shapes(model)
-    except (TypeError, ValueError, ConfigurationError) as exc:
+        model = GdaModel(**_decode_object(document, _DECODERS, ("format", "version")))
+        _check_consistency(model)
+    except (TypeError, ValueError) as exc:
         raise DatasetError(f"{path} is not a valid model: {exc}") from None
     return model
 
@@ -187,11 +243,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def report_to_text(report: ExperimentReport, include_timings: bool = False) -> str:
+def report_to_text(report: ExperimentReport) -> str:
     """Canonical text form of a report.
 
-    Field names are stable; timings appear only on request because they are
-    not reproducible across runs.
+    Field names are stable.  The report's wall-clock ``timings`` are never
+    written, because they are not reproducible across runs.
     """
     lines = ["# tensorgda experiment report v1"]
     lines.append(f"protocol = {report.protocol}")
@@ -227,14 +283,9 @@ def report_to_text(report: ExperimentReport, include_timings: bool = False) -> s
             continue
         lines.append(f"[objective_trace {i}]")
         lines.append(" ".join(_fmt(float(v)) for v in trace))
-
-    if include_timings:
-        lines.append("[timings]")
-        for key in sorted(report.timings):
-            lines.append(f"{key} = {_fmt(report.timings[key])}")
     return "\n".join(lines) + "\n"
 
 
-def save_report(report: ExperimentReport, path, include_timings: bool = False) -> None:
+def save_report(report: ExperimentReport, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(report_to_text(report, include_timings=include_timings))
+        handle.write(report_to_text(report))

@@ -1,10 +1,10 @@
-"""Dense N-way tensor algebra: unfolding, folding, k-mode products, norms.
+"""Dense N-way tensor algebra: unfolding, folding and k-mode products.
 
 A tensor is a ``numpy.ndarray`` of ``float64`` scalars.  The linearization
 contract used throughout the package is generalized column-major: the first
 index varies fastest, the last slowest, i.e. the element at multi-index
 ``(i_0, ..., i_{N-1})`` sits at linear offset ``sum_k i_k * prod_{m<k} I_m``
-of ``values(t)``.  Modes are zero-based axes, ``0 <= mode < t.ndim``.
+of ``t.ravel(order="F")``.  Modes are zero-based axes, ``0 <= mode < t.ndim``.
 
 Unfolding follows the convention in which row ``mode`` is paired with columns
 that enumerate the remaining modes in increasing order, lower modes varying
@@ -14,7 +14,7 @@ fastest.  Under this convention the flattened form of a multi-mode product is
 
 which is the identity every downstream scatter computation relies on.
 
-Elementwise arithmetic (add, subtract, scale) is plain ndarray arithmetic;
+Elementwise arithmetic, norms, means and Kronecker products are plain numpy;
 no wrappers are provided.  All functions are pure and never mutate inputs.
 """
 
@@ -23,22 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, InvalidModeError
-
-
-def from_values(shape, values) -> np.ndarray:
-    """Build a tensor from its shape and column-major linear buffer."""
-    shape = tuple(int(s) for s in shape)
-    buf = np.asarray(values, dtype=np.float64)
-    if buf.size != int(np.prod(shape)):
-        raise DimensionError(
-            f"buffer of {buf.size} values cannot fill shape {shape}"
-        )
-    return np.reshape(buf.ravel(), shape, order="F")
-
-
-def values(t: np.ndarray) -> np.ndarray:
-    """Column-major linear buffer of a tensor (first index fastest)."""
-    return np.asarray(t, dtype=np.float64).ravel(order="F")
 
 
 def _check_mode(t: np.ndarray, mode: int) -> None:
@@ -107,37 +91,3 @@ def multi_mode_product(t: np.ndarray, factors) -> np.ndarray:
         seen.add(mode)
         t = mode_product(t, u, mode)
     return t
-
-
-def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; block (i, j) equals ``a[i, j] * b``."""
-    return np.kron(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-
-
-def norm(t: np.ndarray) -> float:
-    """Frobenius norm, invariant under unfolding along any mode."""
-    return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))
-
-
-def distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius distance between two same-shape tensors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm((a - b).ravel()))
-
-
-def mean(tensors) -> np.ndarray:
-    """Entrywise mean of a nonempty sequence of same-shape tensors."""
-    tensors = list(tensors)
-    if not tensors:
-        raise DimensionError("mean of an empty tensor set")
-    first = np.asarray(tensors[0], dtype=np.float64)
-    acc = np.zeros_like(first)
-    for t in tensors:
-        t = np.asarray(t, dtype=np.float64)
-        if t.shape != first.shape:
-            raise DimensionError(f"shape mismatch: {t.shape} vs {first.shape}")
-        acc += t
-    return acc / len(tensors)

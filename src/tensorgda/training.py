@@ -153,9 +153,11 @@ class ScatterPair:
 class GdaModel:
     """A trained projector set plus the projected training gallery.
 
-    For multilinear kinds (gda/mda/hopca) ``combined[k] = hosvd_factors[k]
-    @ disc_factors[k]``; for vectorized kinds (pca/fisherface) ``combined``
-    holds a single matrix applied to mean-centered vectorized samples.
+    For multilinear kinds (gda/mda/hopca) ``combined[k]`` is the mode-``k``
+    projector ``V_k @ U_k``, the product of the HOSVD basis and the
+    discriminant factor; only the product is kept.  For vectorized kinds
+    (pca/fisherface) ``combined`` holds a single matrix applied to the
+    vectorized sample minus ``mean_vector``, which only they carry.
     ``stage_seconds`` carries wall-clock stage timings and is never
     serialized.  ``gallery`` holds one projected sample per index of its
     last axis; treat it as immutable and assign a new array to change it.
@@ -166,9 +168,6 @@ class GdaModel:
     combined: list
     gallery: np.ndarray
     gallery_labels: np.ndarray
-    vectorized: bool = False
-    hosvd_factors: list | None = None
-    disc_factors: list | None = None
     mean_vector: np.ndarray | None = None
     hosvd_ranks: tuple | None = None
     mode_energy: tuple | None = None
@@ -194,6 +193,11 @@ class GdaModel:
         return cache[1:]
 
     @property
+    def vectorized(self) -> bool:
+        """pca/fisherface: samples are projected as mean-centered vectors."""
+        return self.kind in ("pca", "fisherface")
+
+    @property
     def projected_shape(self) -> tuple:
         if self.vectorized:
             return (self.combined[0].shape[1],)
@@ -208,10 +212,7 @@ class GdaModel:
                 f"{self.sample_shape}"
             )
         if self.vectorized:
-            vec = x.ravel(order="F")
-            if self.mean_vector is not None:
-                vec = vec - self.mean_vector
-            return self.combined[0].T @ vec
+            return self.combined[0].T @ (x.ravel(order="F") - self.mean_vector)
         return tensor.multi_mode_product(
             x, [(p.T, k) for k, p in enumerate(self.combined)]
         )
@@ -280,6 +281,7 @@ def _trace_ratio(pair: ScatterPair, u: np.ndarray) -> float:
     return float(np.sum(u * (pair.s_b @ u))) / denominator
 
 
+# unused here but stays bound: perfbench/tracing.py wraps it by name
 def eval_objective(data: LabeledTensorSet, means, factors) -> float:
     """Projected between- over within-class scatter: ``tr(U_0^T S_b U_0) /
     tr(U_0^T S_w U_0)`` on the mode-0 pair, as :func:`k_mode_optimize`
@@ -442,8 +444,6 @@ def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str
         combined=combined,
         gallery=np.empty(0),
         gallery_labels=data.labels.copy(),
-        hosvd_factors=hosvd_factors,
-        disc_factors=disc,
         hosvd_ranks=tuple(kept),
         mode_energy=tuple(mode_energy),
         objective_trace=objective_trace,
@@ -504,7 +504,6 @@ def train_pca(data: LabeledTensorSet, dims: int | None = None) -> GdaModel:
         combined=[basis],
         gallery=np.empty(0),
         gallery_labels=data.labels.copy(),
-        vectorized=True,
         mean_vector=mean_vector,
         warnings=_singleton_warnings(data),
         stage_seconds={"optimize": time.perf_counter() - t0},
@@ -520,7 +519,8 @@ def train_fisherface(
     ridge: float = 1e-6,
 ) -> GdaModel:
     """PCA to ``pca_dims`` (default ``m - C``) then vector discriminant
-    analysis to ``lda_dims`` (default ``C - 1``) on the reduced vectors."""
+    analysis to ``lda_dims`` (default ``C - 1``) on the reduced vectors,
+    whose scatters come from :func:`scatter_matrices` on an order-1 set."""
     t0 = time.perf_counter()
     n_classes = data.n_classes
     if n_classes < 2:
@@ -534,19 +534,9 @@ def train_fisherface(
         raise ConfigurationError(
             f"fisherface lda dims must lie in [1, {min(n_classes - 1, pca_dims)}]"
         )
-    reduced = pca_basis.T @ centered
-
-    s_b = np.zeros((pca_dims, pca_dims))
-    s_w = np.zeros((pca_dims, pca_dims))
-    overall = np.mean(reduced, axis=1)
-    for c in data.classes:
-        block = reduced[:, data.labels == c]
-        mu = np.mean(block, axis=1)
-        delta = mu - overall
-        s_b += block.shape[1] * np.outer(delta, delta)
-        within = block - mu[:, None]
-        s_w += within @ within.T
-    lda_basis = ratio_trace_eig(s_b, s_w, lda_dims, ridge)
+    reduced = LabeledTensorSet(pca_basis.T @ centered, data.labels)
+    pair = scatter_matrices(reduced, [None], 0)
+    lda_basis = ratio_trace_eig(pair.s_b, pair.s_w, lda_dims, ridge)
 
     combined = pca_basis @ lda_basis
     model = GdaModel(
@@ -555,7 +545,6 @@ def train_fisherface(
         combined=[combined],
         gallery=np.empty(0),
         gallery_labels=data.labels.copy(),
-        vectorized=True,
         mean_vector=mean_vector,
         warnings=_singleton_warnings(data),
         stage_seconds={"optimize": time.perf_counter() - t0},

@@ -1,5 +1,6 @@
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -404,6 +405,38 @@ def _transposed_sample_shape(doc):
     doc["sample_shape"] = doc["sample_shape"][::-1]
 
 
+def _null_mean_vector(doc):
+    doc["mean_vector"] = None
+
+
+def _multilinear_mean_vector(doc):
+    doc["mean_vector"] = {"shape": [1], "data": "AAAAAAAAAAA="}
+
+
+def _string_objective_trace(doc):
+    doc["objective_trace"] = "abc"
+
+
+def _infinite_hosvd_rank(doc):
+    doc["hosvd_ranks"][0] = math.inf
+
+
+def _string_target_dims(doc):
+    doc["config"]["target_dims"] = "1x1"
+
+
+def _scalar_sample_shape(doc):
+    doc["sample_shape"] = 30
+
+
+def _scalar_warnings(doc):
+    doc["warnings"] = 1
+
+
+def _string_gallery_labels(doc):
+    doc["gallery_labels"] = "12"
+
+
 class TestBadModelFile:
     SYNTH = ["--synth", "c=2,per_class=4,shape=6x5,separation=6,noise=1"]
 
@@ -429,18 +462,60 @@ class TestBadModelFile:
         assert err.startswith(f"error: {path} is not a valid model")
         assert err.count("\n") == 1
 
-    def test_version_1_model_exits_3_with_one_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method,corrupt,key", [
+        ("pca", _null_mean_vector, "mean_vector"),
+        ("fisherface", _null_mean_vector, "mean_vector"),
+        ("gda", _multilinear_mean_vector, "mean_vector"),
+        ("gda", _string_objective_trace, "objective_trace"),
+        ("gda", _infinite_hosvd_rank, "hosvd_ranks"),
+        ("gda", _string_target_dims, "target_dims"),
+        ("gda", _scalar_sample_shape, "sample_shape"),
+        ("gda", _scalar_warnings, "warnings"),
+        ("gda", _string_gallery_labels, "gallery_labels"),
+    ])
+    def test_exits_3_naming_the_key(self, method, corrupt, key, tmp_path, capsys):
         path = tmp_path / "model.json"
-        assert run(["train", *self.SYNTH, "--output", path]) == 0
+        assert run(["train", *self.SYNTH, "--method", method, "--output", path]) == 0
         doc = json.loads(path.read_text())
-        doc["version"] = 1
-        doc["config"].update(seed=0, gram_crossover=32768)
+        corrupt(doc)
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         code = run(["classify", *self.SYNTH, "--model", path])
         err = capsys.readouterr().err
         assert code == 3
-        assert err == f"error: {path} has model version 1, expected 2\n"
+        assert err.startswith(f"error: {path} is not a valid model: ")
+        assert f"{key}: " in err
+        assert err.count("\n") == 1
+
+    def _version_error(self, update, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        assert run(["train", *self.SYNTH, "--output", path]) == 0
+        doc = json.loads(path.read_text())
+        update(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["classify", *self.SYNTH, "--model", path])
+        assert code == 3
+        return capsys.readouterr().err.replace(str(path), "MODEL")
+
+    def test_version_1_model_exits_3_with_one_line(self, tmp_path, capsys):
+        def v1(doc):
+            doc.update(version=1, vectorized=False, hosvd_factors=[], disc_factors=[])
+            doc["config"].update(seed=0, gram_crossover=32768)
+
+        err = self._version_error(v1, tmp_path, capsys)
+        assert err == "error: MODEL has model version 1, expected 3\n"
+
+    def test_version_2_model_exits_3_with_one_line(self, tmp_path, capsys):
+        def v2(doc):
+            doc.update(version=2, vectorized=False, hosvd_factors=[], disc_factors=[])
+
+        err = self._version_error(v2, tmp_path, capsys)
+        assert err == "error: MODEL has model version 2, expected 3\n"
+
+    def test_string_version_is_quoted(self, tmp_path, capsys):
+        err = self._version_error(lambda doc: doc.update(version="3"), tmp_path, capsys)
+        assert err == "error: MODEL has model version '3', expected 3\n"
 
 
 class TestNonFiniteTrainingValues:

@@ -165,22 +165,22 @@ GOLDENS = {
         'report_split_pca.txt': 'db6ffaf7dfeb6dcb6f944c27d8865d3e7e5601c068a5b76981fcfa578f87b819',
     },
     'o2-train-fisherface': {
-        'out': 'd47cccd721eae93dd04ac9257971ccb601f1d0faa1f7e871caf1807126a5b73b',
+        'out': 'b6c0e8f4e8d99e8879036b3c26d08cddf503d913151c5ea15a6484c6a4d136aa',
     },
     'o2-train-gda': {
-        'out': '8828cebd813f3ab8891952777fcb739f6337655ba771638aa2546c31e589cb79',
+        'out': '8d929382de4162e8bfc02f48c0f24bef9197c4d9d38e7ebb6ebcf6c98461200e',
     },
     'o2-train-gda-flags': {
-        'out': '9083921cbb011b438ddb6e41e22c7b56aab5443d2ff40868df22814af5072427',
+        'out': '6639590f4cbae6af1af850dda98038f0b44e616339378c2f54d39befb7c7d65f',
     },
     'o2-train-hopca': {
-        'out': 'f891e5f0c0ac48fec7bf37236e24916f75e4f07d1799e78aeb5079fecb6969fe',
+        'out': '0c13d1c2b8675da9b71eb97ab6237eac77d51f7f2a58418d95b6679418c791ee',
     },
     'o2-train-mda': {
-        'out': '129a4a1d2d32584ddc1d08bddc33513f4275e824931ef5519be62d63d815be22',
+        'out': '687296fe8ba06abf3294dc418a47006f757a839c2e369716cbe2daed9419ece0',
     },
     'o2-train-pca': {
-        'out': 'f20e532c442b47a2ad9c2dc4df6782a3e0ad7fc33e087726b3ce6fcb80f08482',
+        'out': '7cb212bf8d60e357609b0dc8fb4b99047e41d23408f3a567ef1a14414a3cf81d',
     },
     'o2-visualize-1x2': {
         'out': '002b9d72e155c029c587daee2dddadda20a9dcafedfc6d8824ae87c382188347',
@@ -209,25 +209,25 @@ GOLDENS = {
         'report_split_pca.txt': '410d562e8bbc960d555b3f460f00ed2a790a97fe766b1b77ac44f077a45f54e5',
     },
     'o3-train-fisherface': {
-        'out': '712314b7b758793a3965ea4b847a925f056510f3d3e222ba3ce79d85b0231707',
+        'out': 'd439f036f97bc2f60bead18928f0b24f4e806981d1dae40a8acef84845e304d7',
     },
     'o3-train-gda': {
-        'out': '63ee38f056da400c7e6541ce10a75159644b372011158d56a1c796d4f2fa0980',
+        'out': '587bf3e372d31e2bfae542a481ea428efd0e369eb3e11227f1c1bcaa293e2ea9',
     },
     'o3-train-gda-ranks': {
-        'out': 'a97bc391398cc85059847de9d63aeecada4f8c730a194370b349636d8390c5d6',
+        'out': 'e67d2203fc171ec1da819e66931f5ddf4ef147c697934a3810a26393b1ecec98',
     },
     'o3-train-hopca': {
-        'out': 'e42c700e1862aafcb2cbb529bd98228adddabe727e787d8d3dd7f683d24a28ab',
+        'out': '63b9ae967d1079721e1bb8003d04ca0e8972b725e581af0aa3dd70de911fbfa8',
     },
     'o3-train-mda': {
-        'out': 'fba35de9509eb343bd447854af8f3d093cba1f5ef5817505d1f6b18e028aeb6e',
+        'out': '293b3abc135c006feb1b9a03f90001cb6caf673375d2c4a3e310c201a81089ae',
     },
     'o3-train-pca': {
-        'out': 'cfe655eeff7643c9c31666de3d77a755c42bc151da9e70903ff7e480482bd96c',
+        'out': 'f0de7df0b7321b5f7297372fa470cfaee87373d1fedc53fc244a4ba0b224b143',
     },
     'o3-visualize-pair': {
-        'out': '5bccc706a3387eadf02901be7b719d8fca6b5afd8394999d391537794fc2a82e',
+        'out': 'c6d16d59fa14f4c1bb9938e453c0441a2789f8d50dbd2689e1c42c817339eddb',
     },
 }
 

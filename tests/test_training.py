@@ -8,12 +8,14 @@ from tensorgda import tensor
 from tensorgda.datasets import synth_gaussian_classes
 from tensorgda.errors import ConfigurationError
 from tensorgda.evaluation import classify, split_indices
-from tensorgda.linalg import principal_angles
+from tensorgda.linalg import principal_angles, ratio_trace_eig
 from tensorgda.training import (
     LabeledTensorSet,
     TrainingConfig,
     class_means,
+    default_target_dims,
     eval_objective,
+    hosvd_stage,
     k_mode_optimize,
     scatter_matrices,
     train_fisherface,
@@ -21,6 +23,7 @@ from tensorgda.training import (
     train_hopca,
     train_mda,
     train_pca,
+    vector_pca,
 )
 
 
@@ -362,7 +365,8 @@ class TestTrainGda:
         full = TrainingConfig(theta=0.98, target_dims=kept)
         gda_full = train_gda(train, full)
         hopca = train_hopca(train, full)
-        for k, u in enumerate(gda_full.disc_factors):
+        core = LabeledTensorSet(hosvd_stage(train, full).core, train.labels)
+        for k, u in enumerate(k_mode_optimize(core, full).factors):
             assert u.shape == (kept[k], kept[k])
             assert abs(np.linalg.det(u)) > 1e-12  # square invertible
         for i in range(test.n_samples):
@@ -378,8 +382,13 @@ class TestTrainGda:
 
     def test_combined_factorization_invariant(self):
         data = synth_gaussian_classes(3, 8, (6, 5), 5.0, 1.0, seed=24)
-        model = train_gda(data, TrainingConfig())
-        for p, v, u in zip(model.combined, model.hosvd_factors, model.disc_factors):
+        config = TrainingConfig()
+        model = train_gda(data, config)
+        decomposition = hosvd_stage(data, config)
+        core = LabeledTensorSet(decomposition.core, data.labels)
+        dims = default_target_dims(decomposition.kept_ranks[:2], data.n_classes)
+        disc = k_mode_optimize(core, TrainingConfig(target_dims=dims)).factors
+        for p, v, u in zip(model.combined, decomposition.factors, disc):
             np.testing.assert_allclose(p, v @ u, atol=1e-12)
 
     def test_gallery_shape(self):
@@ -444,8 +453,10 @@ class TestTrainMda:
         model = train_mda(data, TrainingConfig(target_dims=(2, 2)))
         assert model.combined[0].shape == (5, 2)
         assert model.combined[1].shape == (4, 2)
-        for v in model.hosvd_factors:
-            np.testing.assert_array_equal(v, np.eye(v.shape[0]))
+        # no HOSVD stage: the projectors are the discriminant factors
+        disc = k_mode_optimize(data, TrainingConfig(target_dims=(2, 2))).factors
+        for p, u in zip(model.combined, disc):
+            np.testing.assert_array_equal(p, u)
 
     def test_ridge_engages_when_extents_exceed_samples(self):
         data = synth_gaussian_classes(2, 3, (8, 9), 4.0, 1.0, seed=31)
@@ -500,3 +511,25 @@ class TestVectorBaselines:
         data = synth_gaussian_classes(3, 6, (4, 4), 4.0, 1.0, seed=35)
         model = train_fisherface(data)
         assert model.combined[0].shape == (16, 2)  # C - 1 discriminants
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fisherface_matches_per_class_scatter_loop(self, seed):
+        data = synth_gaussian_classes(4, 6, (5, 4), 4.0, 1.0, seed=40 + seed)
+        model = train_fisherface(data)
+        # oracle: the same PCA, then scatters accumulated one class at a time
+        pca_dims = data.n_samples - data.n_classes
+        _, centered, pca_basis = vector_pca(data, pca_dims)
+        reduced = pca_basis.T @ centered
+        s_b = np.zeros((pca_dims, pca_dims))
+        s_w = np.zeros((pca_dims, pca_dims))
+        overall = np.mean(reduced, axis=1)
+        for c in data.classes:
+            block = reduced[:, data.labels == c]
+            mu = np.mean(block, axis=1)
+            delta = mu - overall
+            s_b += block.shape[1] * np.outer(delta, delta)
+            within = block - mu[:, None]
+            s_w += within @ within.T
+        oracle = pca_basis @ ratio_trace_eig(s_b, s_w, data.n_classes - 1, 1e-6)
+        got = model.combined[0]
+        assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
