@@ -309,9 +309,9 @@ def cmd_compress(args) -> int:
     recon_dir = Path(args.save_reconstructions) if args.save_reconstructions else None
     if recon_dir is not None:
         recon_dir.mkdir(parents=True, exist_ok=True)
-    for i in range(m_samples):
+    hopca_recon = tensor._per_sample_products(data.samples, projections)
+    for i, restored in enumerate(np.moveaxis(hopca_recon, -1, 0)):
         original = data.samples[..., i]
-        restored = tensor.multi_mode_product(original, projections)
         psnr_h.append(psnr(original, restored))
         pca_restored = pca_recon[:, i].reshape(extents, order="F")
         psnr_p.append(psnr(original, pca_restored))

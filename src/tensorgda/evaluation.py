@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DatasetError, DimensionError
+from . import training
+from .errors import ConfigurationError, DatasetError
 from .hosvd import hopca_compression_fraction, pca_compression_fraction
 from .training import (
     GdaModel,
@@ -63,8 +64,6 @@ def classify(model: GdaModel, x: np.ndarray):
     return labels[0], int(indices[0]), float(distances[0])
 
 
-# queries screened by one GEMM; bounds the (block, n) screen for large inputs
-_QUERY_BLOCK = 256
 _EPS = np.finfo(np.float64).eps
 _ETA = np.finfo(np.float64).smallest_subnormal
 
@@ -80,10 +79,11 @@ def classify_many(model: GdaModel, samples: np.ndarray):
     ``(z, g)``, never on the other queries or entries, so its bits do not
     depend on how the samples are batched.
 
-    Only a few entries are computed directly.  Each query is projected
-    exactly as the gallery was, then screened against every entry at once by
-    one GEMM: ``a_j = |g_j|^2 - 2 z.g_j``, which is ``|z - g_j|^2 - |z|^2``
-    up to rounding (the expansion used by exact brute-force k-NN; Johnson,
+    Only a few entries are computed directly.  The stack is projected by one
+    :meth:`GdaModel.project` call, exactly as the gallery was, and each block
+    of queries is screened against every entry at once by one GEMM:
+    ``a_j = |g_j|^2 - 2 z.g_j``, which is ``|z - g_j|^2 - |z|^2`` up to
+    rounding (the expansion used by exact brute-force k-NN; Johnson,
     Douze & Jegou, IEEE Trans. Big Data 2019).  The candidates are the
     entries with ``a_j <= min(a) + slack``; they are recomputed directly.
 
@@ -114,30 +114,26 @@ def classify_many(model: GdaModel, samples: np.ndarray):
     """
     if model.gallery.size == 0:
         raise DatasetError("model has an empty gallery")
-    samples = np.asarray(samples)
-    if samples.ndim == 0:
-        raise DimensionError("samples need a trailing sample axis")
     gallery, sq_norms, max_sq_norm = model.gallery_matrix()
-    size, count = gallery.shape[0], samples.shape[-1]
-    slack_factor = 8.0 * (size + 4)
+    # one query per row, flattened in C order like the gallery's columns
+    projected = model.project(samples).reshape(gallery.shape[0], -1).T
+    count = len(projected)
+    slack_factor = 8.0 * (gallery.shape[0] + 4)
     indices = np.empty(count, dtype=np.intp)
     distances = np.empty(count)
-    for start in range(0, count, _QUERY_BLOCK):
-        block = range(start, min(start + _QUERY_BLOCK, count))
-        queries = np.empty((len(block), size))
-        for row, i in enumerate(block):
-            queries[row] = model.project(samples[..., i]).reshape(-1)
+    for start in range(0, count, training._QUERY_BLOCK):
+        queries = projected[start : start + training._QUERY_BLOCK]
         screen = sq_norms - 2.0 * (queries @ gallery)
         smallest = screen.min(axis=1)
         scale = np.einsum("ij,ij->i", queries, queries) + max_sq_norm
         bounded = np.isfinite(smallest) & np.isfinite(4.0 * scale)
         slack = slack_factor * (_EPS * scale + _ETA)
-        for row, i in enumerate(block):
+        for row, z in enumerate(queries):
             if bounded[row]:
                 candidates = np.flatnonzero(screen[row] <= smallest[row] + slack[row])
             else:
                 candidates = np.arange(gallery.shape[1])
-            indices[i], distances[i] = _nearest(gallery, queries[row], candidates)
+            indices[start + row], distances[start + row] = _nearest(gallery, z, candidates)
     return model.gallery_labels[indices], indices, distances
 
 
@@ -330,24 +326,17 @@ def export_projection_2d(model: GdaModel, data: LabeledTensorSet, plane: str = "
                 f"plane {plane!r} needs at least {need_left}x{need_right} "
                 f"projected dims, model has {left.shape[1]}x{right.shape[1]}"
             )
-        u = left[:, :need_left]
-        v = right[:, :need_right]
-        rows = []
-        for i in range(data.n_samples):
-            z = (u.T @ data.samples[..., i] @ v).ravel(order="F")
-            rows.append((float(z[0]), float(z[1]), data.labels[i]))
-        return rows
-    if plane == "pair":
-        rows = []
-        for i in range(data.n_samples):
-            z = model.project(data.samples[..., i]).ravel(order="F")
-            if z.size < 2:
-                raise ConfigurationError(
-                    "plane 'pair' needs at least 2 projected coordinates"
-                )
-            rows.append((float(z[0]), float(z[1]), data.labels[i]))
-        return rows
-    raise ConfigurationError(f"unknown plane {plane!r}; choose 1x2, 2x1 or pair")
+        u, v = left[:, :need_left], right[:, :need_right]
+        # one sample per row; a 1x2 or 2x1 matrix ravels alike in C and F order
+        z = np.matmul(np.matmul(u.T, np.moveaxis(data.samples, -1, 0)), v).reshape(-1, 2)
+    elif plane == "pair":
+        if np.prod(model.projected_shape) < 2:
+            raise ConfigurationError("plane 'pair' needs at least 2 projected coordinates")
+        # the first two column-major coordinates of each sample, one per row
+        z = model.project(data.samples).reshape(-1, data.n_samples, order="F")[:2].T
+    else:
+        raise ConfigurationError(f"unknown plane {plane!r}; choose 1x2, 2x1 or pair")
+    return [(float(x), float(y), label) for (x, y), label in zip(z, data.labels)]
 
 
 def write_projection_csv(rows, path) -> None:

@@ -8,8 +8,8 @@ float64 buffers in row-major (C) order, alongside their shapes, so a
 save/load round trip is bit-exact and repeated saves of the same model are
 byte-identical.  Stage timings are deliberately not serialized.  Loading
 checks the document before it builds a model: exact key sets, the JSON type
-of every value, a known kind, base64 and buffer sizes, shapes that fit
-``sample_shape``, and a ``mean_vector`` exactly when the kind is
+of every value, a known kind, base64 and buffer sizes, finite arrays, shapes
+that fit ``sample_shape``, and a ``mean_vector`` exactly when the kind is
 vectorized.  A rejection names the key at fault.
 
 Report files: a line-oriented text document, ``key = value`` pairs followed
@@ -143,6 +143,8 @@ _ARRAY_DECODERS = {
 def _decode_array(blob) -> np.ndarray:
     array = _decode_object(blob, _ARRAY_DECODERS)
     values = np.frombuffer(array["data"], dtype="<f8").astype(np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("holds a non-finite value")
     return values.reshape(array["shape"])
 
 

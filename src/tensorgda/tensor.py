@@ -91,3 +91,20 @@ def multi_mode_product(t: np.ndarray, factors) -> np.ndarray:
         seen.add(mode)
         t = mode_product(t, u, mode)
     return t
+
+
+def _per_sample_products(stack: np.ndarray, factors) -> np.ndarray:
+    """:func:`multi_mode_product` of each sample of ``stack`` (samples on the
+    last axis), bit for bit as it is for that sample alone and C-contiguous:
+    one BLAS call per sample and mode, as one GEMM over the whole stack
+    rounds differently as its width changes."""
+    z = np.ascontiguousarray(np.moveaxis(np.asarray(stack, dtype=np.float64), -1, 0))
+    for u, mode in factors:
+        moved = np.moveaxis(z, mode + 1, 1)  # (sample, mode, other modes)
+        others = list(range(moved.ndim - 1, 1, -1))  # other modes, last first
+        # each sample's transposed unfolding, viewed or copied as unfold does
+        # (the layout picks the BLAS kernel): C over reversed modes is its order
+        rows = moved.transpose([0, *others, 1]).reshape(len(z), -1, moved.shape[1])
+        product = np.matmul(u, rows.swapaxes(1, 2)).reshape((len(z), len(u)) + moved.shape[:1:-1])
+        z = np.moveaxis(product.transpose([0, 1, *others]), 1, mode + 1)
+    return np.moveaxis(z, 0, -1)

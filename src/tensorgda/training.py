@@ -149,6 +149,10 @@ class ScatterPair:
     s_w: np.ndarray
 
 
+# samples projected, or queries screened, at a time: bounds the transients
+_QUERY_BLOCK = 256
+
+
 @dataclass
 class GdaModel:
     """A trained projector set plus the projected training gallery.
@@ -203,19 +207,24 @@ class GdaModel:
             return (self.combined[0].shape[1],)
         return tuple(p.shape[1] for p in self.combined)
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Low-dimensional representation of one sample."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != self.sample_shape:
-            raise DimensionError(
-                f"sample shape {x.shape} does not match training shape "
-                f"{self.sample_shape}"
-            )
-        if self.vectorized:
-            return self.combined[0].T @ (x.ravel(order="F") - self.mean_vector)
-        return tensor.multi_mode_product(
-            x, [(p.T, k) for k, p in enumerate(self.combined)]
-        )
+    def project(self, samples: np.ndarray) -> np.ndarray:
+        """Samples stacked on the last axis, ``sample_shape + (m,)``, projected
+        to one C-contiguous ``projected_shape + (m,)`` stack, ``_QUERY_BLOCK``
+        samples at a time (vectorized kinds: the mean-centered column-major
+        vector).  A sample's bits do not depend on the batch it comes in."""
+        samples = np.asarray(samples, dtype=np.float64)
+        if samples.shape[:-1] != self.sample_shape:
+            raise DimensionError(f"samples of shape {samples.shape} do not stack the "
+                                 f"training shape {self.sample_shape} on the last axis")
+        factors = [(p.T, k) for k, p in enumerate(self.combined)]
+        projected = np.empty(self.projected_shape + samples.shape[-1:])
+        for start in range(0, samples.shape[-1], _QUERY_BLOCK):
+            chunk = slice(start, start + _QUERY_BLOCK)
+            block = samples[..., chunk]
+            if self.vectorized:
+                block = block.reshape(-1, block.shape[-1], order="F") - self.mean_vector[:, None]
+            projected[..., chunk] = tensor._per_sample_products(block, factors)
+        return projected
 
 
 def class_means(data: LabeledTensorSet):
@@ -228,12 +237,11 @@ def class_means(data: LabeledTensorSet):
     return means, np.mean(data.samples, axis=-1)
 
 
-def deviation_stacks(data: LabeledTensorSet, means=None) -> tuple:
+def deviation_stacks(data: LabeledTensorSet) -> tuple:
     """The deviations behind both scatters, each stacked along a new last
     axis: the within-class deviations ``X_i - M_c(i)`` in sample order, and
-    the class-mean deviations ``sqrt(n_c) * (M_c - M)`` in class order.
-    ``means`` is the :func:`class_means` pair, computed when omitted."""
-    per_class, global_mean = class_means(data) if means is None else means
+    the class-mean deviations ``sqrt(n_c) * (M_c - M)`` in class order."""
+    per_class, global_mean = class_means(data)
     per_class = np.stack(per_class, axis=-1)
     within = data.samples - per_class[..., np.searchsorted(data.classes, data.labels)]
     between = (per_class - global_mean[..., None]) * np.sqrt(data.class_counts())
@@ -273,21 +281,14 @@ def scatter_matrices(
     return ScatterPair(s_b=scatter(between), s_w=scatter(within))
 
 
-def _trace_ratio(pair: ScatterPair, u: np.ndarray) -> float:
-    """``tr(U^T S_b U) / tr(U^T S_w U)``, or ``inf`` for a zero denominator."""
+def eval_objective(pair: ScatterPair, u: np.ndarray) -> float:
+    """``tr(U^T S_b U) / tr(U^T S_w U)`` on one mode's scatter pair, or ``inf``
+    for a zero denominator; :func:`k_mode_optimize` records it through this
+    module global, which ``perfbench/tracing.py`` wraps."""
     denominator = float(np.sum(u * (pair.s_w @ u)))
     if denominator == 0.0:
         return float("inf")
     return float(np.sum(u * (pair.s_b @ u))) / denominator
-
-
-# unused here but stays bound: perfbench/tracing.py wraps it by name
-def eval_objective(data: LabeledTensorSet, means, factors) -> float:
-    """Projected between- over within-class scatter: ``tr(U_0^T S_b U_0) /
-    tr(U_0^T S_w U_0)`` on the mode-0 pair, as :func:`k_mode_optimize`
-    records it; ``inf`` when the denominator vanishes."""
-    pair = scatter_matrices(data, factors, 0, stacks=deviation_stacks(data, means))
-    return _trace_ratio(pair, factors[0])
 
 
 @dataclass(frozen=True)
@@ -337,13 +338,13 @@ def k_mode_optimize(core_data: LabeledTensorSet, config: TrainingConfig) -> KMod
         for k in range(n):
             pair = scatter_matrices(core_data, factors, k, stacks=stacks)
             if not objective_trace:
-                objective_trace.append(_trace_ratio(pair, factors[k]))
+                objective_trace.append(eval_objective(pair, factors[k]))
             try:
                 factors[k] = ratio_trace_eig(pair.s_b, pair.s_w, dims[k], config.ridge)
             except SingularityError as exc:
                 raise SingularityError(f"mode {k}: {exc}") from exc
         sweeps += 1
-        objective_trace.append(_trace_ratio(pair, factors[n - 1]))
+        objective_trace.append(eval_objective(pair, factors[n - 1]))
         change = max(
             float(np.linalg.norm(factors[k] @ factors[k].T - previous[k]))
             for k in range(n)
@@ -357,16 +358,6 @@ def k_mode_optimize(core_data: LabeledTensorSet, config: TrainingConfig) -> KMod
         subspace_change_trace=tuple(change_trace),
         sweeps=sweeps,
     )
-
-
-def _projected_gallery(model: GdaModel, data: LabeledTensorSet) -> np.ndarray:
-    """Project every training sample through the exact query path, so a
-    query equal to a gallery sample lands at distance zero.  The result is
-    C-contiguous, so its ``(d, n)`` matrix view needs no copy."""
-    gallery = np.empty(model.projected_shape + (data.n_samples,))
-    for i in range(data.n_samples):
-        gallery[..., i] = model.project(data.samples[..., i])
-    return gallery
 
 
 def _singleton_warnings(data: LabeledTensorSet) -> tuple:
@@ -452,7 +443,7 @@ def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str
         warnings=_singleton_warnings(data),
         stage_seconds=stage_seconds,
     )
-    model.gallery = _projected_gallery(model, data)
+    model.gallery = model.project(data.samples)
     return model
 
 
@@ -508,7 +499,7 @@ def train_pca(data: LabeledTensorSet, dims: int | None = None) -> GdaModel:
         warnings=_singleton_warnings(data),
         stage_seconds={"optimize": time.perf_counter() - t0},
     )
-    model.gallery = _projected_gallery(model, data)
+    model.gallery = model.project(data.samples)
     return model
 
 
@@ -549,5 +540,5 @@ def train_fisherface(
         warnings=_singleton_warnings(data),
         stage_seconds={"optimize": time.perf_counter() - t0},
     )
-    model.gallery = _projected_gallery(model, data)
+    model.gallery = model.project(data.samples)
     return model

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-import tensorgda.evaluation as ev
+import tensorgda.training as tr
 from tensorgda.datasets import synth_gaussian_classes
 from tensorgda.errors import DimensionError
 from tensorgda.evaluation import classify, classify_many, train_method
@@ -44,7 +44,7 @@ def direct_scan(gallery, z):
 def parent_classify(model, x):
     """The direct scan as classification did it before the screen, over the
     gallery in its own shape; the reference for non-finite queries."""
-    z = model.project(x)
+    z = model.project(x[..., None])[..., 0]
     deltas = model.gallery - z[..., None]
     distances = np.sqrt(np.sum(deltas**2, axis=tuple(range(deltas.ndim - 1))))
     best = int(np.argmin(distances))
@@ -139,8 +139,11 @@ class TestExactness:
             assert (label, index, distance) == parent_classify(model, z)
 
 
+METHODS = ["gda", "mda", "hopca", "pca", "fisherface"]
+
+
 class TestBatchIndependence:
-    @pytest.mark.parametrize("method", ["gda", "hopca", "pca"])
+    @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("block", [1, 2, 7, None])
     def test_classify_equals_classify_many_bit_for_bit(self, method, block, monkeypatch):
         data = synth_gaussian_classes(3, 5, (5, 4), 3.0, 1.5, seed=45)
@@ -151,13 +154,35 @@ class TestBatchIndependence:
             axis=-1,
         )
         singles = [classify(model, queries[..., i]) for i in range(queries.shape[-1])]
-        monkeypatch.setattr(ev, "_QUERY_BLOCK", block or queries.shape[-1])
+        monkeypatch.setattr(tr, "_QUERY_BLOCK", block or queries.shape[-1])
         labels, indices, distances = classify_many(model, queries)
         assert [s[0] for s in singles] == labels.tolist()
         assert [s[1] for s in singles] == indices.tolist()
         assert same_bits([s[2] for s in singles], distances)
         assert indices[: data.n_samples].tolist() == list(range(data.n_samples))
         assert not distances[: data.n_samples].any()
+
+    # two classes give every multilinear mode one projected dim, where a
+    # product's kernel depends on the operand layout, not just its shape
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_project_bits_do_not_depend_on_the_batch(self, method, classes):
+        data = synth_gaussian_classes(classes, 300 // classes, (6, 5), 3.0, 1.5, seed=48)
+        model = train_method(method, data, TrainingConfig(fisherface_pca_dims=12))
+        samples = data.samples + np.random.default_rng(49).standard_normal(data.samples.shape)
+        singles = [samples[..., i] for i in range(data.n_samples)]
+        expected = np.stack([model.project(x[..., None])[..., 0] for x in singles], axis=-1)
+        for x, column in zip(singles[:20], np.moveaxis(expected, -1, 0)):
+            assert same_bits(model.project(x.copy()[..., None])[..., 0], column)
+        assert tr._QUERY_BLOCK == 256  # so the sizes below cross a block boundary
+        for size in (1, 2, 7, 256, 257, data.n_samples):
+            projected = model.project(samples[..., :size])
+            assert projected.flags.c_contiguous
+            assert same_bits(projected, expected[..., :size]), f"batch of {size}"
+        assert same_bits(model.gallery, model.project(data.samples))
+        # samples interleaved (sample axis fastest): no sample is contiguous
+        interleaved = np.moveaxis(np.asfortranarray(np.moveaxis(samples, -1, 0)), 0, -1)
+        assert same_bits(model.project(interleaved), expected)
 
     def test_empty_stack(self):
         model = identity_model(np.eye(3))

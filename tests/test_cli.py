@@ -1,4 +1,5 @@
 
+import base64
 import json
 import math
 
@@ -437,6 +438,17 @@ def _string_gallery_labels(doc):
     doc["gallery_labels"] = "12"
 
 
+def _non_finite(key, value):
+    """A corrupter that sets the first entry of array ``key`` (of the first
+    projector, for ``combined``) to ``value``."""
+    def corrupt(doc):
+        blob = doc[key][0] if key == "combined" else doc[key]
+        values = np.frombuffer(base64.b64decode(blob["data"]), dtype="<f8").copy()
+        values[0] = value
+        blob["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+    return corrupt
+
+
 class TestBadModelFile:
     SYNTH = ["--synth", "c=2,per_class=4,shape=6x5,separation=6,noise=1"]
 
@@ -472,6 +484,11 @@ class TestBadModelFile:
         ("gda", _scalar_sample_shape, "sample_shape"),
         ("gda", _scalar_warnings, "warnings"),
         ("gda", _string_gallery_labels, "gallery_labels"),
+        ("gda", _non_finite("gallery", math.nan), "gallery"),
+        ("hopca", _non_finite("gallery", -math.inf), "gallery"),
+        ("gda", _non_finite("combined", math.nan), "combined"),
+        ("fisherface", _non_finite("combined", math.inf), "combined"),
+        ("pca", _non_finite("mean_vector", math.nan), "mean_vector"),
     ])
     def test_exits_3_naming_the_key(self, method, corrupt, key, tmp_path, capsys):
         path = tmp_path / "model.json"

@@ -38,13 +38,13 @@ class TestProject:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 4))
         model = identity_model((3, 4))
-        np.testing.assert_array_equal(model.project(x), x)
+        np.testing.assert_array_equal(model.project(x[..., None])[..., 0], x)
 
     def test_zero_tensor(self):
         data = synth_gaussian_classes(2, 4, (4, 3), 3.0, 1.0, seed=1)
         model = train_gda(data, TrainingConfig(target_dims=(1, 1)))
         np.testing.assert_array_equal(
-            model.project(np.zeros((4, 3))), np.zeros((1, 1))
+            model.project(np.zeros((4, 3))[..., None])[..., 0], np.zeros((1, 1))
         )
 
     def test_matches_sequential_products_any_order(self):
@@ -52,14 +52,14 @@ class TestProject:
         model = train_gda(data, TrainingConfig(target_dims=(2, 2)))
         rng = np.random.default_rng(3)
         x = rng.standard_normal((5, 4))
-        forward = model.project(x)
+        forward = model.project(x[..., None])[..., 0]
         reverse = (model.combined[0].T @ x) @ model.combined[1]
         np.testing.assert_allclose(forward, reverse, rtol=1e-12, atol=1e-14)
 
     def test_shape_mismatch(self):
         model = identity_model((3, 4))
         with pytest.raises(Exception):
-            model.project(np.zeros((4, 3)))
+            model.project(np.zeros((4, 3))[..., None])[..., 0]
 
 
 class TestClassify:
@@ -93,7 +93,7 @@ class TestClassify:
         for _ in range(20):
             x = rng.standard_normal((3, 3))
             label, index, distance = classify(model, x)
-            z = model.project(x)
+            z = model.project(x[..., None])[..., 0]
             scan = [
                 np.linalg.norm((model.gallery[..., i] - z).ravel())
                 for i in range(model.gallery.shape[-1])
@@ -277,7 +277,7 @@ class TestExportProjection2d:
         data = synth_gaussian_classes(3, 5, (4, 4), 4.0, 1.0, seed=26)
         model = train_pca(data, dims=3)
         rows = export_projection_2d(model, data, plane="pair")
-        z = model.project(data.sample(0))
+        z = model.project(data.sample(0)[..., None])[..., 0]
         assert rows[0][0] == float(z[0]) and rows[0][1] == float(z[1])
 
     def test_incompatible_plane_rejected(self):

@@ -48,6 +48,14 @@ class TestModelContainer:
         save_model(train_gda(data, TrainingConfig()), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_infinite_objective_trace_still_loads(self, tmp_path):
+        data = synth_gaussian_classes(3, 6, (5, 4), 5.0, 1.0, seed=0)
+        model = train_gda(data, TrainingConfig(target_dims=(2, 2)))
+        model.objective_trace = (math.inf,) + model.objective_trace[1:]
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert load_model(path).objective_trace == model.objective_trace
+
     def test_vectorized_model_roundtrip(self, tmp_path):
         data = synth_gaussian_classes(3, 6, (4, 4), 4.0, 1.0, seed=2)
         for model in (train_pca(data, dims=4), train_fisherface(data)):

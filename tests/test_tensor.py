@@ -149,6 +149,28 @@ class TestMultiModeProduct:
             tensor.multi_mode_product(t, [(np.eye(2), 0), (np.eye(2), 0)])
 
 
+class TestPerSampleProducts:
+    @pytest.mark.parametrize(
+        "shape, dims",
+        [((32, 32), (29, 20)), ((6, 5), (1, 3)), ((8,), (3,)), ((10, 8, 6), (5, 1, 3)),
+         ((3, 1, 1, 3), (2, 1, 1, 2))],
+    )
+    @pytest.mark.parametrize("form", ["projector", "reconstruction"])
+    def test_every_sample_gets_its_one_sample_bits(self, shape, dims, form):
+        rng = np.random.default_rng(23)
+        bases = [np.linalg.qr(rng.standard_normal((s, d)))[0] for s, d in zip(shape, dims)]
+        if form == "projector":  # a served projector, applied transposed
+            factors = [(np.ascontiguousarray(b).T, k) for k, b in enumerate(bases)]
+        else:  # a compression round trip onto the basis
+            factors = [(b @ b.T, k) for k, b in enumerate(bases)]
+        stack = rng.standard_normal(shape + (18,))[..., ::2]
+        got = tensor._per_sample_products(stack, factors)
+        for i in range(9):
+            alone = tensor.multi_mode_product(stack[..., i].copy(), factors)
+            assert got[..., i].shape == alone.shape
+            assert np.ascontiguousarray(got[..., i]).tobytes() == np.ascontiguousarray(alone).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(min_value=1, max_value=5), min_size=2, max_size=4),
