@@ -7,6 +7,7 @@ baselines (PCA, Fisher), compression/quality metrics, dataset loaders, a
 synthetic benchmark generator, and a batch CLI.
 """
 
+from . import _malloc
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -51,6 +52,8 @@ from .training import (
 )
 
 __version__ = "0.1.0"
+
+_malloc.fix_thresholds()
 
 __all__ = [
     "ConfigurationError",

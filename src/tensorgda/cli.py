@@ -200,8 +200,11 @@ def add_common_flags(sub, with_method: bool = True):
                      help="HOSVD energy threshold (default 0.98)")
     sub.add_argument("--ranks", default=None, help="explicit HOSVD ranks, e.g. 6x6x3")
     sub.add_argument("--dims", default=None, help="projected dims, e.g. 3x3x2")
-    sub.add_argument("--max-iters", type=int, default=None)
-    sub.add_argument("--conv-tol", type=float, default=None)
+    sub.add_argument("--max-iters", type=int, default=None,
+                     help="cap on discriminant sweeps (default 10)")
+    sub.add_argument("--conv-tol", type=float, default=None,
+                     help="stop the sweeps once one moves the objective by at most "
+                     "this fraction of its previous value (default 1e-3)")
     sub.add_argument("--ridge", type=float, default=None)
     sub.add_argument("--pca-dims", type=int, default=None)
     sub.add_argument("--fisher-pca-dims", type=int, default=None)

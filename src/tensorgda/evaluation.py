@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import training
+from . import tensor, training
 from .errors import ConfigurationError, DatasetError
 from .hosvd import hopca_compression_fraction, pca_compression_fraction
 from .training import (
@@ -326,9 +326,9 @@ def export_projection_2d(model: GdaModel, data: LabeledTensorSet, plane: str = "
                 f"plane {plane!r} needs at least {need_left}x{need_right} "
                 f"projected dims, model has {left.shape[1]}x{right.shape[1]}"
             )
-        u, v = left[:, :need_left], right[:, :need_right]
-        # one sample per row; a 1x2 or 2x1 matrix ravels alike in C and F order
-        z = np.matmul(np.matmul(u.T, np.moveaxis(data.samples, -1, 0)), v).reshape(-1, 2)
+        factors = [(left[:, :need_left].T, 0), (right[:, :need_right].T, 1)]
+        # a 1x2 or 2x1 plane ravels alike in C and F order; one sample per row
+        z = tensor._per_sample_products(data.samples, factors).reshape(2, -1).T
     elif plane == "pair":
         if np.prod(model.projected_shape) < 2:
             raise ConfigurationError("plane 'pair' needs at least 2 projected coordinates")

@@ -32,7 +32,7 @@ from .evaluation import METHODS, ExperimentReport
 from .training import GdaModel, TrainingConfig
 
 MODEL_FORMAT = "tensorgda-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 
 def _optional(convert):

@@ -107,15 +107,21 @@ class LabeledTensorSet:
         )
 
 
+def _is_count(value) -> bool:
+    """An integer, but not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     """Knobs for the multilinear trainers and the vectorizing baselines.
 
     ``target_dims`` defaults per mode to ``min(J_k, C - 1)`` where ``J_k``
     is the post-HOSVD extent.  ``theta`` drives HOSVD rank selection unless
-    explicit ``hosvd_ranks`` are given.  Convergence is declared when the
-    largest per-mode change of the projection operator ``U @ U.T`` drops
-    below ``conv_tol`` (Frobenius norm).
+    explicit ``hosvd_ranks`` are given.  The discriminant sweeps stop after
+    ``max_iters`` sweeps, or earlier once the objective settles: after a
+    sweep whose objective moved by at most ``conv_tol`` relative to the
+    previous one (see :func:`k_mode_optimize`).
 
     This class owns every default and all validation of these knobs.
     """
@@ -124,7 +130,7 @@ class TrainingConfig:
     theta: float = 0.98
     hosvd_ranks: tuple | None = None
     max_iters: int = 10
-    conv_tol: float = 1e-6
+    conv_tol: float = 1e-3
     ridge: float = 1e-6
     pca_dims: int | None = None
     fisherface_pca_dims: int | None = None
@@ -133,8 +139,16 @@ class TrainingConfig:
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
             raise ConfigurationError(f"theta must lie in (0, 1], got {self.theta}")
+        if not _is_count(self.max_iters):
+            raise ConfigurationError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be at least 1")
+        for name in ("target_dims", "hosvd_ranks"):
+            value = getattr(self, name)
+            if value is not None and not (
+                isinstance(value, (tuple, list)) and all(map(_is_count, value))
+            ):
+                raise ConfigurationError(f"{name} must be a sequence of integers, got {value!r}")
         for name in ("conv_tol", "ridge"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -293,10 +307,26 @@ def eval_objective(pair: ScatterPair, u: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class KModeResult:
+    """``stop_reason`` is ``"tolerance"`` when the objective settled within
+    ``conv_tol``, ``"sweep_cap"`` when ``max_iters`` sweeps ran without that.
+    ``subspace_change_trace`` is a diagnostic only: the largest per-mode
+    Frobenius change of ``U @ U.T`` in each sweep."""
+
     factors: list
     objective_trace: tuple
     subspace_change_trace: tuple
     sweeps: int
+    stop_reason: str
+
+
+def _relative_change(previous: float, current: float) -> float:
+    """``|current - previous| / |previous|``, the quantity the stop rule
+    bounds by ``conv_tol``: ``nan`` when either value is not finite (never
+    settled), ``inf`` for a move away from zero."""
+    if not (math.isfinite(previous) and math.isfinite(current)):
+        return math.nan
+    change = abs(current - previous)
+    return change / abs(previous) if previous else (math.inf if change else 0.0)
 
 
 def default_target_dims(sample_shape, n_classes: int) -> tuple:
@@ -314,8 +344,11 @@ def k_mode_optimize(core_data: LabeledTensorSet, config: TrainingConfig) -> KMod
     from deviation stacks built once.  The objective is read from pairs
     already built: first from sweep 1's first pair, then after each sweep
     from the last mode's pair under its new factor (no other factor has
-    moved since).  Iteration stops at ``max_iters`` sweeps or when every
-    mode's projection operator moves less than ``conv_tol``.
+    moved since).  Iteration stops once a sweep moves the objective ``Psi``
+    by at most ``conv_tol`` relative, ``|Psi_s - Psi_{s-1}| <= conv_tol *
+    |Psi_{s-1}|`` (the MPCA rule of Lu, Plataniotis & Venetsanopoulos,
+    IEEE TNN 2008), or at ``max_iters`` sweeps.  A non-finite objective
+    never counts as settled.
     """
     n = core_data.order
     shape = core_data.sample_shape
@@ -332,7 +365,7 @@ def k_mode_optimize(core_data: LabeledTensorSet, config: TrainingConfig) -> KMod
     stacks = deviation_stacks(core_data)
     objective_trace = []
     change_trace = []
-    sweeps = 0
+    stop_reason = "sweep_cap"
     for _ in range(config.max_iters):
         previous = [u @ u.T for u in factors]
         for k in range(n):
@@ -343,20 +376,20 @@ def k_mode_optimize(core_data: LabeledTensorSet, config: TrainingConfig) -> KMod
                 factors[k] = ratio_trace_eig(pair.s_b, pair.s_w, dims[k], config.ridge)
             except SingularityError as exc:
                 raise SingularityError(f"mode {k}: {exc}") from exc
-        sweeps += 1
         objective_trace.append(eval_objective(pair, factors[n - 1]))
-        change = max(
+        change_trace.append(max(
             float(np.linalg.norm(factors[k] @ factors[k].T - previous[k]))
             for k in range(n)
-        )
-        change_trace.append(change)
-        if change < config.conv_tol:
+        ))
+        if _relative_change(*objective_trace[-2:]) <= config.conv_tol:
+            stop_reason = "tolerance"
             break
     return KModeResult(
         factors=factors,
         objective_trace=tuple(objective_trace),
         subspace_change_trace=tuple(change_trace),
-        sweeps=sweeps,
+        sweeps=len(change_trace),
+        stop_reason=stop_reason,
     )
 
 
@@ -393,6 +426,7 @@ def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str
         raise ConfigurationError("training needs at least 2 samples and 2 classes")
     n = data.order
     stage_seconds = {}
+    warnings = list(_singleton_warnings(data))
 
     t0 = time.perf_counter()
     if kind in ("gda", "hopca"):
@@ -426,6 +460,13 @@ def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str
         disc = result.factors
         objective_trace = result.objective_trace
         change_trace = result.subspace_change_trace
+        if result.stop_reason == "sweep_cap":
+            warnings.append(
+                f"the discriminant sweeps reached the cap of max_iters = "
+                f"{config.max_iters} before the objective settled: the last sweep "
+                f"changed it by {_relative_change(*objective_trace[-2:]):.3g} "
+                f"relative, conv_tol = {config.conv_tol!r}"
+            )
     stage_seconds["optimize"] = time.perf_counter() - t0
 
     combined = [hosvd_factors[k] @ disc[k] for k in range(n)]
@@ -440,7 +481,7 @@ def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str
         objective_trace=objective_trace,
         subspace_change_trace=change_trace,
         config=config,
-        warnings=_singleton_warnings(data),
+        warnings=tuple(warnings),
         stage_seconds=stage_seconds,
     )
     model.gallery = model.project(data.samples)

@@ -28,6 +28,8 @@ from tensorgda.linalg import principal_angles
 from tensorgda.training import (
     LabeledTensorSet,
     TrainingConfig,
+    hosvd_stage,
+    k_mode_optimize,
     scatter_matrices,
     train_gda,
     train_mda,
@@ -261,11 +263,16 @@ def test_convergence_bookkeeping():
         synth_gaussian_classes(8, 8, (6, 5), 8.0, 1.0, seed=70),
         synth_gaussian_classes(7, 8, (5, 4, 3), 8.0, 1.0, seed=71),
     ]
+    config = TrainingConfig()
     for data in separable:
-        for trainer in (train_gda, train_mda):
-            model = trainer(data, TrainingConfig())
-            assert model.subspace_change_trace[-1] < 1e-6
-            assert len(model.subspace_change_trace) <= 10
+        gda_core = LabeledTensorSet(hosvd_stage(data, config).core, data.labels)
+        for trainer, core in ((train_gda, gda_core), (train_mda, data)):
+            model = trainer(data, config)
+            result = k_mode_optimize(core, config)
+            assert result.objective_trace == model.objective_trace
+            assert result.stop_reason == "tolerance"
+            assert result.sweeps < 10
+            assert model.warnings == ()
 
 
 def test_psnr_and_compression_figures(tmp_path):

@@ -74,6 +74,27 @@ class TestTrain:
         ])
         assert code == 0
 
+    SWEEPS = ["--synth", "c=3,per_class=6,shape=6x5,separation=6,noise=1", "--seed", 3]
+
+    def _warning_lines(self, argv, tmp_path, capsys):
+        """The ``warning:`` stdout lines of a train run and its model's warnings."""
+        path = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["train", *self.SWEEPS, *argv, "--output", path]) == 0
+        out = capsys.readouterr().out
+        lines = [line for line in out.splitlines() if line.startswith("warning: ")]
+        return lines, json.loads(path.read_text())["warnings"]
+
+    def test_sweep_cap_warns_on_stdout_and_in_the_model(self, tmp_path, capsys):
+        lines, warnings = self._warning_lines(["--max-iters", 1], tmp_path, capsys)
+        [warning] = warnings
+        assert lines == [f"warning: {warning}"]
+        assert "cap of max_iters = 1" in warning and "conv_tol = 0.001" in warning
+
+    def test_tolerance_stop_gives_no_warning(self, tmp_path, capsys):
+        lines, warnings = self._warning_lines([], tmp_path, capsys)
+        assert (lines, warnings) == ([], [])
+
 
 class TestEvaluate:
     def test_reproducible_single_trial(self, tmp_path):
@@ -521,18 +542,23 @@ class TestBadModelFile:
             doc["config"].update(seed=0, gram_crossover=32768)
 
         err = self._version_error(v1, tmp_path, capsys)
-        assert err == "error: MODEL has model version 1, expected 3\n"
+        assert err == "error: MODEL has model version 1, expected 4\n"
 
     def test_version_2_model_exits_3_with_one_line(self, tmp_path, capsys):
         def v2(doc):
             doc.update(version=2, vectorized=False, hosvd_factors=[], disc_factors=[])
 
         err = self._version_error(v2, tmp_path, capsys)
-        assert err == "error: MODEL has model version 2, expected 3\n"
+        assert err == "error: MODEL has model version 2, expected 4\n"
+
+    def test_version_3_model_exits_3_with_one_line(self, tmp_path, capsys):
+        # same keys as version 4; its conv_tol bounded the U @ U.T change
+        err = self._version_error(lambda doc: doc.update(version=3), tmp_path, capsys)
+        assert err == "error: MODEL has model version 3, expected 4\n"
 
     def test_string_version_is_quoted(self, tmp_path, capsys):
-        err = self._version_error(lambda doc: doc.update(version="3"), tmp_path, capsys)
-        assert err == "error: MODEL has model version '3', expected 3\n"
+        err = self._version_error(lambda doc: doc.update(version="4"), tmp_path, capsys)
+        assert err == "error: MODEL has model version '4', expected 4\n"
 
 
 class TestNonFiniteTrainingValues:

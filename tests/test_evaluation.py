@@ -273,6 +273,14 @@ class TestExportProjection2d:
             assert len(rows) == data.n_samples
             assert [int(r[2]) for r in rows] == data.labels.tolist()
 
+    @pytest.mark.parametrize("shape", [(56, 46), (12, 9), (32, 32)])
+    @pytest.mark.parametrize("plane", ["1x2", "2x1"])
+    def test_rows_do_not_depend_on_the_set_size(self, shape, plane):
+        data = synth_gaussian_classes(6, 10, shape, 3.0, 1.0, seed=7)
+        model = train_gda(data, TrainingConfig(target_dims=(2, 2), max_iters=2))
+        rows = export_projection_2d(model, data, plane=plane)
+        assert rows[:7] == export_projection_2d(model, data.subset(range(7)), plane=plane)
+
     def test_vectorized_model_uses_leading_coordinates(self):
         data = synth_gaussian_classes(3, 5, (4, 4), 4.0, 1.0, seed=26)
         model = train_pca(data, dims=3)

@@ -145,9 +145,9 @@ GOLDENS = {
     },
     'o2-evaluate-loo': {
         'report_loo_fisherface.txt': '26185ff46231a940653c62634138bfab069ec1a66a6851fd34212d2e0725d435',
-        'report_loo_gda.txt': '9b46aa73100da8904ce36cfeb97384bef7ebcb375cef75ef53a26ff8607e7bad',
+        'report_loo_gda.txt': '08ef15f491ba6e36ad1c3271c11ad10eec922dbe80f855a3efad2e6d9a8d1fc7',
         'report_loo_hopca.txt': '6cf670884e224a3c20d3a9ba05607b1e5c79153fada35e3414c19772d922cfaf',
-        'report_loo_mda.txt': '81b1952d637fdac420d6ac5b06a98c741083c23001e3abb04c952527122321ff',
+        'report_loo_mda.txt': '7e5af5a46f646daa781d8371c1ab0ab45423d8b73ef4c1b2c1ac19212cfa98b7',
         'report_loo_pca.txt': 'e76dc5f92240b543f25adf398b9950fd0e2f5e4b7a410ff59dd90b44661f0e8c',
     },
     'o2-evaluate-loo-unequal': {
@@ -159,31 +159,31 @@ GOLDENS = {
     },
     'o2-evaluate-split': {
         'report_split_fisherface.txt': '14efec3fc56b847f6cfc92785c0873e616f05bc1d88c1cab7928c62998f02d03',
-        'report_split_gda.txt': '2fbf2ef73e7ae4704e8d18ab9662bfd1f70d202c65be791c6accd4a3901c72a7',
+        'report_split_gda.txt': '88c25065602f8c1a7f04465d33c9f687ced73f7ebefcf0b0c2ebb5ca313cf3f7',
         'report_split_hopca.txt': 'aa6bcacce4216641365f2273123ac403cdf275d89aff3269eb5df903ef05dbe1',
-        'report_split_mda.txt': '43af9787931c3ed20b1bb25cb22779cdd75ca1ab79e3d3828fcf8077543c2f86',
+        'report_split_mda.txt': '32715664138cad48acaf17a72c8d27fa9490a95a47b7d33e93289e125cdd7e3e',
         'report_split_pca.txt': 'db6ffaf7dfeb6dcb6f944c27d8865d3e7e5601c068a5b76981fcfa578f87b819',
     },
     'o2-train-fisherface': {
-        'out': 'b6c0e8f4e8d99e8879036b3c26d08cddf503d913151c5ea15a6484c6a4d136aa',
+        'out': '7b02ef00b284897e7667b6555b554e20078c775d7bfd92cff97889718a833343',
     },
     'o2-train-gda': {
-        'out': '8d929382de4162e8bfc02f48c0f24bef9197c4d9d38e7ebb6ebcf6c98461200e',
+        'out': 'e54cfd8e370cd26a30489967cda9ce72b2b1897e02b324e372f746e1b1237774',
     },
     'o2-train-gda-flags': {
-        'out': '6639590f4cbae6af1af850dda98038f0b44e616339378c2f54d39befb7c7d65f',
+        'out': 'b15b577283eb22a4e8b4856402ac6a0c3aff9f1f0fb986df108886b2369e1cf8',
     },
     'o2-train-hopca': {
-        'out': '0c13d1c2b8675da9b71eb97ab6237eac77d51f7f2a58418d95b6679418c791ee',
+        'out': '27fd6cf755ac14bc6e2d6e477aa01f7044066eaaa1ed5a0d2392799f812c1e1a',
     },
     'o2-train-mda': {
-        'out': '687296fe8ba06abf3294dc418a47006f757a839c2e369716cbe2daed9419ece0',
+        'out': 'c40b427522c2a1215bf0b8d78d83d5a996fa0fafde343fcb7a9dc4c4e19d8e85',
     },
     'o2-train-pca': {
-        'out': '7cb212bf8d60e357609b0dc8fb4b99047e41d23408f3a567ef1a14414a3cf81d',
+        'out': '4deb5f521ebf612813c569d971a70a187d843e18b69f0914b668c196e0304aa1',
     },
     'o2-visualize-1x2': {
-        'out': '002b9d72e155c029c587daee2dddadda20a9dcafedfc6d8824ae87c382188347',
+        'out': '59c83ff2cffb1ddea338202dca2701e9006a0a85c548ed4b920fad36ea370a46',
     },
     'o3-classify-hopca': {
         'out': '547f84641f98869dd73e53d3bad03e2b307d602becfd719456d769d377b04558',
@@ -198,33 +198,33 @@ GOLDENS = {
         'report_loo_fisherface.txt': '0f8b2111beaa25be634b077865f90fc397deb09cf2a8a7ca9647d6bcab5e6f4a',
         'report_loo_gda.txt': 'd447ac7471ae976774eda776c7a0c759d6421e1f100b14de2bd12df72c5b760c',
         'report_loo_hopca.txt': '8020c1ffc5567e6aacd766f5cc4be5c704f33860865e7af83b3db65c05704b2d',
-        'report_loo_mda.txt': 'f9586c070b7b9986aa30245ceaa67cea88a9498ee1d09b04e1b7681fa94e47f8',
+        'report_loo_mda.txt': '0c3f52dc209560a4d2573fa785c3c60631be1cdbf20ef2c9d6d152d2ff6467af',
         'report_loo_pca.txt': '2c7b44b9da6693e53c71d124268c88691b1b490cfb33f03cc5eef9e3a61cb829',
     },
     'o3-evaluate-split': {
         'report_split_fisherface.txt': 'cd40e9254721c83aee645989c4630eb43efd7e776dae60e314af4a499b61d5ef',
-        'report_split_gda.txt': 'b84bffec7b5b6c877045b4c77b86c7d060c09b1c061ef061cdf75fbb85c5100c',
+        'report_split_gda.txt': '5912c907dbf844c13b7064a5a64d1e3776a496de6f128f603abf353e43e268c9',
         'report_split_hopca.txt': '25598c2d9bfd3c5e0fbec5d9bde9af9be878fac5b08c398fbefb96f0dad73480',
         'report_split_mda.txt': '6d93eaeaad900d710b61e48524c6f4138bb5de1eaca89a1fce2c7936e7592c73',
         'report_split_pca.txt': '410d562e8bbc960d555b3f460f00ed2a790a97fe766b1b77ac44f077a45f54e5',
     },
     'o3-train-fisherface': {
-        'out': 'd439f036f97bc2f60bead18928f0b24f4e806981d1dae40a8acef84845e304d7',
+        'out': 'abccb8494807f54e5a1953c6119b64ee51616f7bf285797a0e6cace605998515',
     },
     'o3-train-gda': {
-        'out': '587bf3e372d31e2bfae542a481ea428efd0e369eb3e11227f1c1bcaa293e2ea9',
+        'out': 'ac1f962d93ab88d9df0fbc4cc6a487f3191e6e32122070042bc0c563a5d945fe',
     },
     'o3-train-gda-ranks': {
-        'out': 'e67d2203fc171ec1da819e66931f5ddf4ef147c697934a3810a26393b1ecec98',
+        'out': 'd7fbf4b0d1487384ce2b72f5010111f5b4deb02979f2faaa520c52bc5c6322e9',
     },
     'o3-train-hopca': {
-        'out': '63b9ae967d1079721e1bb8003d04ca0e8972b725e581af0aa3dd70de911fbfa8',
+        'out': '10a0929e9af878fd1e705bd93d6382f4df4fa879e5239cc9625d2d4616ab2299',
     },
     'o3-train-mda': {
-        'out': '293b3abc135c006feb1b9a03f90001cb6caf673375d2c4a3e310c201a81089ae',
+        'out': 'ada0d6ed350653e06c7144acaa18134c79a111d7dd98bbfe71da48b226ed31f0',
     },
     'o3-train-pca': {
-        'out': 'f0de7df0b7321b5f7297372fa470cfaee87373d1fedc53fc244a4ba0b224b143',
+        'out': '7fc4098c7edfcc37fd8eb68ffb2f837b6f4c691230f2be63067905b0f3fb025b',
     },
     'o3-visualize-pair': {
         'out': 'c6d16d59fa14f4c1bb9938e453c0441a2789f8d50dbd2689e1c42c817339eddb',

@@ -107,7 +107,7 @@ class TestModelContainer:
             "objective_trace", "sample_shape", "subspace_change_trace",
             "version", "warnings",
         ]
-        assert doc["version"] == 3
+        assert doc["version"] == 4
         assert (doc["mean_vector"] is None) == (doc["kind"] == "gda")
 
     def test_config_decoders_cover_every_config_field(self):

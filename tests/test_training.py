@@ -341,6 +341,75 @@ class TestKModeOptimize:
             k_mode_optimize(data, TrainingConfig(target_dims=(4, 1)))
 
 
+class TestStopRule:
+    """Sweeps stop once the objective moves by at most ``conv_tol`` relative."""
+
+    def test_huge_tolerance_stops_after_one_sweep(self):
+        data = synth_gaussian_classes(3, 5, (5, 4), 4.0, 1.0, seed=0)
+        result = k_mode_optimize(data, TrainingConfig(conv_tol=1e9))
+        assert (result.sweeps, result.stop_reason) == (1, "tolerance")
+        assert len(result.objective_trace) == 2
+
+    @pytest.mark.parametrize("trainer", [train_gda, train_mda])
+    def test_zero_tolerance_reaches_the_cap_and_warns(self, trainer):
+        data = synth_gaussian_classes(3, 5, (5, 4), 4.0, 1.0, seed=0)
+        config = TrainingConfig(conv_tol=0.0, max_iters=4)
+        result = k_mode_optimize(data, config)
+        assert (result.sweeps, result.stop_reason) == (4, "sweep_cap")
+        model = trainer(data, config)
+        assert len(model.objective_trace) == 5
+        [warning] = model.warnings
+        assert "cap of max_iters = 4" in warning and "conv_tol = 0.0" in warning
+
+    def test_stops_when_the_relative_change_is_within_tolerance(self):
+        data = synth_gaussian_classes(3, 5, (5, 4), 4.0, 1.0, seed=1)
+        result = k_mode_optimize(data, TrainingConfig(conv_tol=1e-3))
+        assert result.stop_reason == "tolerance"
+        *_, before, last = result.objective_trace
+        assert abs(last - before) <= 1e-3 * abs(before)
+        for earlier, later in zip(result.objective_trace[:-2], result.objective_trace[1:-1]):
+            assert abs(later - earlier) > 1e-3 * abs(earlier)
+
+    def test_infinite_objective_never_settles(self):
+        # singleton classes: zero within-class scatter, an objective of inf
+        rng = np.random.default_rng(3)
+        data = LabeledTensorSet.from_samples(
+            [rng.standard_normal((4, 3)) for _ in range(3)], [1, 2, 3]
+        )
+        result = k_mode_optimize(data, TrainingConfig(conv_tol=1e9, max_iters=3))
+        assert result.objective_trace == (math.inf,) * 4
+        assert (result.sweeps, result.stop_reason) == (3, "sweep_cap")
+        assert any("cap of max_iters = 3" in w for w in train_mda(
+            data, TrainingConfig(conv_tol=1e9, max_iters=3)).warnings)
+
+    def test_hopca_runs_no_sweeps_and_never_warns(self):
+        data = synth_gaussian_classes(3, 5, (5, 4), 4.0, 1.0, seed=0)
+        model = train_hopca(data, TrainingConfig(conv_tol=0.0, max_iters=1))
+        assert (model.objective_trace, model.warnings) == ((), ())
+
+
+class TestTrainingConfig:
+    @pytest.mark.parametrize("values", [
+        {"max_iters": 2.5},
+        {"max_iters": True},
+        {"max_iters": 3.0},
+        {"target_dims": (2.5, 2)},
+        {"target_dims": (True, 2)},
+        {"target_dims": 2},
+        {"hosvd_ranks": (3.5, 2)},
+        {"hosvd_ranks": (3, False)},
+    ])
+    def test_non_integral_counts_rejected(self, values):
+        [name] = values
+        with pytest.raises(ConfigurationError, match=name):
+            TrainingConfig(**values)
+
+    def test_numpy_integers_accepted(self):
+        config = TrainingConfig(max_iters=np.int64(3), target_dims=(np.int64(2), 1),
+                                hosvd_ranks=[np.int32(3), 2])
+        assert config.max_iters == 3
+
+
 class TestTrainGda:
     def test_lossless_equals_mda_decisions(self):
         data = synth_gaussian_classes(5, 10, (6, 5, 3), 6.0, 1.0, seed=21)
