@@ -9,8 +9,10 @@ command-line flags win.
 Exit codes: 0 success, 2 usage/configuration, 3 data (including an input
 file that cannot be read or decoded and an output file that cannot be
 written), 4 numeric failure.
-All outputs are deterministic given the inputs and ``--seed``; wall-clock
-timings are printed to stdout but never written into output files.
+All outputs are deterministic given the inputs and ``--seed``.  The
+library reads no clock: each command times itself at this boundary and
+prints one wall-clock line to stdout (``train`` its training, ``evaluate``
+each method's protocol run, ``compress`` its HOSVD), never into a file.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor
-from .datasets import load_manifest, save_pgm, synth_gaussian_classes
+from .datasets import load_manifest, save_sample, synth_gaussian_classes
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -43,7 +45,7 @@ from .evaluation import (
     train_method,
     write_projection_csv,
 )
-from .hosvd import hopca_compression_fraction, pca_compression_fraction, psnr
+from .hosvd import hopca_compression_fraction, psnr
 from .model_io import load_model, save_model, save_report
 from .training import TrainingConfig, hosvd_stage, vector_pca
 
@@ -217,7 +219,9 @@ def add_common_flags(sub, with_method: bool = True):
 def cmd_train(args) -> int:
     data = load_data(args)
     config = build_config(args)
+    t0 = time.perf_counter()
     model = train_method(args.method, data, config)
+    train_seconds = time.perf_counter() - t0
     save_model(model, args.output)
     dims = "x".join(str(d) for d in model.projected_shape)
     print(f"method = {args.method}")
@@ -233,8 +237,7 @@ def cmd_train(args) -> int:
         print(f"subspace_change_trace = {trace}")
     for warning in model.warnings:
         print(f"warning: {warning}")
-    for stage, seconds in sorted(model.stage_seconds.items()):
-        print(f"time {stage} = {seconds:.3f}s")
+    print(f"time train = {train_seconds:.3f}s")
     print(f"model written to {args.output}")
     return 0
 
@@ -249,6 +252,7 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for method in methods:
+        t0 = time.perf_counter()
         if args.protocol == "split":
             if args.train_per_class is None:
                 raise ConfigurationError("split protocol needs --train-per-class")
@@ -259,6 +263,7 @@ def cmd_evaluate(args) -> int:
             )
         else:
             report = evaluate_loo(data, method, config, seed=args.seed)
+        seconds = time.perf_counter() - t0
         path = out_dir / f"report_{args.protocol}_{method}.txt"
         save_report(report, path)
         extra = ""
@@ -269,8 +274,7 @@ def cmd_evaluate(args) -> int:
             f"over {len(report.trial_accuracies)} "
             f"{'folds' if args.protocol == 'loo' else 'trials'} -> {path}"
         )
-        for stage, seconds in sorted(report.timings.items()):
-            print(f"  time {stage.removesuffix('_s')} = {seconds:.3f}s")
+        print(f"  time = {seconds:.3f}s")
     return 0
 
 
@@ -297,7 +301,7 @@ def cmd_compress(args) -> int:
     if p is None:
         p = _match_pca_components(hopca_fraction, m_samples, length)
     mean_vec, centered, basis = vector_pca(data, p, "pca components")
-    pca_fraction = pca_compression_fraction(m_samples, length, p)
+    pca_fraction = hopca_compression_fraction(m_samples, (length,), (p,))
 
     # multilinear reconstruction: project onto each mode's kept basis;
     # a square orthonormal basis projects to the identity, so skip it and
@@ -319,8 +323,8 @@ def cmd_compress(args) -> int:
         pca_restored = pca_recon[:, i].reshape(extents, order="F")
         psnr_p.append(psnr(original, pca_restored))
         if recon_dir is not None:
-            _write_reconstruction(recon_dir, i, restored, "hopca")
-            _write_reconstruction(recon_dir, i, pca_restored, "pca")
+            for tag, sample in (("hopca", restored), ("pca", pca_restored)):
+                save_sample(recon_dir, f"{tag}_{i:04d}", np.clip(np.rint(sample), 0, 255))
 
     lines = ["# tensorgda compression report v1"]
     lines.append(f"samples = {m_samples}")
@@ -345,17 +349,6 @@ def cmd_compress(args) -> int:
         sys.stdout.write(text)
     print(f"time hosvd = {hosvd_seconds:.3f}s")
     return 0
-
-
-def _write_reconstruction(directory: Path, index: int, sample: np.ndarray, tag: str) -> None:
-    quantized = np.clip(np.rint(sample), 0, 255)
-    if sample.ndim == 2:
-        save_pgm(directory / f"{tag}_{index:04d}.pgm", quantized)
-    else:
-        frame_dir = directory / f"{tag}_{index:04d}"
-        frame_dir.mkdir(exist_ok=True)
-        for t in range(sample.shape[-1]):
-            save_pgm(frame_dir / f"frame_{t:03d}.pgm", quantized[..., t])
 
 
 def cmd_visualize(args) -> int:
@@ -407,23 +400,8 @@ def cmd_synth(args) -> int:
     if data.order == 3:
         manifest_lines.append(f"@frames {data.sample_shape[-1]}")
     for i in range(data.n_samples):
-        label = data.labels[i]
-        subject = data.subjects[i]
-        sample = quantized[..., i]
-        if data.order == 2:
-            name = f"sample_{i:04d}.pgm"
-            save_pgm(out_dir / name, sample)
-        elif data.order == 3:
-            name = f"sample_{i:04d}"
-            frame_dir = out_dir / name
-            frame_dir.mkdir(exist_ok=True)
-            for t in range(sample.shape[-1]):
-                save_pgm(frame_dir / f"frame_{t:03d}.pgm", sample[..., t])
-        else:
-            raise ConfigurationError(
-                "synth writing supports order-2 and order-3 samples only"
-            )
-        manifest_lines.append(f"{name}\t{label}\t{subject}")
+        name = save_sample(out_dir, f"sample_{i:04d}", quantized[..., i])
+        manifest_lines.append(f"{name}\t{data.labels[i]}\t{data.subjects[i]}")
     manifest = out_dir / "manifest.tsv"
     manifest.write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
     print(f"{data.n_samples} samples and {manifest} written")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, DimensionError, PgmParseError
+from .errors import ConfigurationError, DatasetError, DimensionError, PgmParseError
 from .training import LabeledTensorSet
 
 _WHITESPACE = b" \t\r\n\v\f"
@@ -134,6 +134,27 @@ def save_pgm(path, matrix: np.ndarray, binary: bool = True) -> None:
             handle.write(f"P2\n{width} {height}\n255\n".encode("ascii"))
             for row in pixels:
                 handle.write((" ".join(str(int(v)) for v in row) + "\n").encode("ascii"))
+
+
+def save_sample(directory, stem: str, sample: np.ndarray) -> str:
+    """Write one sample into ``directory`` the way :func:`load_manifest`
+    reads it back, and return its manifest path: an order-2 sample as the
+    graymap ``stem.pgm``, an order-3 sample as the frame directory ``stem``
+    of ``frame_000.pgm``, ... along its last axis.  Any other order is
+    rejected before a file is written."""
+    sample = np.asarray(sample)
+    if sample.ndim not in (2, 3):
+        raise ConfigurationError(
+            f"sample files hold order-2 or order-3 samples, got order {sample.ndim}"
+        )
+    directory = Path(directory)
+    if sample.ndim == 2:
+        save_pgm(directory / f"{stem}.pgm", sample)
+        return f"{stem}.pgm"
+    (directory / stem).mkdir(exist_ok=True)
+    for t in range(sample.shape[-1]):
+        save_pgm(directory / stem / f"frame_{t:03d}.pgm", sample[..., t])
+    return stem
 
 
 def load_sequence(directory, expected_t: int | None = None, seed: int | None = None) -> np.ndarray:

@@ -9,14 +9,13 @@ different methods evaluated with the same seed see identical splits.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor, training
 from .errors import ConfigurationError, DatasetError
-from .hosvd import hopca_compression_fraction, pca_compression_fraction
+from .hosvd import hopca_compression_fraction
 from .training import (
     GdaModel,
     LabeledTensorSet,
@@ -157,9 +156,8 @@ class ExperimentReport:
     figure: the trial mean for splits, the per-sample (micro) accuracy for
     leave-one-out, where ``macro_accuracy`` additionally averages the
     per-subject accuracies.  The confusion matrix aggregates all trials;
-    its rows (true classes, sorted) sum to ``test_counts``.  ``timings``
-    holds wall-clock seconds per stage and is excluded from the canonical
-    serialization so that report files are byte-reproducible.
+    its rows (true classes, sorted) sum to ``test_counts``.  Every field is
+    deterministic given the data, config and seed; none is a clock reading.
     """
 
     protocol: str
@@ -175,7 +173,6 @@ class ExperimentReport:
     compression_fractions: tuple
     objective_traces: tuple
     train_per_class: int | None = None
-    timings: dict = field(default_factory=dict, compare=False)
 
 
 def _count_correct(model: GdaModel, test: LabeledTensorSet, classes, confusion) -> int:
@@ -222,28 +219,20 @@ def _run_folds(
     dims_per_fold = []
     fractions = []
     traces = []
-    timings = {"train_s": 0.0, "classify_s": 0.0}
     for train_idx, test_idx in folds:
         train_set = data.subset(train_idx)
         test_set = data.subset(test_idx)
-        t0 = time.perf_counter()
         model = train_method(method, train_set, config)
-        timings["train_s"] += time.perf_counter() - t0
-        t0 = time.perf_counter()
         correct = _count_correct(model, test_set, classes, confusion)
-        timings["classify_s"] += time.perf_counter() - t0
         accuracies.append(100.0 * correct / test_set.n_samples)
         dims_per_fold.append(model.projected_shape)
-        # storage of the projected gallery plus the projectors, relative to raw
-        if model.vectorized:
-            fractions.append(pca_compression_fraction(
-                train_set.n_samples, int(np.prod(model.sample_shape)),
-                model.projected_shape[0],
-            ))
-        else:
-            fractions.append(hopca_compression_fraction(
-                train_set.n_samples, model.sample_shape, model.projected_shape
-            ))
+        # storage of the projected gallery plus the projectors, relative to
+        # raw; a vectorized model's one projector is the order-1 case
+        fractions.append(hopca_compression_fraction(
+            train_set.n_samples,
+            [c.shape[0] for c in model.combined],
+            [c.shape[1] for c in model.combined],
+        ))
         traces.append(model.objective_trace)
     return ExperimentReport(
         method=method,
@@ -255,7 +244,6 @@ def _run_folds(
         per_trial_dims=tuple(dims_per_fold),
         compression_fractions=tuple(fractions),
         objective_traces=tuple(traces),
-        timings=timings,
         **report_fields,
     )
 

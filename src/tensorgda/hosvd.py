@@ -177,7 +177,9 @@ def psnr(original: np.ndarray, degraded: np.ndarray) -> float:
 def hopca_compression_fraction(n_samples: int, extents, dims) -> float:
     """Compressed/uncompressed fraction of multilinear truncation for
     ``n_samples`` tensors of the given extents kept at ``dims`` per mode:
-    the truncated cores plus one ``I_k x J_k`` basis per mode."""
+    the truncated cores plus one ``I_k x J_k`` basis per mode.  Vector PCA
+    of length-``L`` samples with ``p`` components is the order-1 case,
+    ``extents=(L,)`` and ``dims=(p,)``."""
     extents = tuple(int(e) for e in extents)
     dims = tuple(int(d) for d in dims)
     if len(extents) != len(dims):
@@ -188,11 +190,3 @@ def hopca_compression_fraction(n_samples: int, extents, dims) -> float:
         e * d for e, d in zip(extents, dims)
     )
     return compressed / (n_samples * int(np.prod(extents)))
-
-
-def pca_compression_fraction(n_samples: int, vector_length: int, p: int) -> float:
-    """Compressed/uncompressed fraction of vector PCA with ``p`` components:
-    the ``p`` coefficients per sample plus the ``p`` basis vectors."""
-    if n_samples <= 0 or vector_length <= 0 or p <= 0:
-        raise DimensionError("all counts must be positive")
-    return (n_samples * p + vector_length * p) / (n_samples * vector_length)

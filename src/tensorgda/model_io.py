@@ -6,15 +6,15 @@ format-version tag.  It stores each fact once: the served projectors
 ``kind`` implies.  Arrays are stored as base64 of their raw little-endian
 float64 buffers in row-major (C) order, alongside their shapes, so a
 save/load round trip is bit-exact and repeated saves of the same model are
-byte-identical.  Stage timings are deliberately not serialized.  Loading
-checks the document before it builds a model: exact key sets, the JSON type
-of every value, a known kind, base64 and buffer sizes, finite arrays, shapes
-that fit ``sample_shape``, and a ``mean_vector`` exactly when the kind is
-vectorized.  A rejection names the key at fault.
+byte-identical: a model holds no clock reading.  Loading checks the document
+before it builds a model: exact key sets, the JSON type of every value, a
+known kind, base64 and buffer sizes, finite arrays, shapes that fit
+``sample_shape``, and a ``mean_vector`` exactly when the kind is vectorized.
+A rejection names the key at fault.
 
 Report files: a line-oriented text document, ``key = value`` pairs followed
 by ``[section]`` tables (tab-separated).  Floats are written with ``repr``
-(shortest exact round trip), and wall-clock timings are never written, so
+(shortest exact round trip), and a report holds no clock reading, so
 reports are byte-reproducible.
 """
 
@@ -248,8 +248,8 @@ def _fmt(value) -> str:
 def report_to_text(report: ExperimentReport) -> str:
     """Canonical text form of a report.
 
-    Field names are stable.  The report's wall-clock ``timings`` are never
-    written, because they are not reproducible across runs.
+    Field names are stable.  Every value is deterministic given the data,
+    config and seed, so equal runs write equal text.
     """
     lines = ["# tensorgda experiment report v1"]
     lines.append(f"protocol = {report.protocol}")

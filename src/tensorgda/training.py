@@ -17,7 +17,6 @@ bit-identical models.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -149,6 +148,8 @@ class TrainingConfig:
                 isinstance(value, (tuple, list)) and all(map(_is_count, value))
             ):
                 raise ConfigurationError(f"{name} must be a sequence of integers, got {value!r}")
+            if value is not None and any(v < 1 for v in value):
+                raise ConfigurationError(f"{name} entries must be at least 1, got {value!r}")
         for name in ("conv_tol", "ridge"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -176,8 +177,8 @@ class GdaModel:
     discriminant factor; only the product is kept.  For vectorized kinds
     (pca/fisherface) ``combined`` holds a single matrix applied to the
     vectorized sample minus ``mean_vector``, which only they carry.
-    ``stage_seconds`` carries wall-clock stage timings and is never
-    serialized.  ``gallery`` holds one projected sample per index of its
+    Every field is a deterministic fact of the training run; none is a
+    clock reading.  ``gallery`` holds one projected sample per index of its
     last axis; treat it as immutable and assign a new array to change it.
     """
 
@@ -193,7 +194,6 @@ class GdaModel:
     subspace_change_trace: tuple = ()
     config: TrainingConfig | None = None
     warnings: tuple = ()
-    stage_seconds: dict = field(default_factory=dict, compare=False)
     _gallery_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def gallery_matrix(self) -> tuple:
@@ -335,6 +335,21 @@ def default_target_dims(sample_shape, n_classes: int) -> tuple:
     return tuple(min(int(s), max(n_classes - 1, 1)) for s in sample_shape)
 
 
+def _target_dims(config: TrainingConfig, extents, n_classes: int) -> tuple:
+    """``config.target_dims``, else the per-mode default, checked to give
+    one dim per mode that fits that mode's extent."""
+    dims = tuple(config.target_dims or default_target_dims(extents, n_classes))
+    if len(dims) != len(extents):
+        raise ConfigurationError(f"expected {len(extents)} target dims, got {len(dims)}")
+    for k, d in enumerate(dims):
+        if d > extents[k]:
+            raise ConfigurationError(
+                f"target dim {d} exceeds the {extents[k]} dims kept for mode {k}; "
+                "raise theta or the HOSVD ranks"
+            )
+    return dims
+
+
 def k_mode_optimize(core_data: LabeledTensorSet, config: TrainingConfig) -> KModeResult:
     """Alternating per-mode eigen updates of the discriminant factors.
 
@@ -352,15 +367,7 @@ def k_mode_optimize(core_data: LabeledTensorSet, config: TrainingConfig) -> KMod
     """
     n = core_data.order
     shape = core_data.sample_shape
-    dims = config.target_dims or default_target_dims(shape, core_data.n_classes)
-    if len(dims) != n:
-        raise ConfigurationError(f"expected {n} target dims, got {len(dims)}")
-    for k, d in enumerate(dims):
-        if not 1 <= d <= shape[k]:
-            raise ConfigurationError(
-                f"target dim {d} out of range for mode {k} of extent {shape[k]}"
-            )
-
+    dims = _target_dims(config, shape, core_data.n_classes)
     factors = [np.eye(shape[k])[:, : dims[k]] for k in range(n)]
     stacks = deviation_stacks(core_data)
     objective_trace = []
@@ -402,6 +409,23 @@ def _singleton_warnings(data: LabeledTensorSet) -> tuple:
     )
 
 
+def _fitted(data: LabeledTensorSet, kind: str, combined: list, warnings=(), **facts) -> GdaModel:
+    """A model of ``kind`` serving ``combined``, warned of singleton classes
+    ahead of ``warnings``, whose gallery is ``data`` projected by
+    :meth:`GdaModel.project`."""
+    model = GdaModel(
+        kind=kind,
+        sample_shape=data.sample_shape,
+        combined=combined,
+        gallery=np.empty(0),
+        gallery_labels=data.labels.copy(),
+        warnings=_singleton_warnings(data) + tuple(warnings),
+        **facts,
+    )
+    model.gallery = model.project(data.samples)
+    return model
+
+
 def hosvd_stage(data: LabeledTensorSet, config: TrainingConfig):
     """HOSVD of the stacked samples with the sample mode exempt, truncated
     to ``config.hosvd_ranks`` when given, else by ``config.theta``."""
@@ -425,10 +449,6 @@ def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str
     if data.n_samples < 2 or data.n_classes < 2:
         raise ConfigurationError("training needs at least 2 samples and 2 classes")
     n = data.order
-    stage_seconds = {}
-    warnings = list(_singleton_warnings(data))
-
-    t0 = time.perf_counter()
     if kind in ("gda", "hopca"):
         decomposition = hosvd_stage(data, config)
         hosvd_factors = list(decomposition.factors[:n])
@@ -440,23 +460,15 @@ def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str
         kept = data.sample_shape
         mode_energy = tuple(1.0 for _ in range(n))
         core_data = data
-    stage_seconds["hosvd"] = time.perf_counter() - t0
 
-    dims = config.target_dims or default_target_dims(kept, data.n_classes)
-    for k, d in enumerate(dims):
-        if d > kept[k]:
-            raise ConfigurationError(
-                f"target dim {d} exceeds the {kept[k]} dims kept for mode {k}; "
-                "raise theta or the HOSVD ranks"
-            )
-
-    t0 = time.perf_counter()
+    dims = _target_dims(config, kept, data.n_classes)
+    warnings = []
     if kind == "hopca":
         disc = [np.eye(kept[k])[:, : dims[k]] for k in range(n)]
         objective_trace: tuple = ()
         change_trace: tuple = ()
     else:
-        result = k_mode_optimize(core_data, replace(config, target_dims=tuple(dims)))
+        result = k_mode_optimize(core_data, replace(config, target_dims=dims))
         disc = result.factors
         objective_trace = result.objective_trace
         change_trace = result.subspace_change_trace
@@ -467,25 +479,15 @@ def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str
                 f"changed it by {_relative_change(*objective_trace[-2:]):.3g} "
                 f"relative, conv_tol = {config.conv_tol!r}"
             )
-    stage_seconds["optimize"] = time.perf_counter() - t0
 
-    combined = [hosvd_factors[k] @ disc[k] for k in range(n)]
-    model = GdaModel(
-        kind=kind,
-        sample_shape=data.sample_shape,
-        combined=combined,
-        gallery=np.empty(0),
-        gallery_labels=data.labels.copy(),
+    return _fitted(
+        data, kind, [hosvd_factors[k] @ disc[k] for k in range(n)], warnings,
         hosvd_ranks=tuple(kept),
         mode_energy=tuple(mode_energy),
         objective_trace=objective_trace,
         subspace_change_trace=change_trace,
         config=config,
-        warnings=tuple(warnings),
-        stage_seconds=stage_seconds,
     )
-    model.gallery = model.project(data.samples)
-    return model
 
 
 def train_gda(data: LabeledTensorSet, config: TrainingConfig | None = None) -> GdaModel:
@@ -528,20 +530,8 @@ def vector_pca(data: LabeledTensorSet, dims: int | None = None, name: str = "pca
 def train_pca(data: LabeledTensorSet, dims: int | None = None) -> GdaModel:
     """Vectorizing PCA baseline (top principal directions of the centered
     sample vectors)."""
-    t0 = time.perf_counter()
     mean_vector, _, basis = vector_pca(data, dims)
-    model = GdaModel(
-        kind="pca",
-        sample_shape=data.sample_shape,
-        combined=[basis],
-        gallery=np.empty(0),
-        gallery_labels=data.labels.copy(),
-        mean_vector=mean_vector,
-        warnings=_singleton_warnings(data),
-        stage_seconds={"optimize": time.perf_counter() - t0},
-    )
-    model.gallery = model.project(data.samples)
-    return model
+    return _fitted(data, "pca", [basis], mean_vector=mean_vector)
 
 
 def train_fisherface(
@@ -553,7 +543,6 @@ def train_fisherface(
     """PCA to ``pca_dims`` (default ``m - C``) then vector discriminant
     analysis to ``lda_dims`` (default ``C - 1``) on the reduced vectors,
     whose scatters come from :func:`scatter_matrices` on an order-1 set."""
-    t0 = time.perf_counter()
     n_classes = data.n_classes
     if n_classes < 2:
         raise ConfigurationError("fisherface needs at least 2 classes")
@@ -569,17 +558,4 @@ def train_fisherface(
     reduced = LabeledTensorSet(pca_basis.T @ centered, data.labels)
     pair = scatter_matrices(reduced, [None], 0)
     lda_basis = ratio_trace_eig(pair.s_b, pair.s_w, lda_dims, ridge)
-
-    combined = pca_basis @ lda_basis
-    model = GdaModel(
-        kind="fisherface",
-        sample_shape=data.sample_shape,
-        combined=[combined],
-        gallery=np.empty(0),
-        gallery_labels=data.labels.copy(),
-        mean_vector=mean_vector,
-        warnings=_singleton_warnings(data),
-        stage_seconds={"optimize": time.perf_counter() - t0},
-    )
-    model.gallery = model.project(data.samples)
-    return model
+    return _fitted(data, "fisherface", [pca_basis @ lda_basis], mean_vector=mean_vector)

@@ -20,7 +20,6 @@ from tensorgda.evaluation import classify, evaluate_split, split_indices
 from tensorgda.hosvd import (
     hopca_compression_fraction,
     hosvd,
-    pca_compression_fraction,
     psnr,
     reconstruct,
 )
@@ -289,7 +288,7 @@ def test_psnr_and_compression_figures(tmp_path):
     assert psnr(a, b) == pytest.approx(expect, rel=1e-10)
 
     # formula recheck is exact arithmetic
-    assert pca_compression_fraction(10, 4 * 5, 2) == (10 * 2 + 4 * 5 * 2) / (10 * 4 * 5)
+    assert hopca_compression_fraction(10, (4 * 5,), (2,)) == (10 * 2 + 4 * 5 * 2) / (10 * 4 * 5)
     assert hopca_compression_fraction(10, (4, 5), (2, 2)) == (
         10 * 2 * 2 + 4 * 2 + 5 * 2
     ) / (10 * 4 * 5)

@@ -15,6 +15,10 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+# what synth and compress print for a sample they cannot write as files
+ORDER4_ERROR = "error: sample files hold order-2 or order-3 samples, got order 4\n"
+
+
 @pytest.fixture()
 def pgm_dataset(tmp_path):
     """A small 2-class on-disk dataset built through the synth subcommand."""
@@ -66,6 +70,27 @@ class TestTrain:
                 "--seed", 7, "--output", path,
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("method", ["gda", "mda", "hopca"])
+    def test_too_many_target_dims_exit_2_with_one_line(self, method, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        code = run([
+            "train", "--synth", "c=3,per_class=4,shape=6x5", "--dims", "2x2x2",
+            "--method", method, "--output", path,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: expected 2 target dims, got 3\n"
+        assert not path.exists()
+
+    def test_prints_one_time_line(self, tmp_path, capsys):
+        assert run([
+            "train", "--synth", "c=3,per_class=4,shape=5x4", "--method", "gda",
+            "--output", tmp_path / "m.json",
+        ]) == 0
+        times = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("time")]
+        assert len(times) == 1 and times[0].startswith("time train = ")
 
     def test_synth_source_needs_no_files(self, tmp_path):
         code = run([
@@ -156,6 +181,14 @@ class TestEvaluate:
         ])
         assert code == 2
 
+    def test_one_time_line_per_method(self, tmp_path, capsys):
+        assert run([
+            "evaluate", "--synth", "c=3,per_class=5,shape=5x4", "--method", "gda,pca",
+            "--train-per-class", 3, "--trials", 2, "--output-dir", tmp_path,
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line[:9] for line in lines] == ["gda: mean", "  time = ", "pca: mean", "  time = "]
+
 
 class TestCompress:
     def test_theta_one_reports_infinite_psnr(self, tmp_path):
@@ -210,6 +243,29 @@ class TestCompress:
         assert code == 0
         assert (recon / "hopca_0000").is_dir()
         assert (recon / "pca_0000").is_dir()
+
+
+    def test_order4_reconstructions_exit_2_and_write_nothing(self, tmp_path, capsys):
+        recon = tmp_path / "recon"
+        out = tmp_path / "report.txt"
+        code = run([
+            "compress", "--synth", "c=2,per_class=3,shape=3x3x2x2",
+            "--output", out, "--save-reconstructions", recon,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ORDER4_ERROR
+        assert list(recon.iterdir()) == [] and not out.exists()
+
+
+class TestSynth:
+    def test_order4_exits_2_and_writes_no_sample(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        code = run(["synth", "--spec", "c=2,per_class=3,shape=3x3x2x2", "--output-dir", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ORDER4_ERROR
+        assert list(out.iterdir()) == []
 
 
 class TestVisualize:

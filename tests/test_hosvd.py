@@ -8,7 +8,6 @@ from tensorgda.errors import DegenerateModeError, DimensionError
 from tensorgda.hosvd import (
     hopca_compression_fraction,
     hosvd,
-    pca_compression_fraction,
     psnr,
     reconstruct,
     select_rank,
@@ -262,12 +261,12 @@ class TestPsnr:
 
 class TestCompressionRatios:
     def test_direct_arithmetic(self):
-        fraction = pca_compression_fraction(10, 4 * 5, 2)
+        fraction = hopca_compression_fraction(10, (4 * 5,), (2,))
         assert 1.0 / fraction == pytest.approx(200 / 60)
         assert fraction == pytest.approx(0.3)
 
     def test_tiny_case_expands(self):
-        fraction = pca_compression_fraction(1, 1 * 1, 1)
+        fraction = hopca_compression_fraction(1, (1 * 1,), (1,))
         assert 1.0 / fraction == pytest.approx(0.5)
         assert fraction == pytest.approx(2.0)
         assert hopca_compression_fraction(1, (1, 1), (1, 1)) == pytest.approx(3.0)
@@ -284,7 +283,7 @@ class TestCompressionRatios:
         assert hopca_compression_fraction(M, (m, n), (d, q)) == pytest.approx(
             (M * d * q + m * d + n * q) / (M * m * n)
         )
-        assert pca_compression_fraction(M, m * n, p) == pytest.approx(
+        assert hopca_compression_fraction(M, (m * n,), (p,)) == pytest.approx(
             (M * p + m * n * p) / (M * m * n)
         )
 
@@ -295,7 +294,7 @@ class TestCompressionRatios:
 
     def test_positivity_enforced(self):
         with pytest.raises(DimensionError):
-            pca_compression_fraction(0, 1, 1)
+            hopca_compression_fraction(0, (1,), (1,))
         with pytest.raises(DimensionError):
             hopca_compression_fraction(0, (1, 1), (1, 1))
         with pytest.raises(DimensionError):

@@ -113,12 +113,6 @@ class TestModelContainer:
     def test_config_decoders_cover_every_config_field(self):
         assert set(_CONFIG_DECODERS) == {f.name for f in fields(TrainingConfig)}
 
-    def test_timings_never_serialized(self):
-        data = synth_gaussian_classes(2, 4, (3, 3), 3.0, 1.0, seed=5)
-        model = train_gda(data, TrainingConfig(target_dims=(1, 1)))
-        assert model.stage_seconds  # measured during training
-        assert "stage_seconds" not in model_to_json(model)
-
 
 class TestReportText:
     def test_deterministic_and_timing_free(self):
@@ -126,7 +120,6 @@ class TestReportText:
         a = evaluate_split(data, "gda", TrainingConfig(), 3, trials=2, seed=7)
         b = evaluate_split(data, "gda", TrainingConfig(), 3, trials=2, seed=7)
         assert report_to_text(a) == report_to_text(b)
-        assert a.timings  # measured, but never written
         assert "time" not in report_to_text(a)
 
     def test_mean_equals_mean_of_trials(self):

@@ -404,6 +404,17 @@ class TestTrainingConfig:
         with pytest.raises(ConfigurationError, match=name):
             TrainingConfig(**values)
 
+    @pytest.mark.parametrize("values", [
+        {"target_dims": (0, 2)},
+        {"target_dims": (-1, 2)},
+        {"hosvd_ranks": (3, 0)},
+        {"hosvd_ranks": (-2, 3)},
+    ])
+    def test_counts_below_one_rejected(self, values):
+        [name] = values
+        with pytest.raises(ConfigurationError, match=f"{name} entries must be at least 1"):
+            TrainingConfig(**values)
+
     def test_numpy_integers_accepted(self):
         config = TrainingConfig(max_iters=np.int64(3), target_dims=(np.int64(2), 1),
                                 hosvd_ranks=[np.int32(3), 2])
@@ -447,6 +458,13 @@ class TestTrainGda:
         config = TrainingConfig(theta=0.5, target_dims=(5, 4))
         with pytest.raises(ConfigurationError, match="theta"):
             train_gda(data, config)
+
+    @pytest.mark.parametrize("train", [train_gda, train_mda, train_hopca])
+    @pytest.mark.parametrize("dims", [(2,), (2, 2, 2), (0, 2), (-1, 2), (7, 2)])
+    def test_target_dims_checked_for_every_multilinear_kind(self, train, dims):
+        data = synth_gaussian_classes(3, 4, (6, 5), 4.0, 1.0, seed=23)
+        with pytest.raises(ConfigurationError, match="target"):
+            train(data, TrainingConfig(target_dims=dims, theta=1.0))
 
     def test_combined_factorization_invariant(self):
         data = synth_gaussian_classes(3, 8, (6, 5), 5.0, 1.0, seed=24)
