@@ -3,8 +3,9 @@
 Subcommands: ``train``, ``evaluate``, ``classify``, ``compress``,
 ``visualize``, ``synth``.  Data comes from a manifest file or an inline
 synthetic spec (``--synth "c=10,per_class=10,shape=8x8,separation=8,noise=1"``).
-A ``--config`` file of ``key = value`` lines can set any long flag; explicit
-command-line flags win.
+A ``--config`` file of ``key = value`` lines can set the long flags; each
+subcommand reads the keys of its own flags and skips those only other
+subcommands take, and explicit command-line flags win.
 
 Exit codes: 0 success, 2 usage/configuration, 3 data (including an input
 file that cannot be read or decoded and an output file that cannot be
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -114,29 +116,42 @@ def load_data(args):
 
 
 def build_config(args) -> TrainingConfig:
-    """The training config of the flags that are set; ``TrainingConfig``
-    supplies the defaults and validates."""
-    values = {
-        "target_dims": parse_dims(args.dims) if args.dims else None,
-        "theta": args.theta,
-        "hosvd_ranks": parse_dims(args.ranks) if args.ranks else None,
-        "max_iters": args.max_iters,
-        "conv_tol": args.conv_tol,
-        "ridge": args.ridge,
-        "pca_dims": args.pca_dims,
-        "fisherface_pca_dims": args.fisher_pca_dims,
-        "fisherface_lda_dims": args.fisher_lda_dims,
-    }
+    """The training config of the training flags that are set, each stored
+    under its ``TrainingConfig`` field name; ``TrainingConfig`` supplies
+    every other default and validates."""
+    values = {f.name: getattr(args, f.name, None) for f in fields(TrainingConfig)}
+    for name in ("target_dims", "hosvd_ranks"):
+        if values[name]:
+            values[name] = parse_dims(values[name])
     return TrainingConfig(**{k: v for k, v in values.items() if v is not None})
 
 
-def read_config_file(path) -> dict:
-    """Parsed and checked flag values of a ``key = value`` config file."""
+def config_flags(sub) -> dict:
+    """``flag -> action`` of the long flags a config file can set for the
+    subcommand parser ``sub``: all but ``--help``, ``--config`` and the
+    required flags, which argparse demands on the command line."""
+    return {
+        flag: action
+        for action in sub._actions
+        if not action.required
+        for flag in action.option_strings
+        if flag.startswith("--") and flag not in ("--help", "--config")
+    }
+
+
+def read_config_file(path, command: str, commands: dict) -> dict:
+    """Parsed and checked flag values of a ``key = value`` config file, by
+    destination, for subcommand ``command`` of the ``name -> parser`` map
+    ``commands``.  A key is a long flag's name; each value is read with that
+    flag's own type and choices.  Keys of flags that only other subcommands
+    take are skipped; a key that no subcommand takes is an error."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read config {path}: {exc}") from exc
+    own = config_flags(commands[command])
+    known = set().union(*map(config_flags, commands.values()))
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -145,75 +160,70 @@ def read_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigurationError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        if dest not in _CONFIG_TYPES:
+        flag = "--" + key.replace("_", "-")
+        if flag not in known:
             raise ConfigurationError(f"{path}:{lineno}: unknown option {key!r}")
+        if flag not in own:
+            continue
+        action = own[flag]
         try:
-            values[dest] = _CONFIG_TYPES[dest](value)
+            parsed = (action.type or str)(value)
         except ValueError:
             raise ConfigurationError(
                 f"{path}:{lineno}: invalid value {value!r} for {key!r}"
             ) from None
-        if dest in _CONFIG_CHOICES and values[dest] not in _CONFIG_CHOICES[dest]:
+        if action.choices is not None and parsed not in action.choices:
             raise ConfigurationError(
                 f"{path}:{lineno}: {key} must be one of "
-                f"{', '.join(_CONFIG_CHOICES[dest])}, got {value!r}"
+                f"{', '.join(action.choices)}, got {value!r}"
             )
+        values[action.dest] = parsed
     return values
 
 
-# value parsers for config-file entries, per destination
-_CONFIG_TYPES = {
-    "manifest": str,
-    "synth": str,
-    "seed": int,
-    "method": str,
-    "theta": float,
-    "ranks": str,
-    "dims": str,
-    "max_iters": int,
-    "conv_tol": float,
-    "ridge": float,
-    "pca_dims": int,
-    "fisher_pca_dims": int,
-    "fisher_lda_dims": int,
-    "trials": int,
-    "train_per_class": int,
-    "protocol": str,
-    "plane": str,
-    "pca_components": int,
-    "output": str,
-    "output_dir": str,
-}
-
 PROTOCOLS = ("split", "loo")
 PLANES = ("1x2", "2x1", "pair")
-# the allowed values of the config-file entries whose flags have choices
-_CONFIG_CHOICES = {"protocol": PROTOCOLS, "plane": PLANES}
+# the help texts quote these defaults; TrainingConfig owns them
+_DEFAULT = TrainingConfig()
 
 
-def add_common_flags(sub, with_method: bool = True):
+def add_data_flags(sub):
+    """Where the samples come from, for every subcommand that reads them."""
     sub.add_argument("--manifest", help="manifest file of samples")
     sub.add_argument("--synth", help="inline synthetic spec, e.g. "
                      "'c=10,per_class=10,shape=8x8,separation=8,noise=1'")
     sub.add_argument("--config", help="key = value file supplying defaults")
-    sub.add_argument("--seed", type=int, default=None, help="default 0")
-    sub.add_argument("--theta", type=float, default=None,
-                     help="HOSVD energy threshold (default 0.98)")
-    sub.add_argument("--ranks", default=None, help="explicit HOSVD ranks, e.g. 6x6x3")
-    sub.add_argument("--dims", default=None, help="projected dims, e.g. 3x3x2")
-    sub.add_argument("--max-iters", type=int, default=None,
-                     help="cap on discriminant sweeps (default 10)")
-    sub.add_argument("--conv-tol", type=float, default=None,
+    sub.add_argument("--seed", type=int, default=0, help="default %(default)s")
+
+
+def add_hosvd_flags(sub):
+    """The HOSVD stage's knobs; each flag's destination is its
+    ``TrainingConfig`` field, which ``build_config`` reads."""
+    sub.add_argument("--theta", type=float,
+                     help=f"HOSVD energy threshold (default {_DEFAULT.theta})")
+    sub.add_argument("--ranks", dest="hosvd_ranks", help="explicit HOSVD ranks, e.g. 6x6x3")
+
+
+def add_training_flags(sub):
+    """``--method`` and every ``TrainingConfig`` knob, for the subcommands
+    that train."""
+    add_hosvd_flags(sub)
+    sub.add_argument("--dims", dest="target_dims", help="projected dims, e.g. 3x3x2")
+    sub.add_argument("--max-iters", type=int,
+                     help=f"cap on discriminant sweeps (default {_DEFAULT.max_iters})")
+    sub.add_argument("--conv-tol", type=float,
                      help="stop the sweeps once one moves the objective by at most "
-                     "this fraction of its previous value (default 1e-3)")
-    sub.add_argument("--ridge", type=float, default=None)
-    sub.add_argument("--pca-dims", type=int, default=None)
-    sub.add_argument("--fisher-pca-dims", type=int, default=None)
-    sub.add_argument("--fisher-lda-dims", type=int, default=None)
-    if with_method:
-        sub.add_argument("--method", default="gda",
-                         help=f"one of {', '.join(METHODS)}")
+                     f"this fraction of its previous value (default {_DEFAULT.conv_tol})")
+    sub.add_argument("--ridge", type=float,
+                     help="within-class scatter ridge, as a fraction of its mean "
+                     f"eigenvalue (default {_DEFAULT.ridge})")
+    sub.add_argument("--pca-dims", type=int,
+                     help="pca components (default min(m - 1, sample length))")
+    sub.add_argument("--fisher-pca-dims", dest="fisherface_pca_dims", type=int,
+                     help="fisherface PCA dims (default m - C)")
+    sub.add_argument("--fisher-lda-dims", dest="fisherface_lda_dims", type=int,
+                     help="fisherface discriminant dims (default C - 1)")
+    sub.add_argument("--method", default="gda", help=f"one of {', '.join(METHODS)}")
 
 
 def cmd_train(args) -> int:
@@ -248,7 +258,6 @@ def cmd_evaluate(args) -> int:
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     if not methods:
         raise ConfigurationError("no methods given")
-    trials = args.trials if args.trials is not None else 10
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for method in methods:
@@ -259,7 +268,7 @@ def cmd_evaluate(args) -> int:
             report = evaluate_split(
                 data, method, config,
                 train_per_class=args.train_per_class,
-                trials=trials, seed=args.seed,
+                trials=args.trials, seed=args.seed,
             )
         else:
             report = evaluate_loo(data, method, config, seed=args.seed)
@@ -313,18 +322,16 @@ def cmd_compress(args) -> int:
 
     psnr_h = []
     psnr_p = []
-    recon_dir = Path(args.save_reconstructions) if args.save_reconstructions else None
-    if recon_dir is not None:
-        recon_dir.mkdir(parents=True, exist_ok=True)
     hopca_recon = tensor._per_sample_products(data.samples, projections)
     for i, restored in enumerate(np.moveaxis(hopca_recon, -1, 0)):
         original = data.samples[..., i]
         psnr_h.append(psnr(original, restored))
         pca_restored = pca_recon[:, i].reshape(extents, order="F")
         psnr_p.append(psnr(original, pca_restored))
-        if recon_dir is not None:
+        if args.save_reconstructions:
             for tag, sample in (("hopca", restored), ("pca", pca_restored)):
-                save_sample(recon_dir, f"{tag}_{i:04d}", np.clip(np.rint(sample), 0, 255))
+                save_sample(args.save_reconstructions, f"{tag}_{i:04d}",
+                            np.clip(np.rint(sample), 0, 255))
 
     lines = ["# tensorgda compression report v1"]
     lines.append(f"samples = {m_samples}")
@@ -390,7 +397,6 @@ def cmd_synth(args) -> int:
         spec["separation"], spec["noise"], seed=args.seed,
     )
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lo = float(data.samples.min())
     hi = float(data.samples.max())
     scale = 255.0 / (hi - lo) if hi > lo else 1.0
@@ -416,49 +422,53 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("train", help="train a model and save it")
-    add_common_flags(p)
+    add_data_flags(p)
+    add_training_flags(p)
     p.add_argument("--output", default="model.json", help="model file path")
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("evaluate", help="run an evaluation protocol")
-    add_common_flags(p)
+    add_data_flags(p)
+    add_training_flags(p)
     p.add_argument("--protocol", choices=PROTOCOLS, default="split")
-    p.add_argument("--train-per-class", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--train-per-class", type=int)
+    p.add_argument("--trials", type=int, default=10, help="default %(default)s")
     p.add_argument("--output-dir", default=".", help="directory for report files")
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("compress", help="HOSVD compression and quality metrics")
-    add_common_flags(p, with_method=False)
-    p.add_argument("--pca-components", type=int, default=None,
+    add_data_flags(p)
+    add_hosvd_flags(p)
+    p.add_argument("--pca-components", type=int,
                    help="vector-PCA components (default: match the HOPCA ratio)")
-    p.add_argument("--output", default=None, help="report file (default stdout)")
-    p.add_argument("--save-reconstructions", default=None,
+    p.add_argument("--output", help="report file (default stdout)")
+    p.add_argument("--save-reconstructions",
                    help="directory for reconstructed PGM output")
     p.set_defaults(func=cmd_compress)
 
     p = subs.add_parser("visualize", help="export 2D projection coordinates")
-    add_common_flags(p)
-    p.add_argument("--model", default=None, help="use a saved model instead of training")
+    add_data_flags(p)
+    add_training_flags(p)
+    p.add_argument("--model", help="use a saved model instead of training")
     p.add_argument("--plane", choices=PLANES, default="pair")
     p.add_argument("--output", default="projection.csv")
     p.set_defaults(func=cmd_visualize)
 
     p = subs.add_parser("classify", help="classify samples with a saved model")
-    add_common_flags(p, with_method=False)
+    add_data_flags(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--output", default=None, help="predictions file (default stdout)")
+    p.add_argument("--output", help="predictions file (default stdout)")
     p.set_defaults(func=cmd_classify)
 
     p = subs.add_parser("synth", help="write a synthetic dataset to disk")
     p.add_argument("--spec", required=True,
                    help="e.g. 'c=10,per_class=10,shape=8x8,separation=8,noise=1'")
-    p.add_argument("--seed", type=int, default=None, help="default 0")
+    p.add_argument("--seed", type=int, default=0, help="default %(default)s")
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
-    for sub in subs.choices.values():
-        sub.set_defaults(command_parser=sub)
+    # read back by main, to apply a config file to the subcommand that runs
+    parser.set_defaults(commands=subs.choices)
     return parser
 
 
@@ -469,10 +479,10 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             # the file's values become the subcommand's defaults, so flags
             # given on the command line still win when parsed again
-            args.command_parser.set_defaults(**read_config_file(args.config))
+            commands = parser.get_default("commands")
+            values = read_config_file(args.config, args.command, commands)
+            commands[args.command].set_defaults(**values)
             args = parser.parse_args(argv)
-        if args.seed is None:
-            args.seed = 0
         code = args.func(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

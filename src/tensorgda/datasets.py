@@ -140,8 +140,8 @@ def save_sample(directory, stem: str, sample: np.ndarray) -> str:
     """Write one sample into ``directory`` the way :func:`load_manifest`
     reads it back, and return its manifest path: an order-2 sample as the
     graymap ``stem.pgm``, an order-3 sample as the frame directory ``stem``
-    of ``frame_000.pgm``, ... along its last axis.  Any other order is
-    rejected before a file is written."""
+    of ``frame_000.pgm``, ... along its last axis, creating ``directory``
+    as needed.  Any other order is rejected before anything is created."""
     sample = np.asarray(sample)
     if sample.ndim not in (2, 3):
         raise ConfigurationError(
@@ -149,9 +149,10 @@ def save_sample(directory, stem: str, sample: np.ndarray) -> str:
         )
     directory = Path(directory)
     if sample.ndim == 2:
+        directory.mkdir(parents=True, exist_ok=True)
         save_pgm(directory / f"{stem}.pgm", sample)
         return f"{stem}.pgm"
-    (directory / stem).mkdir(exist_ok=True)
+    (directory / stem).mkdir(parents=True, exist_ok=True)
     for t in range(sample.shape[-1]):
         save_pgm(directory / stem / f"frame_{t:03d}.pgm", sample[..., t])
     return stem

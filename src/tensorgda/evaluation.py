@@ -31,13 +31,8 @@ _TRAINERS = {
     "gda": train_gda,
     "mda": train_mda,
     "hopca": train_hopca,
-    "pca": lambda data, config: train_pca(data, dims=config.pca_dims),
-    "fisherface": lambda data, config: train_fisherface(
-        data,
-        pca_dims=config.fisherface_pca_dims,
-        lda_dims=config.fisherface_lda_dims,
-        ridge=config.ridge,
-    ),
+    "pca": train_pca,
+    "fisherface": train_fisherface,
 }
 METHODS = tuple(_TRAINERS)
 

@@ -149,23 +149,3 @@ def ratio_trace_eig(
     _fix_signs(back)
     return back
 
-
-def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Canonical angles (radians, ascending) between the column spans of
-    ``a`` and ``b``.
-
-    Both inputs are orthonormalized first, so arbitrary bases are accepted.
-    Small angles are recovered through the sine of the residual projection
-    rather than ``arccos``, which loses half the digits near zero.
-    """
-    qa, _ = np.linalg.qr(np.asarray(a, dtype=np.float64))
-    qb, _ = np.linalg.qr(np.asarray(b, dtype=np.float64))
-    overlap = qa.T @ qb
-    cosines = np.clip(np.linalg.svd(overlap, compute_uv=False), 0.0, 1.0)
-    sines = np.clip(np.linalg.svd(qb - qa @ overlap, compute_uv=False), 0.0, 1.0)
-    k = min(cosines.size, sines.size)
-    cosines = cosines[:k]  # descending: ascending angles
-    sines = np.sort(sines)[:k]  # ascending: ascending angles
-    return np.where(
-        cosines**2 >= 0.5, np.arcsin(sines), np.arccos(cosines)
-    )

@@ -107,8 +107,13 @@ class LabeledTensorSet:
 
 
 def _is_count(value) -> bool:
-    """An integer, but not a ``bool``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """An integer that is not a ``bool``, and at least 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
+# the TrainingConfig fields that hold counts; the last two hold one per mode
+_COUNTS = ("max_iters", "pca_dims", "fisherface_pca_dims", "fisherface_lda_dims",
+           "target_dims", "hosvd_ranks")
 
 
 @dataclass(frozen=True)
@@ -138,18 +143,18 @@ class TrainingConfig:
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
             raise ConfigurationError(f"theta must lie in (0, 1], got {self.theta}")
-        if not _is_count(self.max_iters):
-            raise ConfigurationError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ConfigurationError("max_iters must be at least 1")
-        for name in ("target_dims", "hosvd_ranks"):
+        for name in _COUNTS:
             value = getattr(self, name)
-            if value is not None and not (
-                isinstance(value, (tuple, list)) and all(map(_is_count, value))
-            ):
+            if value is None and name != "max_iters":
+                continue
+            per_mode = name in ("target_dims", "hosvd_ranks")
+            if per_mode and not isinstance(value, (tuple, list)):
                 raise ConfigurationError(f"{name} must be a sequence of integers, got {value!r}")
-            if value is not None and any(v < 1 for v in value):
-                raise ConfigurationError(f"{name} entries must be at least 1, got {value!r}")
+            label, entries = (f"{name} entries", value) if per_mode else (name, (value,))
+            if not all(map(_is_count, entries)):
+                raise ConfigurationError(
+                    f"{label} must be at least 1 and integral, not bool, got {value!r}"
+                )
         for name in ("conv_tol", "ridge"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -335,18 +340,20 @@ def default_target_dims(sample_shape, n_classes: int) -> tuple:
     return tuple(min(int(s), max(n_classes - 1, 1)) for s in sample_shape)
 
 
-def _target_dims(config: TrainingConfig, extents, n_classes: int) -> tuple:
+def _target_dims(config: TrainingConfig, extents, n_classes: int, after_hosvd=False) -> tuple:
     """``config.target_dims``, else the per-mode default, checked to give
-    one dim per mode that fits that mode's extent."""
+    one dim per mode that fits that mode's extent: the dims a HOSVD stage
+    kept when ``after_hosvd``, else the samples' own."""
     dims = tuple(config.target_dims or default_target_dims(extents, n_classes))
     if len(dims) != len(extents):
         raise ConfigurationError(f"expected {len(extents)} target dims, got {len(dims)}")
     for k, d in enumerate(dims):
         if d > extents[k]:
-            raise ConfigurationError(
-                f"target dim {d} exceeds the {extents[k]} dims kept for mode {k}; "
-                "raise theta or the HOSVD ranks"
+            limit = (
+                f"the {extents[k]} dims kept for mode {k}; raise theta or the HOSVD ranks"
+                if after_hosvd else f"the sample extent {extents[k]} of mode {k}"
             )
+            raise ConfigurationError(f"target dim {d} exceeds {limit}")
     return dims
 
 
@@ -461,7 +468,7 @@ def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str
         mode_energy = tuple(1.0 for _ in range(n))
         core_data = data
 
-    dims = _target_dims(config, kept, data.n_classes)
+    dims = _target_dims(config, kept, data.n_classes, after_hosvd=kind != "mda")
     warnings = []
     if kind == "hopca":
         disc = [np.eye(kept[k])[:, : dims[k]] for k in range(n)]
@@ -527,35 +534,31 @@ def vector_pca(data: LabeledTensorSet, dims: int | None = None, name: str = "pca
     return mean_vector, centered, svd(centered).u[:, :dims]
 
 
-def train_pca(data: LabeledTensorSet, dims: int | None = None) -> GdaModel:
-    """Vectorizing PCA baseline (top principal directions of the centered
-    sample vectors)."""
-    mean_vector, _, basis = vector_pca(data, dims)
+def train_pca(data: LabeledTensorSet, config: TrainingConfig | None = None) -> GdaModel:
+    """Vectorizing PCA baseline: the top ``config.pca_dims`` principal
+    directions of the centered sample vectors."""
+    config = config or TrainingConfig()
+    mean_vector, _, basis = vector_pca(data, config.pca_dims)
     return _fitted(data, "pca", [basis], mean_vector=mean_vector)
 
 
-def train_fisherface(
-    data: LabeledTensorSet,
-    pca_dims: int | None = None,
-    lda_dims: int | None = None,
-    ridge: float = 1e-6,
-) -> GdaModel:
-    """PCA to ``pca_dims`` (default ``m - C``) then vector discriminant
-    analysis to ``lda_dims`` (default ``C - 1``) on the reduced vectors,
-    whose scatters come from :func:`scatter_matrices` on an order-1 set."""
+def train_fisherface(data: LabeledTensorSet, config: TrainingConfig | None = None) -> GdaModel:
+    """PCA to ``config.fisherface_pca_dims`` (default ``m - C``) then vector
+    discriminant analysis to ``config.fisherface_lda_dims`` (default
+    ``C - 1``) with ``config.ridge`` on the reduced vectors, whose scatters
+    come from :func:`scatter_matrices` on an order-1 set."""
+    config = config or TrainingConfig()
     n_classes = data.n_classes
     if n_classes < 2:
         raise ConfigurationError("fisherface needs at least 2 classes")
-    if pca_dims is None:
-        pca_dims = data.n_samples - n_classes
+    pca_dims = config.fisherface_pca_dims or data.n_samples - n_classes
     mean_vector, centered, pca_basis = vector_pca(data, pca_dims, "fisherface pca dims")
-    if lda_dims is None:
-        lda_dims = n_classes - 1
+    lda_dims = config.fisherface_lda_dims or n_classes - 1
     if not 1 <= lda_dims <= min(n_classes - 1, pca_dims):
         raise ConfigurationError(
             f"fisherface lda dims must lie in [1, {min(n_classes - 1, pca_dims)}]"
         )
     reduced = LabeledTensorSet(pca_basis.T @ centered, data.labels)
     pair = scatter_matrices(reduced, [None], 0)
-    lda_basis = ratio_trace_eig(pair.s_b, pair.s_w, lda_dims, ridge)
+    lda_basis = ratio_trace_eig(pair.s_b, pair.s_w, lda_dims, config.ridge)
     return _fitted(data, "fisherface", [pca_basis @ lda_basis], mean_vector=mean_vector)

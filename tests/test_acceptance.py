@@ -23,7 +23,6 @@ from tensorgda.hosvd import (
     psnr,
     reconstruct,
 )
-from tensorgda.linalg import principal_angles
 from tensorgda.training import (
     LabeledTensorSet,
     TrainingConfig,
@@ -33,6 +32,8 @@ from tensorgda.training import (
     train_gda,
     train_mda,
 )
+
+from oracles import principal_angles
 
 
 def test_tensor_algebra_suite():

@@ -1,13 +1,15 @@
 
 import base64
+import contextlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from tensorgda.cli import main
+from tensorgda.cli import build_parser, main, read_config_file
 from tensorgda.datasets import save_pgm
+from tensorgda.errors import ConfigurationError
 from tensorgda.model_io import load_model, model_to_json
 
 
@@ -81,6 +83,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: expected 2 target dims, got 3\n"
+        assert not path.exists()
+
+    def test_mda_dims_beyond_the_sample_extent_name_no_hosvd_option(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        code = run([
+            "train", "--synth", "c=3,per_class=4,shape=6x5", "--method", "mda",
+            "--dims", "7x2", "--output", path,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: target dim 7 exceeds the sample extent 6 of mode 0\n"
         assert not path.exists()
 
     def test_prints_one_time_line(self, tmp_path, capsys):
@@ -255,7 +268,7 @@ class TestCompress:
         err = capsys.readouterr().err
         assert code == 2
         assert err == ORDER4_ERROR
-        assert list(recon.iterdir()) == [] and not out.exists()
+        assert not recon.exists() and not out.exists()
 
 
 class TestSynth:
@@ -265,7 +278,7 @@ class TestSynth:
         err = capsys.readouterr().err
         assert code == 2
         assert err == ORDER4_ERROR
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestVisualize:
@@ -313,6 +326,87 @@ class TestClassify:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "index\tpredicted\tdistance\ttruth"
         assert any("accuracy = 100.00%" in line for line in lines)
+
+
+# the parser of each subcommand, by name
+COMMANDS = build_parser().get_default("commands")
+# training flags that classify and compress once accepted and ignored
+TRAINING_ONLY = ["--dims", "--max-iters", "--conv-tol", "--ridge", "--pca-dims",
+                 "--fisher-pca-dims", "--fisher-lda-dims"]
+
+
+class TestFlagsPerSubcommand:
+    def _long_flags(self, command):
+        return {
+            flag for action in COMMANDS[command]._actions
+            for flag in action.option_strings if flag.startswith("--")
+        } - {"--help"}
+
+    def test_classify_and_compress_take_only_the_flags_they_read(self):
+        data = {"--manifest", "--synth", "--config", "--seed"}
+        assert self._long_flags("classify") == data | {"--model", "--output"}
+        assert self._long_flags("compress") == data | {
+            "--theta", "--ranks", "--pca-components", "--output", "--save-reconstructions",
+        }
+
+    @pytest.mark.parametrize("command,flag", [
+        *(("classify", flag) for flag in ["--theta", "--ranks", *TRAINING_ONLY]),
+        *(("compress", flag) for flag in TRAINING_ONLY),
+    ])
+    def test_a_flag_the_command_does_not_read_exits_2(self, command, flag, tmp_path):
+        argv = [command, "--synth", "c=2,per_class=3,shape=3x3", flag, "1"]
+        if command == "classify":
+            argv += ["--model", tmp_path / "m.json"]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+
+class TestConfigKeys:
+    """Every long flag of a subcommand is a config-file key for it, read with
+    the flag's own type and choices, except ``--config`` itself and the
+    required flags (classify's ``--model``, synth's ``--spec`` and
+    ``--output-dir``), which argparse demands on the command line."""
+
+    def _read(self, command, line, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text(line + "\n")
+        return read_config_file(path, command, COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_each_flag_is_a_key_with_its_type_and_choices(self, command, tmp_path):
+        for action in COMMANDS[command]._actions:
+            for flag in action.option_strings:
+                if not flag.startswith("--") or flag in ("--help", "--config"):
+                    continue
+                key = flag[2:]
+                if action.required:
+                    with contextlib.suppress(ConfigurationError):
+                        assert action.dest not in self._read(command, f"{key} = x", tmp_path)
+                    continue
+                if action.choices is not None:
+                    text = action.choices[-1]
+                else:
+                    text = {int: "7", float: "0.5", None: "a,b"}[action.type]
+                expected = (action.type or str)(text)
+                values = self._read(command, f"{key.replace('-', '_')} = {text}", tmp_path)
+                assert values == {action.dest: expected}
+                if action.type is not None or action.choices is not None:
+                    with pytest.raises(ConfigurationError, match=key):
+                        self._read(command, f"{key} = bogus", tmp_path)
+
+    def test_one_file_serves_train_and_classify(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text(
+            "synth = c=3,per_class=4,shape=4x4,separation=6,noise=1\n"
+            "method = hopca\ndims = 2x2\ntrials = 3\nplane = 1x2\n"
+        )
+        model_path = tmp_path / "m.json"
+        assert run(["train", "--config", config, "--output", model_path]) == 0
+        model = load_model(model_path)
+        assert (model.kind, model.projected_shape) == ("hopca", (2, 2))
+        assert run(["classify", "--config", config, "--model", model_path]) == 0
+        assert "accuracy = 100.00%" in capsys.readouterr().out
 
 
 class TestConfigFileAndErrors:

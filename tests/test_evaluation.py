@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -283,7 +285,7 @@ class TestExportProjection2d:
 
     def test_vectorized_model_uses_leading_coordinates(self):
         data = synth_gaussian_classes(3, 5, (4, 4), 4.0, 1.0, seed=26)
-        model = train_pca(data, dims=3)
+        model = train_pca(data, TrainingConfig(pca_dims=3))
         rows = export_projection_2d(model, data, plane="pair")
         z = model.project(data.sample(0)[..., None])[..., 0]
         assert rows[0][0] == float(z[0]) and rows[0][1] == float(z[1])
@@ -319,3 +321,12 @@ class TestMethodDispatch:
         model = train_method(method, data, TrainingConfig())
         label, _, _ = classify(model, data.sample(0))
         assert label in data.classes
+
+    def test_baselines_read_their_config(self):
+        data = synth_gaussian_classes(3, 6, (4, 4), 5.0, 1.0, seed=31)
+        assert train_method("pca", data, TrainingConfig(pca_dims=3)).projected_shape == (3,)
+        config = TrainingConfig(fisherface_pca_dims=6, fisherface_lda_dims=1)
+        model = train_method("fisherface", data, config)
+        assert model.projected_shape == (1,)
+        ridged = train_method("fisherface", data, replace(config, ridge=0.5))
+        assert not np.array_equal(ridged.combined[0], model.combined[0])

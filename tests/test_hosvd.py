@@ -12,7 +12,8 @@ from tensorgda.hosvd import (
     reconstruct,
     select_rank,
 )
-from tensorgda.linalg import principal_angles
+
+from oracles import principal_angles
 
 
 class TestSelectRank:

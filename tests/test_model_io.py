@@ -58,7 +58,7 @@ class TestModelContainer:
 
     def test_vectorized_model_roundtrip(self, tmp_path):
         data = synth_gaussian_classes(3, 6, (4, 4), 4.0, 1.0, seed=2)
-        for model in (train_pca(data, dims=4), train_fisherface(data)):
+        for model in (train_pca(data, TrainingConfig(pca_dims=4)), train_fisherface(data)):
             path = tmp_path / "model.json"
             save_model(model, path)
             loaded = load_model(path)

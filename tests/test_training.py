@@ -8,7 +8,7 @@ from tensorgda import tensor
 from tensorgda.datasets import synth_gaussian_classes
 from tensorgda.errors import ConfigurationError
 from tensorgda.evaluation import classify, split_indices
-from tensorgda.linalg import principal_angles, ratio_trace_eig
+from tensorgda.linalg import ratio_trace_eig
 from tensorgda.training import (
     LabeledTensorSet,
     TrainingConfig,
@@ -25,6 +25,8 @@ from tensorgda.training import (
     train_pca,
     vector_pca,
 )
+
+from oracles import principal_angles
 
 
 def vector_lda_oracle(vectors, labels, d, ridge=1e-6):
@@ -415,6 +417,12 @@ class TestTrainingConfig:
         with pytest.raises(ConfigurationError, match=f"{name} entries must be at least 1"):
             TrainingConfig(**values)
 
+    @pytest.mark.parametrize("value", [True, 2.5, 0, -1])
+    @pytest.mark.parametrize("name", ["pca_dims", "fisherface_pca_dims", "fisherface_lda_dims"])
+    def test_baseline_counts_follow_the_count_rule(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            TrainingConfig(**{name: value})
+
     def test_numpy_integers_accepted(self):
         config = TrainingConfig(max_iters=np.int64(3), target_dims=(np.int64(2), 1),
                                 hosvd_ranks=[np.int32(3), 2])
@@ -559,12 +567,12 @@ class TestVectorBaselines:
             np.array([0.0, -1.0]),
         ]
         data = LabeledTensorSet.from_samples(samples, [1, 1, 2, 2])
-        model = train_pca(data, dims=1)
+        model = train_pca(data, TrainingConfig(pca_dims=1))
         np.testing.assert_allclose(np.abs(model.combined[0][:, 0]), [1, 0], atol=1e-12)
 
     def test_pca_full_dims_preserve_distances(self):
         data = synth_gaussian_classes(3, 5, (4, 5), 3.0, 1.0, seed=32)
-        model = train_pca(data, dims=data.n_samples - 1)
+        model = train_pca(data, TrainingConfig(pca_dims=data.n_samples - 1))
         raw = data.samples.reshape(-1, data.n_samples, order="F")
         for i in range(data.n_samples):
             for j in range(i + 1, data.n_samples):
@@ -577,12 +585,14 @@ class TestVectorBaselines:
     def test_pca_dims_bound(self):
         data = synth_gaussian_classes(2, 3, (3, 3), 2.0, 1.0, seed=33)
         with pytest.raises(ConfigurationError):
-            train_pca(data, dims=6)
+            train_pca(data, TrainingConfig(pca_dims=6))
 
     def test_fisherface_matches_lda_decisions_on_vectors(self):
         rng = np.random.default_rng(34)
         data = gaussian_vectors(rng, 2, 10, 8, separation=4.0, noise=1.0)
-        model = train_fisherface(data, pca_dims=8, lda_dims=1)
+        model = train_fisherface(
+            data, TrainingConfig(fisherface_pca_dims=8, fisherface_lda_dims=1)
+        )
         oracle_basis = vector_lda_oracle(data.samples, data.labels, 1)
         gallery_oracle = oracle_basis.T @ (
             data.samples - data.samples.mean(axis=1, keepdims=True)
