@@ -7,9 +7,8 @@ A ``--config`` file of ``key = value`` lines can set the long flags; each
 subcommand reads the keys of its own flags and skips those only other
 subcommands take, and explicit command-line flags win.
 
-Exit codes: 0 success, 2 usage/configuration, 3 data (including an input
-file that cannot be read or decoded and an output file that cannot be
-written), 4 numeric failure.
+A failure prints one ``error:`` line to stderr and exits with its error
+class's ``exit_code`` (see ``errors``); an unwritable output file exits 3.
 All outputs are deterministic given the inputs and ``--seed``.  The
 library reads no clock: each command times itself at this boundary and
 prints one wall-clock line to stdout (``train`` its training, ``evaluate``
@@ -28,16 +27,7 @@ import numpy as np
 
 from . import tensor
 from .datasets import load_manifest, save_sample, synth_gaussian_classes
-from .errors import (
-    ConfigurationError,
-    ConvergenceError,
-    DatasetError,
-    DegenerateModeError,
-    DimensionError,
-    NumericInputError,
-    SingularityError,
-    TensorGdaError,
-)
+from .errors import ConfigurationError, DatasetError, TensorGdaError
 from .evaluation import (
     METHODS,
     classify_many,
@@ -51,10 +41,6 @@ from .hosvd import hopca_compression_fraction, psnr
 from .model_io import load_model, save_model, save_report
 from .training import TrainingConfig, hosvd_stage, vector_pca
 
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-
 
 def parse_dims(text: str) -> tuple:
     """Parse an ``AxBxC`` dimension list."""
@@ -67,10 +53,21 @@ def parse_dims(text: str) -> tuple:
     return dims
 
 
+# synth spec key -> (synth_gaussian_classes keyword, parser of the value)
+_SYNTH_KEYS = {
+    "c": ("n_classes", int),
+    "classes": ("n_classes", int),
+    "per_class": ("per_class", int),
+    "shape": ("shape", parse_dims),
+    "separation": ("class_separation", float),
+    "noise": ("noise", float),
+}
+
+
 def parse_synth_spec(text: str) -> dict:
-    """Parse ``key=value`` pairs of a synthetic-data spec."""
-    spec = {"classes": 10, "per_class": 10, "separation": 8.0, "noise": 1.0}
-    shape = None
+    """The ``synth_gaussian_classes`` keyword arguments, but ``seed``, of the
+    ``key=value`` pairs of a synthetic-data spec."""
+    spec = {"n_classes": 10, "per_class": 10, "class_separation": 8.0, "noise": 1.0}
     for item in text.split(","):
         if not item.strip():
             continue
@@ -78,41 +75,61 @@ def parse_synth_spec(text: str) -> dict:
             raise ConfigurationError(f"malformed synth item {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
         key = key.lower().replace("-", "_")
+        if key not in _SYNTH_KEYS:
+            raise ConfigurationError(f"unknown synth key {key!r}")
+        name, parse = _SYNTH_KEYS[key]
         try:
-            if key in ("c", "classes"):
-                spec["classes"] = int(value)
-            elif key == "per_class":
-                spec["per_class"] = int(value)
-            elif key == "shape":
-                shape = parse_dims(value)
-            elif key == "separation":
-                spec["separation"] = float(value)
-            elif key == "noise":
-                spec["noise"] = float(value)
-            else:
-                raise ConfigurationError(f"unknown synth key {key!r}")
+            spec[name] = parse(value)
         except ValueError:
             raise ConfigurationError(f"invalid synth value {key}={value!r}") from None
-    if shape is None:
+    if "shape" not in spec:
         raise ConfigurationError("synth spec needs a shape, e.g. shape=8x8x4")
-    spec["shape"] = shape
     return spec
 
 
 def load_data(args):
-    if getattr(args, "manifest", None):
+    if args.manifest:
         return load_manifest(args.manifest)
-    if getattr(args, "synth", None):
-        spec = parse_synth_spec(args.synth)
-        return synth_gaussian_classes(
-            spec["classes"],
-            spec["per_class"],
-            spec["shape"],
-            spec["separation"],
-            spec["noise"],
-            seed=args.seed,
-        )
+    if args.synth:
+        return synth_gaussian_classes(**parse_synth_spec(args.synth), seed=args.seed)
     raise ConfigurationError("provide --manifest or --synth")
+
+
+def method_list(text: str) -> str:
+    """A ``--method`` value of comma-separated ``METHODS``; the ``ValueError``
+    is a usage error to argparse and to ``read_config_file`` alike."""
+    if not all(name.strip() in METHODS for name in text.split(",")):
+        raise ValueError(text)
+    return text
+
+
+def nonnegative_int(text: str) -> int:
+    """A ``--seed`` value; numpy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def reject_flags(args, dests, context: str) -> None:
+    """A usage error naming each flag in ``dests``, all of which default to
+    ``None``, that the command line or the config file set."""
+    flags = [
+        action.option_strings[0]
+        for action in args.commands[args.command]._actions
+        if action.dest in dests and getattr(args, action.dest) is not None
+    ]
+    if flags:
+        raise ConfigurationError(f"{context} takes no {', '.join(flags)}")
+
+
+def write_output(text: str, output, what: str) -> None:
+    """``text`` to the file ``output``, announced as ``what``, else to stdout."""
+    if output:
+        Path(output).write_text(text, encoding="utf-8")
+        print(f"{what} written to {output}")
+    else:
+        sys.stdout.write(text)
 
 
 def build_config(args) -> TrainingConfig:
@@ -181,8 +198,6 @@ def read_config_file(path, command: str, commands: dict) -> dict:
     return values
 
 
-PROTOCOLS = ("split", "loo")
-PLANES = ("1x2", "2x1", "pair")
 # the help texts quote these defaults; TrainingConfig owns them
 _DEFAULT = TrainingConfig()
 
@@ -193,7 +208,7 @@ def add_data_flags(sub):
     sub.add_argument("--synth", help="inline synthetic spec, e.g. "
                      "'c=10,per_class=10,shape=8x8,separation=8,noise=1'")
     sub.add_argument("--config", help="key = value file supplying defaults")
-    sub.add_argument("--seed", type=int, default=0, help="default %(default)s")
+    sub.add_argument("--seed", type=nonnegative_int, default=0, help="default %(default)s")
 
 
 def add_hosvd_flags(sub):
@@ -223,7 +238,8 @@ def add_training_flags(sub):
                      help="fisherface PCA dims (default m - C)")
     sub.add_argument("--fisher-lda-dims", dest="fisherface_lda_dims", type=int,
                      help="fisherface discriminant dims (default C - 1)")
-    sub.add_argument("--method", default="gda", help=f"one of {', '.join(METHODS)}")
+    sub.add_argument("--method", type=method_list, default="gda",
+                     help=f"one of {', '.join(METHODS)}")
 
 
 def cmd_train(args) -> int:
@@ -233,18 +249,14 @@ def cmd_train(args) -> int:
     model = train_method(args.method, data, config)
     train_seconds = time.perf_counter() - t0
     save_model(model, args.output)
-    dims = "x".join(str(d) for d in model.projected_shape)
     print(f"method = {args.method}")
     print(f"samples = {data.n_samples}")
-    print(f"projected_dims = {dims}")
+    print("projected_dims = " + "x".join(str(d) for d in model.projected_shape))
     if model.hosvd_ranks is not None:
         print("hosvd_ranks = " + "x".join(str(r) for r in model.hosvd_ranks))
-    if model.objective_trace:
-        trace = " ".join(repr(float(v)) for v in model.objective_trace)
-        print(f"objective_trace = {trace}")
-    if model.subspace_change_trace:
-        trace = " ".join(repr(float(v)) for v in model.subspace_change_trace)
-        print(f"subspace_change_trace = {trace}")
+    for name in ("objective_trace", "subspace_change_trace"):
+        if getattr(model, name):
+            print(f"{name} = " + " ".join(repr(float(v)) for v in getattr(model, name)))
     for warning in model.warnings:
         print(f"warning: {warning}")
     print(f"time train = {train_seconds:.3f}s")
@@ -253,22 +265,21 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.protocol == "loo":
+        reject_flags(args, ("trials", "train_per_class"), "evaluate --protocol loo")
+    elif args.train_per_class is None:
+        raise ConfigurationError("split protocol needs --train-per-class")
     data = load_data(args)
     config = build_config(args)
-    methods = [m.strip() for m in args.method.split(",") if m.strip()]
-    if not methods:
-        raise ConfigurationError("no methods given")
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for method in methods:
+    for method in (m.strip() for m in args.method.split(",")):
         t0 = time.perf_counter()
         if args.protocol == "split":
-            if args.train_per_class is None:
-                raise ConfigurationError("split protocol needs --train-per-class")
             report = evaluate_split(
                 data, method, config,
                 train_per_class=args.train_per_class,
-                trials=args.trials, seed=args.seed,
+                trials=10 if args.trials is None else args.trials, seed=args.seed,
             )
         else:
             report = evaluate_loo(data, method, config, seed=args.seed)
@@ -287,12 +298,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _match_pca_components(fraction: float, m: int, length: int) -> int:
-    # closest vector-PCA component count to a target storage fraction
-    ideal = fraction * m * length / (m + length)
-    return int(min(max(round(ideal), 1), min(m - 1, length)))
-
-
 def cmd_compress(args) -> int:
     data = load_data(args)
     n = data.order
@@ -307,8 +312,9 @@ def cmd_compress(args) -> int:
 
     hopca_fraction = hopca_compression_fraction(m_samples, extents, dims)
     p = args.pca_components
-    if p is None:
-        p = _match_pca_components(hopca_fraction, m_samples, length)
+    if p is None:  # the component count closest to HOPCA's storage fraction
+        ideal = hopca_fraction * m_samples * length / (m_samples + length)
+        p = int(min(max(round(ideal), 1), min(m_samples - 1, length)))
     mean_vec, centered, basis = vector_pca(data, p, "pca components")
     pca_fraction = hopca_compression_fraction(m_samples, (length,), (p,))
 
@@ -348,22 +354,20 @@ def cmd_compress(args) -> int:
     lines.append("index\tpsnr_hopca_db\tpsnr_pca_db")
     for i, (a, b) in enumerate(zip(psnr_h, psnr_p)):
         lines.append(f"{i}\t{repr(a)}\t{repr(b)}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-        print(f"compression report written to {args.output}")
-    else:
-        sys.stdout.write(text)
+    write_output("\n".join(lines) + "\n", args.output, "compression report")
     print(f"time hosvd = {hosvd_seconds:.3f}s")
     return 0
 
 
 def cmd_visualize(args) -> int:
+    if args.model:
+        training = ("method", *(f.name for f in fields(TrainingConfig)))
+        reject_flags(args, training, "visualize --model")
     data = load_data(args)
     if args.model:
         model = load_model(args.model)
     else:
-        model = train_method(args.method, data, build_config(args))
+        model = train_method(args.method or "gda", data, build_config(args))
     rows = export_projection_2d(model, data, plane=args.plane)
     write_projection_csv(rows, args.output)
     print(f"{len(rows)} rows written to {args.output}")
@@ -375,27 +379,16 @@ def cmd_classify(args) -> int:
     data = load_data(args)
     labels, _, distances = classify_many(model, data.samples)
     lines = ["index\tpredicted\tdistance\ttruth"]
-    correct = 0
     for i, (label, dist, truth) in enumerate(zip(labels, distances, data.labels)):
-        if label == truth:
-            correct += 1
         lines.append(f"{i}\t{label}\t{repr(float(dist))}\t{truth}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-        print(f"predictions written to {args.output}")
-    else:
-        sys.stdout.write(text)
+    write_output("\n".join(lines) + "\n", args.output, "predictions")
+    correct = np.count_nonzero(labels == data.labels)
     print(f"accuracy = {100.0 * correct / data.n_samples:.2f}%")
     return 0
 
 
 def cmd_synth(args) -> int:
-    spec = parse_synth_spec(args.spec)
-    data = synth_gaussian_classes(
-        spec["classes"], spec["per_class"], spec["shape"],
-        spec["separation"], spec["noise"], seed=args.seed,
-    )
+    data = synth_gaussian_classes(**parse_synth_spec(args.spec), seed=args.seed)
     out_dir = Path(args.output_dir)
     lo = float(data.samples.min())
     hi = float(data.samples.max())
@@ -430,9 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("evaluate", help="run an evaluation protocol")
     add_data_flags(p)
     add_training_flags(p)
-    p.add_argument("--protocol", choices=PROTOCOLS, default="split")
+    p.add_argument("--protocol", choices=("split", "loo"), default="split")
     p.add_argument("--train-per-class", type=int)
-    p.add_argument("--trials", type=int, default=10, help="default %(default)s")
+    p.add_argument("--trials", type=int, help="split trials (default 10)")
     p.add_argument("--output-dir", default=".", help="directory for report files")
     p.set_defaults(func=cmd_evaluate)
 
@@ -449,8 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("visualize", help="export 2D projection coordinates")
     add_data_flags(p)
     add_training_flags(p)
+    # unset, so that cmd_visualize tells a given --method from none
+    p.set_defaults(method=None)
     p.add_argument("--model", help="use a saved model instead of training")
-    p.add_argument("--plane", choices=PLANES, default="pair")
+    p.add_argument("--plane", choices=("1x2", "2x1", "pair"), default="pair")
     p.add_argument("--output", default="projection.csv")
     p.set_defaults(func=cmd_visualize)
 
@@ -463,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("synth", help="write a synthetic dataset to disk")
     p.add_argument("--spec", required=True,
                    help="e.g. 'c=10,per_class=10,shape=8x8,separation=8,noise=1'")
-    p.add_argument("--seed", type=int, default=0, help="default %(default)s")
+    p.add_argument("--seed", type=nonnegative_int, default=0, help="default %(default)s")
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -476,30 +471,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            # the file's values become the subcommand's defaults, so flags
-            # given on the command line still win when parsed again
-            commands = parser.get_default("commands")
-            values = read_config_file(args.config, args.command, commands)
-            commands[args.command].set_defaults(**values)
-            args = parser.parse_args(argv)
-        code = args.func(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DatasetError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:  # reads map theirs to DatasetError; this is mostly output
-        print(f"error: cannot access {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return EXIT_DATA
-    except (SingularityError, ConvergenceError, NumericInputError,
-            DegenerateModeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        # a non-finite result ends in one error line; numpy's warnings would pad it
+        with np.errstate(all="ignore"):
+            if getattr(args, "config", None):
+                # the file's values become the subcommand's defaults, so flags
+                # given on the command line still win when parsed again
+                commands = parser.get_default("commands")
+                values = read_config_file(args.config, args.command, commands)
+                commands[args.command].set_defaults(**values)
+                args = parser.parse_args(argv)
+            code = args.func(args)
     except TensorGdaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
+    except OSError as exc:  # reads map theirs to DatasetError; this is mostly output
+        print(f"error: cannot access {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return DatasetError.exit_code
     return code
 
 

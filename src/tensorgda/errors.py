@@ -1,16 +1,18 @@
 """Exception taxonomy shared by all tensorgda modules.
 
-The CLI maps these onto exit-code classes: configuration/usage problems,
-data/file problems, and numeric failures are kept distinguishable.
+Each class owns the CLI's exit code for it in ``exit_code``: 2 usage and
+configuration, 3 data and files, 4 numeric failures; subclasses inherit it.
 """
 
 
 class TensorGdaError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 1
 
 
 class DimensionError(TensorGdaError):
     """Shapes of the operands are inconsistent."""
+    exit_code = 3
 
 
 class InvalidModeError(DimensionError):
@@ -19,26 +21,32 @@ class InvalidModeError(DimensionError):
 
 class NumericInputError(TensorGdaError):
     """An input contains NaN or infinite entries."""
+    exit_code = 4
 
 
 class ConvergenceError(TensorGdaError):
     """An iterative numeric routine failed to converge."""
+    exit_code = 4
 
 
 class SingularityError(TensorGdaError):
     """A matrix that must be positive definite is not; try a larger ridge."""
+    exit_code = 4
 
 
 class DegenerateModeError(TensorGdaError):
     """All singular values along a mode are zero."""
+    exit_code = 4
 
 
 class ConfigurationError(TensorGdaError):
     """A configuration value is invalid or inconsistent with the data."""
+    exit_code = 2
 
 
 class DatasetError(TensorGdaError):
     """A dataset file or manifest cannot be used."""
+    exit_code = 3
 
 
 class PgmParseError(DatasetError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .errors import DegenerateModeError, DimensionError
+from .errors import DegenerateModeError, DimensionError, NumericInputError
 # sym_eig is unused here but stays bound: perfbench/tracing.py wraps it by name
 from .linalg import svd, sym_eig
 
@@ -169,6 +169,8 @@ def psnr(original: np.ndarray, degraded: np.ndarray) -> float:
             f"shape mismatch: {original.shape} vs {degraded.shape}"
         )
     mse = float(np.mean((degraded - original) ** 2))
+    if not math.isfinite(mse):
+        raise NumericInputError(f"mean squared error {mse} is not finite")
     if mse == 0.0:
         return math.inf
     return 20.0 * math.log10(255.0 / math.sqrt(mse))

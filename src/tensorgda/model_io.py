@@ -23,13 +23,14 @@ from __future__ import annotations
 import base64
 import json
 import math
+import numbers
 from dataclasses import asdict
 
 import numpy as np
 
 from .errors import ConfigurationError, DatasetError
 from .evaluation import METHODS, ExperimentReport
-from .training import GdaModel, TrainingConfig
+from .training import GdaModel, TrainingConfig, _is_number
 
 MODEL_FORMAT = "tensorgda-model"
 MODEL_VERSION = 4
@@ -98,11 +99,7 @@ def _decode_object(blob, decoders: dict, header=()) -> dict:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    return _is_number(value, numbers.Integral)
 
 
 def _typed(accept, what: str):

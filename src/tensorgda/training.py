@@ -17,6 +17,7 @@ bit-identical models.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -106,9 +107,9 @@ class LabeledTensorSet:
         )
 
 
-def _is_count(value) -> bool:
-    """An integer that is not a ``bool``, and at least 1."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+def _is_number(value, kind=numbers.Real) -> bool:
+    """A number of the abstract type ``kind`` that is not a ``bool``."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 # the TrainingConfig fields that hold counts; the last two hold one per mode
@@ -141,8 +142,8 @@ class TrainingConfig:
     fisherface_lda_dims: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.theta <= 1.0:
-            raise ConfigurationError(f"theta must lie in (0, 1], got {self.theta}")
+        if not (_is_number(self.theta) and 0.0 < self.theta <= 1.0):
+            raise ConfigurationError(f"theta must lie in (0, 1], got {self.theta!r}")
         for name in _COUNTS:
             value = getattr(self, name)
             if value is None and name != "max_iters":
@@ -151,14 +152,14 @@ class TrainingConfig:
             if per_mode and not isinstance(value, (tuple, list)):
                 raise ConfigurationError(f"{name} must be a sequence of integers, got {value!r}")
             label, entries = (f"{name} entries", value) if per_mode else (name, (value,))
-            if not all(map(_is_count, entries)):
+            if not all(_is_number(v, numbers.Integral) and v >= 1 for v in entries):
                 raise ConfigurationError(
                     f"{label} must be at least 1 and integral, not bool, got {value!r}"
                 )
         for name in ("conv_tol", "ridge"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigurationError(f"{name} must be finite and nonnegative, got {value}")
+            if not (_is_number(value) and math.isfinite(value) and value >= 0):
+                raise ConfigurationError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,31 @@
 
 import base64
 import contextlib
+import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tensorgda.cli import build_parser, main, read_config_file
+import tensorgda
+from tensorgda import cli
+from tensorgda.cli import (
+    build_parser,
+    main,
+    method_list,
+    nonnegative_int,
+    read_config_file,
+)
 from tensorgda.datasets import save_pgm
-from tensorgda.errors import ConfigurationError
+from tensorgda.errors import ConfigurationError, PgmParseError, TensorGdaError
 from tensorgda.model_io import load_model, model_to_json
 
 
@@ -194,6 +210,55 @@ class TestEvaluate:
         ])
         assert code == 2
 
+    LOO = ["evaluate", "--synth", "c=3,per_class=4,shape=6x5", "--protocol", "loo"]
+
+    @pytest.mark.parametrize("extra,named", [
+        (["--trials", "-4", "--train-per-class", "99"], "--train-per-class, --trials"),
+        (["--trials", "10"], "--trials"),
+        (["--train-per-class", "2"], "--train-per-class"),
+    ])
+    def test_loo_with_a_split_flag_exits_2_naming_it(self, extra, named, tmp_path, capsys):
+        out = tmp_path / "reports"
+        code = run([*self.LOO, *extra, "--output-dir", out])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: evaluate --protocol loo takes no {named}\n"
+        assert not out.exists()
+
+    def test_loo_counts_a_config_value_as_given_and_loads_no_data(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("trials = 3\n")
+        out = tmp_path / "reports"
+        code = run([
+            "evaluate", "--manifest", tmp_path / "absent.tsv", "--protocol", "loo",
+            "--config", config, "--output-dir", out,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: evaluate --protocol loo takes no --trials\n"
+        assert not out.exists()
+
+    def test_unknown_method_exits_2_before_any_work(self, tmp_path):
+        out = tmp_path / "reports"
+        with pytest.raises(SystemExit) as exc:
+            run([
+                "evaluate", "--synth", "c=3,per_class=4,shape=6x5", "--method", "gda,bogus",
+                "--train-per-class", 2, "--output-dir", out,
+            ])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_unknown_method_in_a_config_file_exits_2_with_one_line(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("method = gda,bogus\n")
+        out = tmp_path / "reports"
+        code = run([
+            "evaluate", "--manifest", tmp_path / "absent.tsv", "--config", config,
+            "--train-per-class", 2, "--output-dir", out,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {config}:1: invalid value 'gda,bogus' for 'method'\n"
+        assert not out.exists()
+
     def test_one_time_line_per_method(self, tmp_path, capsys):
         assert run([
             "evaluate", "--synth", "c=3,per_class=5,shape=5x4", "--method", "gda,pca",
@@ -311,6 +376,61 @@ class TestVisualize:
         assert len(out.read_text().splitlines()) == 11
 
 
+    SYNTH = ["--synth", "c=3,per_class=4,shape=6x5"]
+
+    def _model(self, tmp_path):
+        path = tmp_path / "m.json"
+        assert run(["train", *self.SYNTH, "--output", path]) == 0
+        return path
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--method", "gda"), ("--theta", "5"), ("--ranks", "2x2"), ("--dims", "99x99"),
+        ("--max-iters", "-3"), ("--conv-tol", "0.1"), ("--ridge", "0.1"),
+        ("--pca-dims", "2"), ("--fisher-pca-dims", "2"), ("--fisher-lda-dims", "1"),
+    ])
+    def test_model_with_a_training_flag_exits_2_naming_it(self, flag, value, tmp_path, capsys):
+        model, out = self._model(tmp_path), tmp_path / "proj.csv"
+        capsys.readouterr()
+        code = run(["visualize", *self.SYNTH, "--model", model, flag, value, "--output", out])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: visualize --model takes no {flag}\n"
+        assert not out.exists()
+
+    def test_model_names_every_training_flag_given(self, tmp_path, capsys):
+        model, out = self._model(tmp_path), tmp_path / "proj.csv"
+        capsys.readouterr()
+        code = run([
+            "visualize", *self.SYNTH, "--model", model, "--theta", 5, "--max-iters", -3,
+            "--dims", "99x99", "--method", "gda", "--output", out,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: visualize --model takes no --theta, --dims, --max-iters, --method\n"
+        assert not out.exists()
+
+    def test_model_with_an_unknown_method_exits_2(self, tmp_path):
+        model, out = self._model(tmp_path), tmp_path / "proj.csv"
+        with pytest.raises(SystemExit) as exc:
+            run([
+                "visualize", *self.SYNTH, "--model", model, "--theta", 5, "--max-iters", -3,
+                "--dims", "99x99", "--method", "bogus", "--output", out,
+            ])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_model_counts_a_config_value_as_given(self, tmp_path, capsys):
+        model, out = self._model(tmp_path), tmp_path / "proj.csv"
+        config = tmp_path / "run.conf"
+        config.write_text("dims = 2x2\n")
+        capsys.readouterr()
+        code = run([
+            "visualize", *self.SYNTH, "--config", config, "--model", model, "--output", out,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: visualize --model takes no --dims\n"
+        assert not out.exists()
+
+
 class TestClassify:
     def test_predictions_table(self, pgm_dataset, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -387,7 +507,8 @@ class TestConfigKeys:
                 if action.choices is not None:
                     text = action.choices[-1]
                 else:
-                    text = {int: "7", float: "0.5", None: "a,b"}[action.type]
+                    text = {int: "7", float: "0.5", None: "a,b",
+                            nonnegative_int: "7", method_list: "pca"}[action.type]
                 expected = (action.type or str)(text)
                 values = self._read(command, f"{key.replace('-', '_')} = {text}", tmp_path)
                 assert values == {action.dest: expected}
@@ -773,3 +894,167 @@ class TestFileBoundary:
             ["classify", *self.SYNTH, "--model", model, "--output", path], capsys
         )
         assert err == f"error: cannot access {path}: No such file or directory\n"
+
+
+class TestSeed:
+    SYNTH = ["--synth", "c=2,per_class=3,shape=3x3"]
+
+    @pytest.mark.parametrize("argv", [
+        ["train", *SYNTH, "--seed", -1],
+        ["evaluate", *SYNTH, "--protocol", "loo", "--seed", -1],
+        ["synth", "--spec", SYNTH[1], "--seed", -1, "--output-dir", "never"],
+    ])
+    def test_negative_seed_exits_2(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_negative_seed_in_a_config_file_exits_2_with_one_line(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("seed = -1\n")
+        code = run(["train", *self.SYNTH, "--config", config, "--output", tmp_path / "m.json"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {config}:1: invalid value '-1' for 'seed'\n"
+
+
+# the directory holding the tensorgda package, for the CLI in a subprocess
+SRC = Path(tensorgda.__file__).resolve().parents[1]
+
+
+def run_script(argv, cwd, command=("-m", "tensorgda.cli")):
+    """The finished ``python -m tensorgda.cli argv`` run, in a fresh
+    interpreter so that nothing hides numpy's warnings from its stderr."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *command, *map(str, argv)], cwd=cwd, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+
+
+class TestOverflow:
+    SYNTH = ["--synth", "c=3,per_class=4,shape=6x5,separation=1e300"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["train", *SYNTH, "--output", "m.json"], "error: s_b contains non-finite entries\n"),
+        (["compress", *SYNTH], "error: mean squared error inf is not finite\n"),
+    ])
+    def test_prints_only_the_error_line(self, argv, message, tmp_path):
+        done = run_script(argv, tmp_path)
+        assert (done.returncode, done.stderr) == (4, message)
+        assert not (tmp_path / "m.json").exists()
+
+    def test_neither_import_nor_main_changes_numpy_error_state(self, tmp_path):
+        done = run_script([], tmp_path, command=("-c", (
+            "import numpy as np; before = np.geterr(); import tensorgda.cli as cli\n"
+            "assert np.geterr() == before\n"
+            "code = cli.main(['train', '--synth', 'c=3,per_class=4,shape=6x5,"
+            "separation=1e300', '--output', 'm.json'])\n"
+            "assert (code, np.geterr()) == (4, before)\n"
+        )))
+        assert done.returncode == 0, done.stderr
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_exit_codes() -> dict:
+    """``error class name -> exit code`` as the README's exit-code list
+    gives them: items like ``- `3` (`DatasetError`, ...): ...``."""
+    codes = {}
+    for item in re.finditer(r"^- `(\d)` \(([^)]*)\)", README.read_text(), re.MULTILINE):
+        for name in re.findall(r"`(\w+)`", item.group(2)):
+            codes[name] = int(item.group(1))
+    return codes
+
+
+EXPORTED_ERRORS = {
+    name: value for name, value in vars(tensorgda).items()
+    if name in tensorgda.__all__ and isinstance(value, type)
+    and issubclass(value, TensorGdaError)
+}
+
+
+def test_readme_lists_every_exported_error_class():
+    assert set(readme_exit_codes()) == set(EXPORTED_ERRORS)
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTED_ERRORS))
+def test_each_error_class_exits_with_its_readme_code(name, tmp_path, monkeypatch, capsys):
+    cls = EXPORTED_ERRORS[name]
+    error = cls("boom", 7) if cls is PgmParseError else cls("boom")
+
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "load_data", fail)
+    code = run(["train", "--synth", "c=2,per_class=3,shape=3x3", "--output", tmp_path / "m"])
+    assert code == cls.exit_code == readme_exit_codes()[name]
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+# argv fragments for the property below: a valid base spec with at most one
+# bad field, and flags of the subcommand with values its types may or may
+# not read; paths stay in a scratch directory
+FUZZ_SPEC = "c=3,per_class=4,shape=6x5"
+FUZZ_BAD_FIELDS = ["c=0", "shape=0x3", "shape=2x2x2x2", "separation=1e300",
+                   "separation=nan", "noise=inf"]
+FUZZ_VALUES = ["0", "-1", "2.5", "nan", "inf", "x", "99x99", "bogus",
+               "1", "2", "0.5", "2x2", "gda", "loo"]
+PATH_FLAGS = {"--help", "--config", "--manifest", "--synth", "--model", "--output",
+              "--output-dir", "--save-reconstructions"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory with a trained model for classify and visualize."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    assert main(["train", "--synth", FUZZ_SPEC, "--output", str(directory / "model.json")]) == 0
+    return directory
+
+
+@st.composite
+def fuzz_argv(draw):
+    """``(argv without paths, whether to pass --model)``."""
+    command = draw(st.sampled_from(["train", "evaluate", "compress", "visualize", "classify"]))
+    own = sorted(
+        flag for action in COMMANDS[command]._actions for flag in action.option_strings
+        if flag.startswith("--") and flag not in PATH_FLAGS
+    )
+    bad_field = draw(st.one_of(st.none(), st.sampled_from(FUZZ_BAD_FIELDS)))
+    spec = FUZZ_SPEC if bad_field is None else f"{FUZZ_SPEC},{bad_field}"
+    flags = draw(st.lists(st.tuples(st.sampled_from(own), st.sampled_from(FUZZ_VALUES)),
+                          max_size=4))
+    model = command == "classify" or (command == "visualize" and draw(st.booleans()))
+    return [command, "--synth", spec, *(part for flag in flags for part in flag)], model
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(fuzz_argv())
+def test_main_exits_with_a_documented_code_and_one_line(fuzz_dir, case):
+    """``main`` returns 0, 2, 3 or 4, or argparse exits 2; no other exception
+    escapes, and a failing return leaves exactly one stderr line."""
+    argv, model = case
+    command = argv[0]
+    argv = argv + {
+        "train": ["--output", str(fuzz_dir / "m.json")],
+        "evaluate": ["--output-dir", str(fuzz_dir / "reports")],
+        "compress": ["--output", str(fuzz_dir / "report.txt")],
+        "visualize": ["--output", str(fuzz_dir / "projection.csv")],
+        "classify": ["--output", str(fuzz_dir / "predictions.tsv")],
+    }[command]
+    if model:
+        argv += ["--model", str(fuzz_dir / "model.json")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            assert exc.code == 2
+            return
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""

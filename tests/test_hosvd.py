@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tensorgda import tensor
-from tensorgda.errors import DegenerateModeError, DimensionError
+from tensorgda.errors import DegenerateModeError, DimensionError, NumericInputError
 from tensorgda.hosvd import (
     hopca_compression_fraction,
     hosvd,
@@ -258,6 +258,10 @@ class TestPsnr:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             psnr(np.zeros((2, 2)), np.zeros((2, 3)))
+
+    def test_overflowing_squared_error_is_a_numeric_error(self):
+        with np.errstate(over="ignore"), pytest.raises(NumericInputError, match="not finite"):
+            psnr(np.zeros((2, 2)), np.full((2, 2), 1e300))
 
 
 class TestCompressionRatios:

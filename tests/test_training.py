@@ -423,6 +423,19 @@ class TestTrainingConfig:
         with pytest.raises(ConfigurationError, match=name):
             TrainingConfig(**{name: value})
 
+    @pytest.mark.parametrize("values", [
+        {"theta": True},
+        {"conv_tol": True},
+        {"ridge": True},
+        {"theta": "0.5"},
+        {"ridge": "1"},
+        {"conv_tol": None},
+    ])
+    def test_numbers_are_real_and_not_bool(self, values):
+        [name] = values
+        with pytest.raises(ConfigurationError, match=name):
+            TrainingConfig(**values)
+
     def test_numpy_integers_accepted(self):
         config = TrainingConfig(max_iters=np.int64(3), target_dims=(np.int64(2), 1),
                                 hosvd_ranks=[np.int32(3), 2])
