@@ -272,7 +272,6 @@ def cmd_evaluate(args) -> int:
     data = load_data(args)
     config = build_config(args)
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for method in (m.strip() for m in args.method.split(",")):
         t0 = time.perf_counter()
         if args.protocol == "split":
@@ -285,6 +284,8 @@ def cmd_evaluate(args) -> int:
             report = evaluate_loo(data, method, config, seed=args.seed)
         seconds = time.perf_counter() - t0
         path = out_dir / f"report_{args.protocol}_{method}.txt"
+        # made once a report exists, so a rejected run leaves no directory
+        out_dir.mkdir(parents=True, exist_ok=True)
         save_report(report, path)
         extra = ""
         if report.macro_accuracy is not None:

@@ -277,6 +277,8 @@ def load_manifest(path) -> LabeledTensorSet:
                 frames = _directive_int(path, lineno, key, value)
             elif key in ("trim-seed", "trim_seed"):
                 trim_seed = _directive_int(path, lineno, key, value)
+                if trim_seed < 0:
+                    raise DatasetError(f"{path}:{lineno}: @{key} {value!r} is negative")
             elif key == "root":
                 root = Path(value) if os.path.isabs(value) else path.parent / value
             else:

@@ -49,17 +49,18 @@ def classify(model: GdaModel, x: np.ndarray):
     stack of one.
 
     Returns ``(label, best_index, distance)``.  The distance comes from a
-    direct difference after a GEMM screen, so a query equal to a gallery
-    sample lands at exactly 0.0, and equidistant entries resolve to the
-    lowest index.  Its bits equal those :func:`classify_many` returns for
+    float64 direct difference after a float32 GEMM screen, so a query equal
+    to a gallery sample lands at exactly 0.0, and equidistant entries
+    resolve to the lowest index.  Its bits equal those :func:`classify_many` returns for
     the same sample in any batch.
     """
     labels, indices, distances = classify_many(model, np.asarray(x)[..., None])
     return labels[0], int(indices[0]), float(distances[0])
 
 
-_EPS = np.finfo(np.float64).eps
-_ETA = np.finfo(np.float64).smallest_subnormal
+_EPS32 = float(np.finfo(np.float32).eps)
+_ETA32 = float(np.finfo(np.float32).smallest_subnormal)
+_MAX32 = float(np.finfo(np.float32).max)
 
 
 def classify_many(model: GdaModel, samples: np.ndarray):
@@ -67,61 +68,86 @@ def classify_many(model: GdaModel, samples: np.ndarray):
 
     Returns ``(labels, indices, distances)`` with one entry per sample.  A
     distance is ``sqrt(sum((g - z)**2))`` by direct difference of the
-    projected query ``z`` and the gallery entry ``g``, so a query equal to a
-    gallery sample lands at exactly 0.0.  Among equal returned distances the
-    lowest gallery index wins.  A returned distance depends only on
-    ``(z, g)``, never on the other queries or entries, so its bits do not
-    depend on how the samples are batched.
+    projected query ``z`` and the gallery entry ``g`` in float64, so a query
+    equal to a gallery sample lands at exactly 0.0.  Among equal returned
+    distances the lowest gallery index wins.  A returned distance depends
+    only on ``(z, g)``, never on the other queries or entries, so its bits
+    do not depend on how the samples are batched.
 
     Only a few entries are computed directly.  The stack is projected by one
     :meth:`GdaModel.project` call, exactly as the gallery was, and each block
-    of queries is screened against every entry at once by one GEMM:
-    ``a_j = |g_j|^2 - 2 z.g_j``, which is ``|z - g_j|^2 - |z|^2`` up to
-    rounding (the expansion used by exact brute-force k-NN; Johnson,
-    Douze & Jegou, IEEE Trans. Big Data 2019).  The candidates are the
+    of queries is screened against every entry at once by one float32 GEMM
+    about the gallery mean ``mu``: ``a_j = |g_j - mu|^2 - 2 fl32(z - mu) .
+    fl32(g_j - mu)``, with the norm and the subtraction in float64, which is
+    ``|z - g_j|^2 - |z - mu|^2`` up to rounding (the expansion used by exact
+    brute-force k-NN, Johnson, Douze & Jegou, IEEE Trans. Big Data 2019; a
+    low-precision screen with a high-precision check as in Higham & Mary,
+    Acta Numerica 2022).  Centring scales the rounding by the gallery's
+    spread, not by its offset from the origin.  The candidates are the
     entries with ``a_j <= min(a) + slack``; they are recomputed directly.
 
-    Why no excluded entry can equal or beat the winner.  Let ``d`` be the
-    projected size, ``u = eps/2`` the unit roundoff, ``g_k = k*u/(1 - k*u)``
-    and ``M = |z|^2 + max_j |g_j|^2``, so ``2|z||g_j| <= M`` and the exact
-    ``delta_j = |z - g_j|^2 <= 2M``.  By the dot-product bound (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 3.1),
-    which holds for any summation order, the doubled GEMM product and the
-    cached norm are each off by at most ``g_d * M``, and the subtraction adds at
-    most ``2u*M``: ``|a_j - (delta_j - |z|^2)| <= 2 g_(d+1) M``.  The direct
-    sum adds ``d`` nonnegative terms, each within three roundings, so it is
-    within ``g_(d+2) delta_j <= 2 g_(d+2) M`` of ``delta_j``.  Let ``k`` be the
-    screen's argmin.  An excluded ``e`` then has a direct sum above ``k``'s by
-    more than ``slack - 4 g_(d+1) M - 4 g_(d+2) M``, and a margin of
-    ``8u * 2M`` on top makes the correctly rounded ``sqrt`` of ``e``'s
-    strictly larger; rounding ``min(a) + slack`` costs another ``2u*M``.  The
-    sum is about ``(8d + 32) u M``.  The slack ``8 (d + 4) eps M`` is
-    ``(16d + 64) u M``, twice that, which covers the higher-order terms.  Its
-    ``8 (d + 4) eta`` term, with ``eta`` the smallest subnormal, covers the
-    absolute error of at most ``eta/2`` per operation that gradual underflow
-    adds.  So every excluded entry is strictly farther than ``k``, and ``k``
-    is a candidate.
+    Why no excluded entry can equal or beat the winner.  Let ``x = z - mu``
+    and ``y_j = g_j - mu`` exactly, so ``delta_j = |z - g_j|^2 = |x - y_j|^2``
+    whatever ``mu`` is.  Let ``d <= 2^22`` be the projected size, ``u`` and
+    ``v = eps32/2`` the float64 and float32 unit roundoffs, ``g_k = k*v/(1 -
+    k*v)`` and ``M' = |x|^2 + max_j |y_j|^2``, so ``2|x||y_j| <= M'`` and
+    ``delta_j <= 2M'``.  To first order:
 
-    A query whose screen minimum is not finite, or whose ``M`` is within a
-    factor 4 of overflow (a NaN or inf query, an overflowing norm), is
-    answered by the full direct scan instead.
+    - the cached norm sums ``d`` squares of rounded differences: it is
+      within ``(d + 2) u M'`` of ``|y_j|^2``;
+    - each float32 operand is its exact value rounded twice, by the float64
+      centring and by the cast, so each product is off by ``2(u + v)``
+      relative; by the dot-product bound (Higham, *Accuracy and Stability
+      of Numerical Algorithms*, 2nd ed., section 3.1), which holds for any
+      summation order and so for any BLAS thread count, the float32 sum
+      adds ``g_d`` times ``sum_i |x_i y_ji| <= M'/2``; doubled, the product
+      is within ``(d + 2) v M' + 2u M'`` of ``2 x.y_j``;
+    - a cast that underflows is off by up to ``eta32/2``, with ``eta32``
+      the smallest float32 subnormal; against the other operand and doubled
+      that is at most ``eta32 sqrt(2 d M') <= 2v M' + d eta32^2/(4v)``, and each
+      float32 product that underflows adds ``eta32/2``, ``d eta32`` doubled;
+    - the float64 subtraction adds ``2u M'``.
+
+    So ``|a_j - (delta_j - |x|^2)| <= (d + 4) v M' + (d + 6) u M' + d eta32``.
+    The direct sum adds ``d`` nonnegative terms, each within three float64
+    roundings, so it is within ``2 (d + 2) u M'`` of ``delta_j``.  Let ``k``
+    be the screen's argmin.  An excluded ``e`` then has a direct sum above
+    ``k``'s by more than the slack less twice each bound, and a margin of
+    ``8u * 2M'`` on top makes the correctly rounded ``sqrt`` of ``e``'s
+    strictly larger; rounding ``min(a) + slack`` costs another ``2u M'``.
+    The sum is ``(2d + 8) v M' + (6d + 38) u M' + 2d eta32``.  The slack
+    ``2 (d + 4) (eps32 M' + eta32)`` is ``(4d + 16) v M' + (2d + 8) eta32``,
+    twice the float32 part, which covers the float64 terms (``u = 2^-29
+    v``), the higher-order ones and the rounding of ``M'`` itself; its
+    ``eta32`` term covers ``2d eta32``, the ``eta32^2`` term and float64
+    underflow.  So every excluded entry is strictly farther than ``k``, and
+    ``k`` is a candidate.  When ``4M'`` is below float32's largest value,
+    every float32 operand, product and partial sum is below it too.
+
+    A query whose screen minimum is not finite, or whose ``4M'`` is not below
+    float32's largest value (a NaN or inf query, an entry or query too far
+    from ``mu`` for float32), is answered by the full direct scan instead.
     """
     if model.gallery.size == 0:
         raise DatasetError("model has an empty gallery")
-    gallery, sq_norms, max_sq_norm = model.gallery_matrix()
+    gallery, mean, sq_norms, max_sq_norm, centred32 = model.gallery_matrix()
     # one query per row, flattened in C order like the gallery's columns
     projected = model.project(samples).reshape(gallery.shape[0], -1).T
     count = len(projected)
-    slack_factor = 8.0 * (gallery.shape[0] + 4)
+    slack_factor = 2.0 * (gallery.shape[0] + 4)
     indices = np.empty(count, dtype=np.intp)
     distances = np.empty(count)
     for start in range(0, count, training._QUERY_BLOCK):
         queries = projected[start : start + training._QUERY_BLOCK]
-        screen = sq_norms - 2.0 * (queries @ gallery)
+        # a query or entry beyond float32's range fails the bound below,
+        # and then its screen row is never read
+        with np.errstate(over="ignore", invalid="ignore"):
+            centred = queries - mean
+            screen = sq_norms - 2.0 * (centred.astype(np.float32) @ centred32)
         smallest = screen.min(axis=1)
-        scale = np.einsum("ij,ij->i", queries, queries) + max_sq_norm
-        bounded = np.isfinite(smallest) & np.isfinite(4.0 * scale)
-        slack = slack_factor * (_EPS * scale + _ETA)
+        scale = np.einsum("ij,ij->i", centred, centred) + max_sq_norm
+        bounded = np.isfinite(smallest) & (scale < _MAX32 / 4)
+        slack = slack_factor * (_EPS32 * scale + _ETA32)
         for row, z in enumerate(queries):
             if bounded[row]:
                 candidates = np.flatnonzero(screen[row] <= smallest[row] + slack[row])

@@ -95,16 +95,21 @@ def multi_mode_product(t: np.ndarray, factors) -> np.ndarray:
 
 def _per_sample_products(stack: np.ndarray, factors) -> np.ndarray:
     """:func:`multi_mode_product` of each sample of ``stack`` (samples on the
-    last axis), bit for bit as it is for that sample alone and C-contiguous:
-    one BLAS call per sample and mode, as one GEMM over the whole stack
+    last axis), bit for bit as it is for that sample alone as a C-contiguous
+    array: one BLAS call per sample and mode, as one GEMM over the whole stack
     rounds differently as its width changes."""
-    z = np.ascontiguousarray(np.moveaxis(np.asarray(stack, dtype=np.float64), -1, 0))
+    stack = np.asarray(stack, dtype=np.float64)
+    n = stack.ndim  # axis 0 of z is the sample, axis 1 + k is mode k
+    z = np.ascontiguousarray(stack.transpose([n - 1, *range(n - 1)]))
     for u, mode in factors:
-        moved = np.moveaxis(z, mode + 1, 1)  # (sample, mode, other modes)
-        others = list(range(moved.ndim - 1, 1, -1))  # other modes, last first
+        axis = mode + 1
+        others = [a for a in range(n - 1, 0, -1) if a != axis]  # other modes, last first
         # each sample's transposed unfolding, viewed or copied as unfold does
         # (the layout picks the BLAS kernel): C over reversed modes is its order
-        rows = moved.transpose([0, *others, 1]).reshape(len(z), -1, moved.shape[1])
-        product = np.matmul(u, rows.swapaxes(1, 2)).reshape((len(z), len(u)) + moved.shape[:1:-1])
-        z = np.moveaxis(product.transpose([0, 1, *others]), 1, mode + 1)
-    return np.moveaxis(z, 0, -1)
+        rows = z.transpose([0, *others, axis]).reshape(len(z), -1, z.shape[axis])
+        product = np.matmul(u, rows.swapaxes(1, 2)).reshape(
+            [len(z), len(u)] + [z.shape[a] for a in others])
+        # product's axes are z's axes [0, axis, *others]: view them back in order
+        order = [0, axis, *others]
+        z = product.transpose(sorted(range(n), key=order.__getitem__))
+    return z.transpose([*range(1, n), 0])

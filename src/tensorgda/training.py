@@ -170,7 +170,8 @@ class ScatterPair:
     s_w: np.ndarray
 
 
-# samples projected, or queries screened, at a time: bounds the transients
+# samples projected, queries screened or gallery rows centred at a time:
+# bounds the transients
 _QUERY_BLOCK = 256
 
 
@@ -203,16 +204,30 @@ class GdaModel:
     _gallery_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def gallery_matrix(self) -> tuple:
-        """``(matrix, sq_norms, max_sq_norm)``: the gallery as a ``(d, n)``
-        matrix, one column per sample flattened in C order (a view of a
-        C-contiguous gallery), its column squared norms and their maximum.
-        Cached for the gallery array it was built from, so assigning a new
-        ``gallery`` rebuilds it."""
+        """``(matrix, mean, sq_norms, max_sq_norm, centred32)``, the
+        screen's view of the gallery: the ``(d, n)`` matrix, one column per
+        sample flattened in C order (a view of a C-contiguous gallery); the
+        column mean; the float64 squared norms of the centred columns
+        ``g_j - mean`` and their maximum; and the centred columns rounded
+        to one C-contiguous float32 matrix.  Cached for the gallery array it
+        was built from, so assigning a new ``gallery`` rebuilds it."""
         cache = self._gallery_cache
         if cache is None or cache[0] is not self.gallery:
             matrix = self.gallery.reshape(-1, self.gallery.shape[-1])
-            sq_norms = np.einsum("ij,ij->j", matrix, matrix)
-            cache = (self.gallery, matrix, sq_norms, float(sq_norms.max()))
+            centred32 = np.empty(matrix.shape, dtype=np.float32)
+            sq_norms = np.zeros(matrix.shape[1])
+            # a gallery beyond float32's range (or not finite) gets a norm
+            # that sends every query to the direct scan, which never reads
+            # what these arrays hold
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = matrix.mean(axis=1)
+                # a block of rows at a time: no full float64 centred copy
+                for start in range(0, len(matrix), _QUERY_BLOCK):
+                    rows = slice(start, start + _QUERY_BLOCK)
+                    block = matrix[rows] - mean[rows, None]
+                    sq_norms += np.einsum("ij,ij->j", block, block)
+                    centred32[rows] = block
+            cache = (self.gallery, matrix, mean, sq_norms, float(sq_norms.max()), centred32)
             self._gallery_cache = cache
         return cache[1:]
 

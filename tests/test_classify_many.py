@@ -5,11 +5,14 @@ by direct difference, then the lowest index among the smallest.  The search
 must return the oracle's index and the oracle's distance bits.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import tensorgda.evaluation as ev
 import tensorgda.training as tr
 from tensorgda.datasets import synth_gaussian_classes
 from tensorgda.errors import DimensionError
@@ -49,6 +52,20 @@ def parent_classify(model, x):
     distances = np.sqrt(np.sum(deltas**2, axis=tuple(range(deltas.ndim - 1))))
     best = int(np.argmin(distances))
     return model.gallery_labels[best], best, float(distances[best])
+
+
+def candidate_counts(monkeypatch):
+    """The number of entries each query reranks, recorded as
+    ``classify_many`` hands them to its direct difference."""
+    counts = []
+    nearest = ev._nearest
+
+    def counting(gallery, z, candidates):
+        counts.append(len(candidates))
+        return nearest(gallery, z, candidates)
+
+    monkeypatch.setattr(ev, "_nearest", counting)
+    return counts
 
 
 def same_bits(a, b):
@@ -131,6 +148,67 @@ class TestExactness:
             assert (label, index) == expected[:2]
             assert same_bits(distance, expected[2])
 
+    def test_near_ties_on_a_common_offset_answer_as_the_direct_scan(self):
+        # integers, so z + v and z - v are exact ties; the offset is 1e4
+        # times the spread, and 1-ulp nudges and duplicated columns sit far
+        # inside the float32 slack
+        rng = np.random.default_rng(50)
+        d, spread = 24, 8
+        offset = np.round(1e4 * spread * rng.standard_normal((d, 1)))
+        columns = list((offset + rng.integers(-spread, spread + 1, (d, 20))).T)
+        queries = []
+        for _ in range(6):
+            z = offset[:, 0] + rng.integers(-spread, spread + 1, d)
+            v = rng.integers(-3, 4, d)
+            v[0] = 2
+            farther, closer = z + v, z - v
+            farther[0] = np.nextafter(farther[0], np.inf)
+            closer[0] = np.nextafter(closer[0], -np.inf)  # z - v has z - 2 here
+            columns += [farther, z - v, z + v, z - v, closer]
+            queries += [z, np.nextafter(z, np.inf), np.nextafter(z, -np.inf)]
+        gallery, queries = np.stack(columns, axis=1), np.stack(queries, axis=1)
+        mean = gallery.mean(axis=1, keepdims=True)
+        centred = gallery - mean
+        products = centred.astype(np.float32).T @ (queries - mean).astype(np.float32)
+        screen = np.sum(centred * centred, axis=0)[:, None] - 2.0 * products
+        oracle = [direct_scan(gallery, q)[0] for q in queries.T]
+        assert (np.argmin(screen, axis=0) != oracle).any()  # the screen alone misorders
+        assert_matches_direct_scan(gallery, queries)
+
+    def test_a_common_offset_leaves_one_candidate(self, monkeypatch):
+        # uncentred, float32 keeps three digits of the spread here and the
+        # slack spans every entry; about the mean it spans one
+        rng = np.random.default_rng(51)
+        d, n = 32, 100
+        offset = 1e4 * rng.standard_normal((d, 1))
+        gallery = offset + rng.standard_normal((d, n))
+        queries = gallery[:, rng.integers(0, n, 50)] + 0.3 * rng.standard_normal((d, 50))
+        counts = candidate_counts(monkeypatch)
+        assert_matches_direct_scan(gallery, np.concatenate([gallery, queries], axis=1))
+        assert counts == [1] * (n + 50)
+
+    @pytest.mark.parametrize("scale", [2e19, 1e39])
+    @pytest.mark.parametrize("far", ["entry", "query"])
+    def test_beyond_float32_takes_the_direct_scan_without_warnings(self, scale, far, monkeypatch):
+        # 2e19: every value fits float32 but 4M' does not; 1e39: the centred
+        # values themselves overflow the cast
+        gallery = np.array([[1.0, 1.0, 2.0, 0.5], [0.0, 1.0, 3.0, 0.5]])
+        queries = np.array([[1.0, 0.5, 2.0], [1.5, 0.5, 3.0]])
+        if far == "entry":
+            gallery[0, 0] = scale
+        else:
+            queries[:, 0] = [scale, 0.0]
+        model = identity_model(gallery)
+        counts = candidate_counts(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            answers = [classify(model, z) for z in queries.T]
+        for z, answer in zip(queries.T, answers):
+            assert answer == parent_classify(model, z)
+        assert counts[0] == gallery.shape[1]
+        if far == "entry":
+            assert counts == [gallery.shape[1]] * 3
+
     def test_overflowing_norm_answers_as_the_direct_scan(self):
         gallery = np.array([[1e200, 1.0, 2.0], [0.0, 1.0, 3.0]])
         model = identity_model(gallery)
@@ -196,24 +274,33 @@ class TestBatchIndependence:
 
 class TestGalleryMatrix:
     @pytest.mark.parametrize("method", ["gda", "mda", "hopca", "pca", "fisherface"])
-    def test_trained_gallery_is_c_contiguous_and_viewed_without_copy(self, method):
+    def test_trained_gallery_is_viewed_centred_and_rounded_to_float32(self, method):
         data = synth_gaussian_classes(3, 4, (4, 3), 4.0, 1.0, seed=47)
         model = train_method(method, data, TrainingConfig())
         assert model.gallery.flags.c_contiguous
-        matrix, sq_norms, max_sq_norm = model.gallery_matrix()
+        matrix, mean, sq_norms, max_sq_norm, centred32 = model.gallery_matrix()
         assert np.shares_memory(matrix, model.gallery)
         assert matrix.shape == (int(np.prod(model.projected_shape)), data.n_samples)
-        np.testing.assert_allclose(sq_norms, np.sum(matrix * matrix, axis=0), rtol=1e-14)
+        np.testing.assert_allclose(mean, matrix.mean(axis=1), rtol=1e-14)
+        centred = matrix - mean[:, None]
+        np.testing.assert_allclose(sq_norms, np.sum(centred * centred, axis=0), rtol=1e-14)
         assert max_sq_norm == sq_norms.max()
+        # the only full-size arrays kept are the view and the float32 copy
+        assert mean.shape == matrix.shape[:1] and sq_norms.shape == matrix.shape[1:]
+        assert centred32.dtype == np.float32 and centred32.flags.c_contiguous
+        assert centred32.tobytes() == centred.astype(np.float32).tobytes()
 
-    def test_reassigned_gallery_refreshes_cached_norms(self):
+    def test_reassigned_gallery_refreshes_the_cache(self):
         model = identity_model(np.array([[1.0, 5.0], [0.0, 0.0]]))
         assert classify(model, np.array([4.0, 0.0]))[1] == 1
         model.gallery = np.array([[5.0, 1.0], [0.0, 0.0]])
-        assert model.gallery_matrix()[1].tolist() == [25.0, 1.0]
+        _, mean, sq_norms, max_sq_norm, centred32 = model.gallery_matrix()
+        assert (mean.tolist(), sq_norms.tolist(), max_sq_norm) == ([3.0, 0.0], [4.0, 4.0], 4.0)
+        assert centred32.tolist() == [[2.0, -2.0], [0.0, 0.0]]
         assert classify(model, np.array([4.0, 0.0]))[1] == 0
         model.gallery = np.array([[1.0, 1.0, 4.0], [0.0, 0.0, 9.0]])
         model.gallery_labels = np.array([7, 8, 9])
+        assert model.gallery_matrix()[2].tolist() == [10.0, 10.0, 40.0]
         assert classify(model, np.array([4.0, 8.0])) == (9, 2, 1.0)
 
 

@@ -210,6 +210,19 @@ class TestEvaluate:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("extra,message", [
+        (["--trials", "0", "--train-per-class", "2"], "trials must be at least 1"),
+        (["--train-per-class", "4"], "class 1 has 4 samples; need more than 4"),
+    ])
+    def test_rejected_split_exits_2_and_makes_no_directory(self, extra, message, tmp_path, capsys):
+        out = tmp_path / "reports"
+        code = run([
+            "evaluate", "--synth", "c=3,per_class=4,shape=6x5", *extra, "--output-dir", out,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     LOO = ["evaluate", "--synth", "c=3,per_class=4,shape=6x5", "--protocol", "loo"]
 
     @pytest.mark.parametrize("extra,named", [
@@ -611,6 +624,18 @@ class TestConfigFileAndErrors:
         ])
         assert code == 3
         assert "@frames" in capsys.readouterr().err
+
+    def test_negative_trim_seed_is_data_error_naming_the_line(self, tmp_path, capsys):
+        (tmp_path / "seq").mkdir()
+        for i in range(4):  # one surplus frame, so the seed is used
+            save_pgm(tmp_path / "seq" / f"f{i}.pgm", np.full((4, 3), float(i)))
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("@frames 3\n@trim-seed -1\nseq\t1\n")
+        code = run([
+            "train", "--manifest", manifest, "--output", tmp_path / "m.json",
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {manifest}:2: @trim-seed '-1' is negative\n"
 
     def test_config_file_sets_seed_and_flag_wins(self, tmp_path):
         synth = ["--synth", "c=3,per_class=4,shape=4x4,separation=6,noise=1"]
