@@ -204,6 +204,8 @@ def trim_to_length(sequence: np.ndarray, t: int, seed: int) -> np.ndarray:
     keeping the survivors in their original order."""
     sequence = np.asarray(sequence, dtype=np.float64)
     current = sequence.shape[-1]
+    if t < 1:
+        raise DimensionError(f"cannot trim to {t} frames: the length must be at least 1")
     if current < t:
         raise DimensionError(f"cannot trim {current} frames down to {t}")
     if current == t:
@@ -275,6 +277,8 @@ def load_manifest(path) -> LabeledTensorSet:
             key, value = parts[0].lower(), parts[1].strip()
             if key == "frames":
                 frames = _directive_int(path, lineno, key, value)
+                if frames < 1:
+                    raise DatasetError(f"{path}:{lineno}: @{key} {value!r} is not positive")
             elif key in ("trim-seed", "trim_seed"):
                 trim_seed = _directive_int(path, lineno, key, value)
                 if trim_seed < 0:

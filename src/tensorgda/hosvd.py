@@ -3,14 +3,23 @@
 The decomposition factors a tensor into per-mode orthonormal bases plus a
 core tensor: ``t ~ core x_0 V_0 x_1 V_1 ...``.  Per-mode ranks are either
 given explicitly or chosen as the smallest count whose singular values
-retain a fraction ``theta`` of that mode's total singular-value mass.
+retain a fraction ``theta`` of that mode's total singular-value mass.  The
+core is built from the input on first read, so a caller that needs only
+the bases (the ``hopca`` trainer, ``compress``) never pays for it.
 
 Every mode's left singular basis comes from one path: the triangle ``R``
 of a QR factorization of the transposed unfolding (``unfolding = R.T @
 Q.T``), then the SVD of the small ``R.T``, whose left singular vectors and
 singular values are the unfolding's.  The QR step shrinks a wide unfolding
 to ``I_k`` columns without forming the Gram matrix, so small singular
-values keep their accuracy.
+values keep their accuracy.  A transposed unfolding of two or more row
+blocks is factored as TSQR (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
+Comput. 2012): one QR per contiguous block, then one QR of the stacked
+triangles and the leftover rows.  Its ``R`` is the one-shot triangle up to
+the signs of its rows, which leave ``R.T``'s left singular vectors and
+singular values unchanged, and it is as backward stable; each block's QR
+runs in cache and copies only that block.  A shorter unfolding keeps the
+one-shot QR.
 
 Also houses the lossy-compression bookkeeping: PSNR against an 8-bit peak
 and the storage fractions of vector PCA versus multilinear truncation.
@@ -19,7 +28,8 @@ and the storage fractions of vector PCA versus multilinear truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,18 +41,28 @@ from .linalg import svd, sym_eig
 
 @dataclass(frozen=True)
 class HosvdResult:
-    """Per-mode orthonormal factors plus the core tensor.
+    """Per-mode orthonormal factors of ``source``, and its core tensor.
 
     ``factors[k]`` has shape ``I_k x J_k``; exempt modes carry the identity.
     ``mode_energy[k]`` is the retained fraction of mode ``k``'s singular-value
-    mass (1.0 for exempt modes).
+    mass (1.0 for exempt modes).  ``source`` is the decomposed float64
+    tensor, the caller's own array when it already was one.  ``core`` is
+    ``source x_k factors[k].T`` over the modes not in ``exempt_modes``,
+    built on first read.
     """
 
     factors: tuple
-    core: np.ndarray
     kept_ranks: tuple
     mode_energy: tuple
-    input_shape: tuple
+    source: np.ndarray = field(repr=False)
+    exempt_modes: frozenset = frozenset()
+
+    @cached_property
+    def core(self) -> np.ndarray:
+        return tensor.multi_mode_product(
+            self.source,
+            [(f.T, k) for k, f in enumerate(self.factors) if k not in self.exempt_modes],
+        )
 
 
 def select_rank(singular_values, theta: float) -> int:
@@ -62,6 +82,24 @@ def select_rank(singular_values, theta: float) -> int:
     return int(np.searchsorted(cumulative / total, theta, side="left")) + 1
 
 
+# fewest rows in one block of a blocked QR, which also takes at least
+# 4 I_k: a block's factorization then stays in cache
+_QR_BLOCK = 512
+
+
+def _triangle(rows: np.ndarray) -> np.ndarray:
+    """``R`` of ``qr(rows, mode="r")``: one call for fewer than two blocks of
+    ``max(_QR_BLOCK, 4 * columns)`` rows, else one QR per block and one of
+    the stacked triangles plus the leftover rows."""
+    height = max(_QR_BLOCK, 4 * rows.shape[1])
+    blocks = len(rows) // height
+    if blocks < 2:
+        return np.linalg.qr(rows, mode="r")
+    stacked = [np.linalg.qr(rows[b * height:(b + 1) * height], mode="r") for b in range(blocks)]
+    stacked.append(rows[blocks * height:])
+    return np.linalg.qr(np.vstack(stacked), mode="r")
+
+
 def _mode_basis(unfolding: np.ndarray, needed: int | None):
     """Left singular vectors and singular values of an ``I_k x n`` unfolding.
 
@@ -70,7 +108,7 @@ def _mode_basis(unfolding: np.ndarray, needed: int | None):
     ``n < I_k``), ``R`` gains zero rows up to ``needed``, so the SVD
     completes the basis with orthonormal directions of singular value zero.
     """
-    r = np.linalg.qr(unfolding.T, mode="r")
+    r = _triangle(unfolding.T)
     if needed is not None and needed > r.shape[0]:
         r = np.vstack([r, np.zeros((needed - r.shape[0], r.shape[1]))])
     result = svd(r.T)
@@ -83,7 +121,8 @@ def hosvd(
     theta: float | None = None,
     exempt_modes=(),
 ) -> HosvdResult:
-    """Decompose ``t`` into per-mode orthonormal factors and a core tensor.
+    """Decompose ``t`` into per-mode orthonormal factors (and a core tensor,
+    built when read).
 
     Exactly one of ``ranks`` (per-mode rank list; entries for exempt modes
     are ignored) and ``theta`` (global energy threshold) must be given.
@@ -129,15 +168,12 @@ def hosvd(
         kept.append(needed)
         energy.append(float(np.sum(sigmas[:needed])) / total)
 
-    core = tensor.multi_mode_product(
-        t, [(factors[k].T, k) for k in range(t.ndim) if k not in exempt]
-    )
     return HosvdResult(
         factors=tuple(factors),
-        core=core,
         kept_ranks=tuple(kept),
         mode_energy=tuple(energy),
-        input_shape=t.shape,
+        source=t,
+        exempt_modes=frozenset(exempt),
     )
 
 

@@ -7,7 +7,8 @@ maximize the ratio of between-class to within-class scatter of the core
 tensors.  The served projectors are the per-mode products V_k @ U_k.
 
 Variants: ``train_mda`` skips the HOSVD stage (identity V_k), ``train_hopca``
-skips the discriminant stage (truncated-identity U_k), and ``train_pca`` /
+skips the discriminant stage (truncated-identity U_k) and so never builds
+the core tensors, and ``train_pca`` /
 ``train_fisherface`` are the classical vectorizing baselines.
 
 Everything here is deterministic: identical data and config produce
@@ -477,12 +478,10 @@ def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str
         hosvd_factors = list(decomposition.factors[:n])
         kept = decomposition.kept_ranks[:n]
         mode_energy = decomposition.mode_energy[:n]
-        core_data = LabeledTensorSet(decomposition.core, data.labels, data.subjects)
     else:  # mda: identity stage
         hosvd_factors = [np.eye(s) for s in data.sample_shape]
         kept = data.sample_shape
         mode_energy = tuple(1.0 for _ in range(n))
-        core_data = data
 
     dims = _target_dims(config, kept, data.n_classes, after_hosvd=kind != "mda")
     warnings = []
@@ -490,7 +489,9 @@ def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str
         disc = [np.eye(kept[k])[:, : dims[k]] for k in range(n)]
         objective_trace: tuple = ()
         change_trace: tuple = ()
-    else:
+    else:  # only the optimizer reads the core
+        core_data = data if kind == "mda" else LabeledTensorSet(
+            decomposition.core, data.labels, data.subjects)
         result = k_mode_optimize(core_data, replace(config, target_dims=dims))
         disc = result.factors
         objective_trace = result.objective_trace

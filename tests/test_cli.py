@@ -637,6 +637,19 @@ class TestConfigFileAndErrors:
         assert code == 3
         assert capsys.readouterr().err == f"error: {manifest}:2: @trim-seed '-1' is negative\n"
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_frames_below_one_is_data_error_naming_the_line(self, tmp_path, capsys, value):
+        (tmp_path / "seq").mkdir()
+        for i in range(4):
+            save_pgm(tmp_path / "seq" / f"f{i}.pgm", np.full((4, 3), float(i)))
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(f"@frames {value}\n@trim-seed 1\nseq\t1\n")
+        code = run([
+            "train", "--manifest", manifest, "--output", tmp_path / "m.json",
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {manifest}:1: @frames {value!r} is not positive\n"
+
     def test_config_file_sets_seed_and_flag_wins(self, tmp_path):
         synth = ["--synth", "c=3,per_class=4,shape=4x4,separation=6,noise=1"]
         config = tmp_path / "run.conf"

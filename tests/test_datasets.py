@@ -149,6 +149,11 @@ class TestTrimToLength:
         with pytest.raises(DimensionError):
             trim_to_length(np.zeros((2, 2, 3)), 5, seed=0)
 
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_length_below_one_rejected(self, t):
+        with pytest.raises(DimensionError, match="at least 1"):
+            trim_to_length(np.zeros((2, 2, 3)), t, seed=0)
+
 
 class TestSynthGaussianClasses:
     def test_zero_noise_makes_classes_degenerate(self):
@@ -246,6 +251,15 @@ class TestManifest:
         manifest.write_text("\n".join(lines) + "\n")
         data = load_manifest(manifest)
         assert data.sample_shape == (4, 3, 3)
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_frames_below_one_is_data_error_naming_the_line(self, tmp_path, value):
+        write_frames(tmp_path / "seq", [np.zeros((4, 3))] * 4)
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(f"# short\n@frames {value}\n@trim-seed 1\nseq\t1\n")
+        with pytest.raises(DatasetError) as excinfo:
+            load_manifest(manifest)
+        assert str(excinfo.value) == f"{manifest}:2: @frames {value!r} is not positive"
 
     def test_shape_mismatch_names_entry(self, tmp_path):
         save_pgm(tmp_path / "a.pgm", np.zeros((3, 3)))

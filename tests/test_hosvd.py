@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ import pytest
 from tensorgda import tensor
 from tensorgda.errors import DegenerateModeError, DimensionError, NumericInputError
 from tensorgda.hosvd import (
+    _QR_BLOCK,
+    _mode_basis,
+    _triangle,
     hopca_compression_fraction,
     hosvd,
     psnr,
@@ -211,16 +215,90 @@ class TestHosvd:
             hosvd(np.ones((2, 2)))
 
 
+def graded_tensor(shape, seed):
+    """Gaussian entries scaled along every mode by a geometric ramp, so each
+    mode unfolding has well-separated singular values."""
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(shape)
+    for k, extent in enumerate(shape):
+        ramp = np.geomspace(1.0, 0.05, extent)
+        t *= ramp.reshape([-1 if j == k else 1 for j in range(len(shape))])
+    return t
+
+
+@pytest.fixture
+def qr_shapes(monkeypatch):
+    """The shape of every matrix handed to ``np.linalg.qr``, in call order."""
+    shapes = []
+    qr = np.linalg.qr
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    return shapes
+
+
+class TestBlockedQr:
+    """Transposed unfoldings of two or more blocks of ``max(_QR_BLOCK, 4 I_k)``
+    rows are factored block by block, then once more over the stacked
+    triangles and the leftover rows."""
+
+    # mode 0: 2160 rows = 4 blocks + 112; mode 1: 1800 rows = 3 blocks + 264;
+    # mode 2: 480 rows, one QR
+    SHAPE = (20, 24, 90)
+
+    def test_blocks_and_ragged_remainder_are_factored(self, qr_shapes):
+        assert _QR_BLOCK == 512
+        t = graded_tensor(self.SHAPE, seed=30)
+        _mode_basis(tensor.unfold(t, 0), None)
+        assert qr_shapes == [(512, 20)] * 4 + [(4 * 20 + 112, 20)]
+        qr_shapes.clear()
+        _mode_basis(tensor.unfold(t, 1), None)
+        assert qr_shapes == [(512, 24)] * 3 + [(3 * 24 + 264, 24)]
+
+    @pytest.mark.parametrize("shape", [SHAPE, (8, 128)])  # (8, 128): 2 blocks, no remainder
+    def test_singular_values_match_the_unfolding_svd(self, shape):
+        t = graded_tensor(shape, seed=31)
+        for k in range(t.ndim):
+            _, sigmas = _mode_basis(tensor.unfold(t, k), None)
+            oracle = np.linalg.svd(tensor.unfold(t, k), compute_uv=False)
+            np.testing.assert_allclose(sigmas, oracle, rtol=1e-12, atol=0)
+
+    def test_kept_factors_span_the_oracle_subspaces(self):
+        t = graded_tensor(self.SHAPE, seed=32)
+        ranks = (7, 9, 30)
+        result = hosvd(t, ranks=ranks)
+        for k, factor in enumerate(result.factors):
+            u = np.linalg.svd(tensor.unfold(t, k), full_matrices=False)[0][:, : ranks[k]]
+            assert principal_angles(factor, u).max() < 1e-10
+            np.testing.assert_allclose(factor.T @ factor, np.eye(ranks[k]), atol=1e-12)
+
+    def test_mode_longer_than_one_block(self, qr_shapes):
+        # I_k = 520 > _QR_BLOCK: blocks of 4 I_k = 2080 rows, 2 of them and 100 over
+        t = graded_tensor((520, 4260), seed=33)
+        basis, sigmas = _mode_basis(t, None)
+        assert qr_shapes == [(2080, 520)] * 2 + [(2 * 520 + 100, 520)]
+        u, oracle, _ = np.linalg.svd(t, full_matrices=False)
+        np.testing.assert_allclose(sigmas, oracle, rtol=1e-12, atol=0)
+        assert principal_angles(basis[:, :40], u[:, :40]).max() < 1e-10
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_one_block_is_the_one_shot_qr_bit_for_bit(self, mode, qr_shapes):
+        # 1023, 930 and 990 rows: each under two blocks of 512
+        t = graded_tensor((30, 33, 31), seed=34)
+        rows = tensor.unfold(t, mode).T
+        triangle = _triangle(rows)
+        assert len(qr_shapes) == 1
+        np.testing.assert_array_equal(triangle, np.linalg.qr(rows, mode="r"))
+
+
 class TestReconstruct:
     def test_zero_core(self):
         result = hosvd(np.ones((3, 4)), ranks=(1, 1))
-        zeroed = type(result)(
-            factors=result.factors,
-            core=np.zeros_like(result.core),
-            kept_ranks=result.kept_ranks,
-            mode_energy=result.mode_energy,
-            input_shape=result.input_shape,
-        )
+        zeroed = replace(result, source=np.zeros_like(result.source))
+        np.testing.assert_array_equal(zeroed.core, np.zeros((1, 1)))
         np.testing.assert_array_equal(reconstruct(zeroed), np.zeros((3, 4)))
 
 

@@ -498,6 +498,37 @@ class TestTrainGda:
         for p, v, u in zip(model.combined, decomposition.factors, disc):
             np.testing.assert_allclose(p, v @ u, atol=1e-12)
 
+    def test_hopca_builds_no_core(self, monkeypatch):
+        calls = []
+        mode_product = tensor.mode_product
+
+        def counted(t, u, mode):
+            calls.append(mode)
+            return mode_product(t, u, mode)
+
+        monkeypatch.setattr(tensor, "mode_product", counted)
+        data = synth_gaussian_classes(3, 6, (6, 5, 4), 5.0, 1.0, seed=28)
+        train_hopca(data)
+        assert calls == []
+        train_gda(data)
+        assert calls[:3] == [0, 1, 2]  # the core, before any scatter
+
+    def test_gda_optimizes_the_hosvd_core_bit_for_bit(self):
+        # 210 samples: both modes' transposed unfoldings take the blocked QR
+        data = synth_gaussian_classes(3, 70, (6, 5), 2.0, 1.0, seed=29)
+        config = TrainingConfig()
+        model = train_gda(data, config)
+        decomposition = hosvd_stage(data, config)
+        core = tensor.multi_mode_product(
+            data.samples, [(f.T, k) for k, f in enumerate(decomposition.factors[:2])]
+        )
+        dims = default_target_dims(decomposition.kept_ranks[:2], data.n_classes)
+        result = k_mode_optimize(LabeledTensorSet(core, data.labels),
+                                 TrainingConfig(target_dims=dims))
+        for p, v, u in zip(model.combined, decomposition.factors, result.factors):
+            np.testing.assert_array_equal(p, v @ u)
+        assert model.objective_trace == result.objective_trace
+
     def test_gallery_shape(self):
         data = synth_gaussian_classes(3, 6, (5, 4, 3), 5.0, 1.0, seed=25)
         model = train_gda(data, TrainingConfig(target_dims=(2, 2, 2)))
