@@ -1,8 +1,10 @@
 """Dataset ingestion: PGM images, frame sequences, manifests, synthesis.
 
 Supported image format is portable graymap only, plain P2 or binary P5 with
-maxval up to 255.  File pixels are row-major; ``load_image`` returns an
-``H x W`` matrix indexed (row, column).  A frame directory becomes an
+maxval up to 255; ``save_pgm`` writes P5 only.  Header fields and plain
+pixels are unsigned decimal digits, and a ``#`` comment runs to the end of
+its line.  File pixels are row-major; ``load_image`` returns an ``H x W``
+matrix indexed (row, column).  A frame directory becomes an
 ``H x W x T`` tensor with frames stacked in lexicographic filename order.
 
 A manifest is a line-oriented text file: one ``path<TAB>label[<TAB>subject]``
@@ -14,7 +16,9 @@ directory.
 
 from __future__ import annotations
 
+import itertools
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,85 +26,61 @@ import numpy as np
 from .errors import ConfigurationError, DatasetError, DimensionError, PgmParseError
 from .training import LabeledTensorSet
 
-_WHITESPACE = b" \t\r\n\v\f"
+# one token after a run of separators: whitespace, and ``#`` comments that
+# each run to the end of their line.  Matched at a position, never searched,
+# and no separator can be read two ways, so each byte is scanned once.
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]*)")
 
 
-class _PgmScanner:
-    """Token scanner over PGM header/ASCII sections, tracking byte offsets."""
-
-    def __init__(self, payload: bytes):
-        self.payload = payload
-        self.pos = 0
-
-    def skip_separators(self) -> None:
-        while self.pos < len(self.payload):
-            byte = self.payload[self.pos]
-            if byte == ord("#"):
-                newline = self.payload.find(b"\n", self.pos)
-                self.pos = len(self.payload) if newline < 0 else newline + 1
-            elif byte in _WHITESPACE:
-                self.pos += 1
-            else:
-                return
-
-    def token(self) -> bytes:
-        self.skip_separators()
-        if self.pos >= len(self.payload):
-            raise PgmParseError("unexpected end of file", self.pos)
-        start = self.pos
-        while (
-            self.pos < len(self.payload)
-            and self.payload[self.pos] not in _WHITESPACE
-            and self.payload[self.pos] != ord("#")
-        ):
-            self.pos += 1
-        return self.payload[start : self.pos]
-
-    def integer(self, what: str) -> int:
-        self.skip_separators()
-        start = self.pos
-        raw = self.token()
+def _unsigned(payload: bytes, end: int, names) -> tuple:
+    """The tokens after offset ``end`` read as unsigned decimal ints, one per
+    entry of ``names`` (which names them in errors), and the offset just
+    past the last."""
+    values = []
+    for what in names:
+        match = _TOKEN.match(payload, end)
+        raw, end = match[1], match.end()
+        if not raw.isdigit():  # ASCII digits only: no sign, underscore or space
+            problem = f"invalid {what} {raw!r}" if raw else "unexpected end of file"
+            raise PgmParseError(problem, match.start(1))
         try:
-            return int(raw)
-        except ValueError:
-            raise PgmParseError(f"invalid {what} {raw!r}", start) from None
+            values.append(int(raw))
+        except ValueError:  # more digits than int() converts
+            raise PgmParseError(f"invalid {what}: {len(raw)} digits", match.start(1)) from None
+    return values, end
 
 
 def parse_pgm(payload: bytes) -> np.ndarray:
     """Decode PGM bytes into an ``H x W`` float matrix of 0..maxval values."""
-    scanner = _PgmScanner(payload)
-    magic = scanner.token()
+    match = _TOKEN.match(payload)
+    magic, end = match[1], match.end()
     if magic not in (b"P2", b"P5"):
         raise PgmParseError(f"unsupported magic {magic!r}", 0)
-    width = scanner.integer("width")
-    height = scanner.integer("height")
-    maxval = scanner.integer("maxval")
-    if width <= 0 or height <= 0:
-        raise PgmParseError(f"invalid dimensions {width}x{height}", scanner.pos)
+    (width, height, maxval), end = _unsigned(payload, end, ("width", "height", "maxval"))
+    if width == 0 or height == 0:
+        raise PgmParseError(f"invalid dimensions {width}x{height}", end)
     if not 0 < maxval <= 255:
-        raise PgmParseError(f"maxval {maxval} outside 1..255", scanner.pos)
+        raise PgmParseError(f"maxval {maxval} outside 1..255", end)
     count = width * height
 
     if magic == b"P5":
-        if scanner.pos >= len(payload):
-            raise PgmParseError("missing raster", scanner.pos)
-        scanner.pos += 1  # single whitespace byte after maxval
-        raster = payload[scanner.pos : scanner.pos + count]
+        if end >= len(payload):
+            raise PgmParseError("missing raster", end)
+        end += 1  # single whitespace byte after maxval
+        raster = payload[end : end + count]
+        end += len(raster)
         if len(raster) < count:
-            raise PgmParseError(
-                f"raster truncated: {len(raster)} of {count} bytes",
-                scanner.pos + len(raster),
-            )
-        pixels = np.frombuffer(raster, dtype=np.uint8, count=count)
+            raise PgmParseError(f"raster truncated: {len(raster)} of {count} bytes", end)
+        pixels = np.frombuffer(raster, dtype=np.uint8)
     else:
-        values = np.empty(count, dtype=np.float64)
-        for i in range(count):
-            values[i] = scanner.integer("pixel")
-        pixels = values
-    pixels = np.asarray(pixels, dtype=np.float64)
-    if np.any(pixels > maxval):
-        raise PgmParseError("pixel exceeds declared maxval", scanner.pos)
-    return pixels.reshape(height, width)
+        # token by token, so a header larger than the file fails at its end,
+        # not at an allocation; numpy keeps a pixel beyond int64 as a Python
+        # int or a float, either of which the maxval check still compares
+        pixels, end = _unsigned(payload, end, itertools.repeat("pixel", count))
+        pixels = np.array(pixels)
+    if pixels.max() > maxval:
+        raise PgmParseError("pixel exceeds declared maxval", end)
+    return pixels.astype(np.float64).reshape(height, width)
 
 
 def load_image(path) -> np.ndarray:
@@ -108,7 +88,7 @@ def load_image(path) -> np.ndarray:
     path = Path(path)
     try:
         payload = path.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     try:
         return parse_pgm(payload)
@@ -116,8 +96,8 @@ def load_image(path) -> np.ndarray:
         raise PgmParseError(f"{path}: {exc.message}", exc.offset) from None
 
 
-def save_pgm(path, matrix: np.ndarray, binary: bool = True) -> None:
-    """Write an integer-valued matrix in 0..255 as a P5 (or P2) graymap."""
+def save_pgm(path, matrix: np.ndarray) -> None:
+    """Write an integer-valued matrix in 0..255 as a P5 graymap."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise DimensionError(f"expected a matrix, got shape {matrix.shape}")
@@ -125,15 +105,9 @@ def save_pgm(path, matrix: np.ndarray, binary: bool = True) -> None:
     if np.any(rounded != matrix) or matrix.min() < 0 or matrix.max() > 255:
         raise DatasetError("pixel values must be integers in 0..255")
     height, width = matrix.shape
-    pixels = rounded.astype(np.uint8)
     with open(path, "wb") as handle:
-        if binary:
-            handle.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-            handle.write(pixels.tobytes(order="C"))
-        else:
-            handle.write(f"P2\n{width} {height}\n255\n".encode("ascii"))
-            for row in pixels:
-                handle.write((" ".join(str(int(v)) for v in row) + "\n").encode("ascii"))
+        handle.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        handle.write(rounded.astype(np.uint8).tobytes(order="C"))
 
 
 def save_sample(directory, stem: str, sample: np.ndarray) -> str:
@@ -296,8 +270,11 @@ def load_manifest(path) -> LabeledTensorSet:
         entry_path = root / fields[0]
         try:
             label = int(fields[1])
-        except ValueError:
-            raise DatasetError(f"{path}:{lineno}: label {fields[1]!r} is not an integer")
+            np.int64(label)  # labels are held as 64-bit integers
+        except (ValueError, OverflowError):
+            raise DatasetError(
+                f"{path}:{lineno}: label {fields[1]!r} is not a 64-bit integer"
+            ) from None
         subject = fields[2] if len(fields) > 2 else None
         entries.append((lineno, entry_path, label, subject))
     if not entries:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import tensor, training
+from . import training
 from .errors import ConfigurationError, DatasetError
 from .hosvd import hopca_compression_fraction
 from .training import (
@@ -335,16 +335,13 @@ def export_projection_2d(model: GdaModel, data: LabeledTensorSet, plane: str = "
                 f"plane {plane!r} needs at least {need_left}x{need_right} "
                 f"projected dims, model has {left.shape[1]}x{right.shape[1]}"
             )
-        factors = [(left[:, :need_left].T, 0), (right[:, :need_right].T, 1)]
-        # a 1x2 or 2x1 plane ravels alike in C and F order; one sample per row
-        z = tensor._per_sample_products(data.samples, factors).reshape(2, -1).T
-    elif plane == "pair":
-        if np.prod(model.projected_shape) < 2:
-            raise ConfigurationError("plane 'pair' needs at least 2 projected coordinates")
-        # the first two column-major coordinates of each sample, one per row
-        z = model.project(data.samples).reshape(-1, data.n_samples, order="F")[:2].T
-    else:
+        model = replace(model, combined=[left[:, :need_left], right[:, :need_right]])
+    elif plane != "pair":
         raise ConfigurationError(f"unknown plane {plane!r}; choose 1x2, 2x1 or pair")
+    elif np.prod(model.projected_shape) < 2:
+        raise ConfigurationError("plane 'pair' needs at least 2 projected coordinates")
+    # the first two column-major coordinates of each sample, one per row
+    z = model.project(data.samples).reshape(-1, data.n_samples, order="F")[:2].T
     return [(float(x), float(y), label) for (x, y), label in zip(z, data.labels)]
 
 

@@ -24,7 +24,7 @@ import base64
 import json
 import math
 import numbers
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -102,15 +102,6 @@ def _is_int(value) -> bool:
     return _is_number(value, numbers.Integral)
 
 
-def _typed(accept, what: str):
-    """A decoder that passes a JSON value through once ``accept`` holds."""
-    def decode(value):
-        if not accept(value):
-            raise TypeError(f"must be {what}")
-        return value
-    return decode
-
-
 def _list_of(accept, what: str):
     """A decoder of a JSON list whose entries all pass ``accept``, as a tuple."""
     def decode(value):
@@ -120,8 +111,6 @@ def _list_of(accept, what: str):
     return decode
 
 
-_integer = _typed(_is_int, "an integer")
-_number = _typed(_is_number, "a number")
 _counts = _list_of(lambda v: _is_int(v) and v >= 1, "positive integers")
 _numbers = _list_of(_is_number, "numbers")
 _array_blobs = _list_of(lambda v: isinstance(v, dict), "arrays")
@@ -151,18 +140,14 @@ def _known_kind(kind) -> str:
     return kind
 
 
-# how each TrainingConfig value is read back from the config echo
-_CONFIG_DECODERS = {
-    "target_dims": _optional(_counts),
-    "theta": _number,
-    "hosvd_ranks": _optional(_counts),
-    "max_iters": _integer,
-    "conv_tol": _number,
-    "ridge": _number,
-    "pca_dims": _optional(_integer),
-    "fisherface_pca_dims": _optional(_integer),
-    "fisherface_lda_dims": _optional(_integer),
-}
+def _config_value(key: str):
+    """A decoder of the config echo's ``key``: ``TrainingConfig`` checks the
+    value alone, a JSON list read as a tuple."""
+    def decode(value):
+        value = tuple(value) if isinstance(value, list) else value
+        return getattr(TrainingConfig(**{key: value}), key)
+    return decode
+
 
 # how each model field is read back from its JSON key of the same name
 _DECODERS = {
@@ -177,7 +162,9 @@ _DECODERS = {
     "objective_trace": _floats,
     "subspace_change_trace": _floats,
     "config": _optional(
-        lambda blob: TrainingConfig(**_decode_object(blob, _CONFIG_DECODERS))
+        lambda blob: TrainingConfig(**_decode_object(
+            blob, {f.name: _config_value(f.name) for f in fields(TrainingConfig)}
+        ))
     ),
     "warnings": _list_of(lambda w: isinstance(w, str), "strings"),
 }

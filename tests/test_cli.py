@@ -579,6 +579,20 @@ class TestConfigFileAndErrors:
         ])
         assert code == 3
 
+    def test_image_header_larger_than_the_file_is_data_error(self, tmp_path, capsys):
+        image = tmp_path / "huge.pgm"
+        image.write_bytes(b"P2\n1000000 1000000\n255\n1 2 3\n")
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("huge.pgm\t1\n")
+        code = run([
+            "train", "--manifest", manifest, "--output", tmp_path / "m.json",
+        ])
+        assert code == 3
+        offset = len(image.read_bytes())
+        assert capsys.readouterr().err == (
+            f"error: {image}: unexpected end of file (byte offset {offset})\n"
+        )
+
     def test_degenerate_data_is_numeric_error(self, tmp_path, capsys):
         for i in range(4):
             save_pgm(tmp_path / f"z{i}.pgm", np.zeros((4, 4)))
@@ -1068,6 +1082,16 @@ def fuzz_argv(draw):
     return [command, "--synth", spec, *(part for flag in flags for part in flag)], model
 
 
+def assert_documented_exit(code, stderr):
+    """``main`` returned 0 with nothing on stderr, or 2, 3 or 4 with one
+    ``error:`` line."""
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    else:
+        assert stderr == ""
+
+
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
 @given(fuzz_argv())
 def test_main_exits_with_a_documented_code_and_one_line(fuzz_dir, case):
@@ -1091,8 +1115,50 @@ def test_main_exits_with_a_documented_code_and_one_line(fuzz_dir, case):
         except SystemExit as exc:  # argparse's usage error
             assert exc.code == 2
             return
-    assert code in (0, 2, 3, 4)
-    if code:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    else:
-        assert err.getvalue() == ""
+    assert_documented_exit(code, err.getvalue())
+
+
+# config-file lines for the property below: every key a config file may
+# set (paths excepted), with values of every flag type, plus keys no
+# subcommand takes and malformed lines
+CONFIG_KEYS = sorted(
+    {flag[2:] for sub in COMMANDS.values() for flag in cli.config_flags(sub)}
+    - {flag[2:] for flag in PATH_FLAGS}
+)
+CONFIG_VALUES = FUZZ_VALUES + ["", "1e999", "-0", "9" * 5000, "gda,mda", "gda,lda", "2x2x2",
+                               "0x2", "1 2", "split", "pair", "1x2"]
+
+
+@st.composite
+def config_file(draw):
+    """``(subcommand, config text)``: up to 5 lines of the keys above,
+    each written with dashes or underscores, and malformed lines."""
+    key = st.builds(
+        lambda name, underscores: name.replace("-", "_") if underscores else name,
+        st.sampled_from(CONFIG_KEYS + ["frobnicate"]), st.booleans(),
+    )
+    line = st.one_of(
+        st.builds("{} = {}".format, key, st.sampled_from(CONFIG_VALUES)),
+        st.sampled_from(["# note", "", "no equals sign", "= 1", "seed=1=2"]),
+    )
+    command = draw(st.sampled_from(["train", "evaluate", "compress", "visualize", "classify"]))
+    return command, "\n".join(draw(st.lists(line, max_size=5))) + "\n"
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(config_file())
+def test_config_file_exits_with_a_documented_code_and_one_line(fuzz_dir, case):
+    """A config file of any lines drives ``main`` to 0, 2, 3 or 4, with one
+    stderr line on failure."""
+    command, text = case
+    config = fuzz_dir / "run.conf"
+    config.write_text(text)
+    output = "--output-dir" if command == "evaluate" else "--output"
+    argv = [command, "--synth", FUZZ_SPEC, "--config", str(config),
+            output, str(fuzz_dir / f"{command}.out")]
+    if command == "classify":
+        argv += ["--model", str(fuzz_dir / "model.json")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert_documented_exit(code, err.getvalue())

@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorgda.datasets import (
     load_image,
@@ -10,9 +14,9 @@ from tensorgda.datasets import (
     synth_gaussian_classes,
     trim_to_length,
 )
-from tensorgda.errors import DatasetError, DimensionError, PgmParseError
+from tensorgda.errors import DatasetError, DimensionError, PgmParseError, TensorGdaError
 from tensorgda.evaluation import evaluate_split
-from tensorgda.training import TrainingConfig
+from tensorgda.training import LabeledTensorSet, TrainingConfig
 
 
 class TestParsePgm:
@@ -54,14 +58,91 @@ class TestParsePgm:
         with pytest.raises(PgmParseError):
             parse_pgm(b"P2\nx 2\n255\n1 2\n")
 
+    def test_header_larger_than_the_file_fails_at_its_end(self):
+        payload = b"P2\n1000000 1000000\n255\n1 2 3\n"
+        with pytest.raises(PgmParseError, match="unexpected end of file") as err:
+            parse_pgm(payload)
+        assert err.value.offset == len(payload)
+
+    @pytest.mark.parametrize("token", [b"-5", b"+1", b"1_0"])
+    @pytest.mark.parametrize("field", range(4))
+    def test_signed_or_underscored_token_rejected(self, token, field):
+        fields = [b"2", b"1", b"255", b"7"]
+        fields[field] = token
+        payload = b"P2\n" + b" ".join(fields) + b" 9\n"
+        what = ["width", "height", "maxval", "pixel"][field]
+        with pytest.raises(PgmParseError, match=f"invalid {what}") as err:
+            parse_pgm(payload)
+        assert err.value.offset == payload.index(token)
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_more_digits_than_int_converts_rejected(self, field):
+        fields = [b"1", b"1", b"255", b"7"]
+        fields[field] = b"9" * 5000
+        with pytest.raises(PgmParseError, match="5000 digits"):
+            parse_pgm(b"P2\n" + b" ".join(fields) + b"\n")
+
+    @pytest.mark.parametrize("payload", [
+        b" " * 200_000,
+        b"#\n" * 100_000,
+        b"P2 1 1 255\n" + b"#" * 200_000,
+        b"P2 1 1 255" + b" " * 200_000,
+    ], ids=["spaces", "comment-lines", "hashes", "spaces-after-header"])
+    def test_separator_runs_take_linear_time(self, payload):
+        start = time.perf_counter()
+        with pytest.raises(PgmParseError):
+            parse_pgm(payload)
+        assert time.perf_counter() - start < 5.0
+
+    def test_comment_directly_after_a_token_ends_it(self):
+        np.testing.assert_array_equal(parse_pgm(b"P2 1 1 255#c\n7#d"), [[7]])
+
+
+# what a byte edit of a valid graymap inserts or writes over: separators,
+# signs, digits, and tokens that once loaded or crashed
+PGM_EDITS = [b" ", b"\n", b"#", b"\t", b"-", b"+", b"_", b"0", b"9", b"x", b"P5", b"\xff",
+             b"-5", b"+1", b"1_0", b"256", b"1000000", b"9" * 5000]
+
+
+@st.composite
+def mutated_pgm(draw):
+    """A valid P2 or P5 graymap of at most 4x4 pixels, then up to 3 edits,
+    each writing one of ``PGM_EDITS`` (or nothing) over 0 to 3 bytes at a
+    drawn offset."""
+    height, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pixels = draw(st.lists(st.integers(0, 255), min_size=height * width,
+                           max_size=height * width))
+    maxval = draw(st.sampled_from([max(pixels), 255]))
+    if draw(st.booleans()):
+        payload = f"P5\n{width} {height}\n{maxval}\n".encode() + bytes(pixels)
+    else:
+        payload = (f"P2\n# c\n{width} {height}\n{maxval}\n"
+                   + " ".join(map(str, pixels)) + "\n").encode()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(payload)))
+        edit = draw(st.sampled_from([b"", *PGM_EDITS]))
+        payload = payload[:at] + edit + payload[at + draw(st.integers(0, 3)):]
+    return payload
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(mutated_pgm())
+def test_parse_pgm_loads_or_raises_its_error(payload):
+    try:
+        image = parse_pgm(payload)
+    except PgmParseError:
+        return
+    assert image.ndim == 2 and image.dtype == np.float64
+    assert image.min() >= 0 and image.max() <= 255
+
 
 class TestSaveLoadRoundtrip:
-    @pytest.mark.parametrize("binary", [True, False])
-    def test_face_sized_roundtrip_is_bit_exact(self, tmp_path, binary):
+    def test_face_sized_roundtrip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         img = rng.integers(0, 256, size=(112, 92)).astype(np.float64)
         path = tmp_path / "face.pgm"
-        save_pgm(path, img, binary=binary)
+        save_pgm(path, img)
+        assert path.read_bytes().startswith(b"P5\n92 112\n255\n")
         np.testing.assert_array_equal(load_image(path), img)
 
     def test_identical_bytes_identical_tensors(self, tmp_path):
@@ -261,6 +342,34 @@ class TestManifest:
             load_manifest(manifest)
         assert str(excinfo.value) == f"{manifest}:2: @frames {value!r} is not positive"
 
+    @pytest.mark.parametrize("label", ["x", "9223372036854775808", "-9223372036854775809"])
+    def test_label_beyond_int64_is_data_error_naming_the_line(self, tmp_path, label):
+        save_pgm(tmp_path / "a.pgm", np.zeros((3, 3)))
+        save_pgm(tmp_path / "b.pgm", np.ones((3, 3)))
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(f"a.pgm\t1\nb.pgm\t{label}\n")
+        with pytest.raises(DatasetError) as excinfo:
+            load_manifest(manifest)
+        assert str(excinfo.value) == f"{manifest}:2: label {label!r} is not a 64-bit integer"
+
+    def test_root_directive_resolves_later_entries(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        save_pgm(tmp_path / "a.pgm", np.zeros((3, 3)))
+        save_pgm(tmp_path / "sub" / "a.pgm", np.full((3, 3), 7.0))
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("a.pgm\t1\n@root sub\na.pgm\t2\n")
+        data = load_manifest(manifest)
+        np.testing.assert_array_equal(data.samples[..., 0], np.zeros((3, 3)))
+        np.testing.assert_array_equal(data.samples[..., 1], np.full((3, 3), 7.0))
+        manifest.write_text(f"@root {tmp_path / 'sub'}\na.pgm\t1\n")
+        assert load_manifest(manifest).samples.max() == 7.0
+
+    def test_nul_byte_in_a_path_is_data_error(self, tmp_path):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("a\0.pgm\t1\n")
+        with pytest.raises(DatasetError, match="cannot read"):
+            load_manifest(manifest)
+
     def test_shape_mismatch_names_entry(self, tmp_path):
         save_pgm(tmp_path / "a.pgm", np.zeros((3, 3)))
         save_pgm(tmp_path / "b.pgm", np.zeros((4, 3)))
@@ -280,3 +389,68 @@ class TestManifest:
         manifest.write_text("# nothing here\n")
         with pytest.raises(DatasetError):
             load_manifest(manifest)
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    """Graymaps and frame directories for the manifest property: two 4x3
+    images, a 3x3 one, a corrupt one, sequences of 3 and 5 frames, one of
+    mixed frame sizes, an empty directory, and ``sub`` holding its own
+    4x3 ``a.pgm`` and 3-frame ``seq3``."""
+    directory = tmp_path_factory.mktemp("manifest")
+    rng = np.random.default_rng(14)
+
+    def image(shape=(4, 3)):
+        return rng.integers(0, 256, size=shape).astype(np.float64)
+
+    for stem, shape in (("a", (4, 3)), ("b", (4, 3)), ("c", (3, 3))):
+        save_pgm(directory / f"{stem}.pgm", image(shape))
+    (directory / "bad.pgm").write_bytes(b"P2\n2 2\n255\n1 -2 3\n")
+    write_frames(directory / "seq3", [image() for _ in range(3)])
+    write_frames(directory / "seq5", [image() for _ in range(5)])
+    write_frames(directory / "mixed", [image(), image((3, 3))])
+    (directory / "empty").mkdir()
+    write_frames(directory / "sub" / "seq3", [image() for _ in range(3)])
+    save_pgm(directory / "sub" / "a.pgm", image())
+    return directory
+
+
+MANIFEST_VALUES = ["0", "-1", "1", "3", "5", "x", "", "1.5", "99999999999999999999",
+                   "9" * 5000, "sub", "..", "/nonexistent", "a\0b"]
+MANIFEST_NAMES = ["a.pgm", "b.pgm", "c.pgm", "bad.pgm", "seq3", "seq5", "mixed", "empty",
+                  "absent.pgm", "sub", "a\0.pgm", "../manifest"]
+
+
+@st.composite
+def manifest_text(draw):
+    """Up to 8 lines: entries of the names above with good and bad labels
+    and subjects, ``@frames``, ``@trim-seed`` and ``@root`` directives,
+    comments, and malformed lines."""
+    value = st.sampled_from(MANIFEST_VALUES)
+    entry = st.builds(
+        lambda name, label, subject: "\t".join([name, label, *subject]),
+        st.sampled_from(MANIFEST_NAMES),
+        st.one_of(st.sampled_from(["1", "2", "3"]), value),
+        st.lists(st.one_of(st.sampled_from(["1", "2"]), value), max_size=2),
+    )
+    directive = st.builds(
+        "@{} {}".format,
+        st.sampled_from(["frames", "trim-seed", "trim_seed", "root", "FRAMES", "bogus"]),
+        value,
+    )
+    junk = st.sampled_from(["# note", "", "only-one-field", "@frames", "\t1"])
+    lines = draw(st.lists(st.one_of(entry, entry, directive, junk), max_size=8))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(manifest_text())
+def test_load_manifest_loads_or_raises_a_package_error(manifest_dir, text):
+    manifest = manifest_dir / "manifest.tsv"
+    manifest.write_text(text)
+    try:
+        data = load_manifest(manifest)
+    except TensorGdaError:
+        return
+    assert isinstance(data, LabeledTensorSet)
+    assert data.labels.dtype.kind == "i"

@@ -1,22 +1,29 @@
+import copy
 import json
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorgda.datasets import synth_gaussian_classes
-from tensorgda.errors import DatasetError
-from tensorgda.evaluation import classify, evaluate_split
+from tensorgda.errors import DatasetError, TensorGdaError
+from tensorgda.evaluation import classify, classify_many, evaluate_split
 from tensorgda.model_io import (
-    _CONFIG_DECODERS,
     load_model,
     model_to_json,
     report_to_text,
     save_model,
     save_report,
 )
-from tensorgda.training import TrainingConfig, train_fisherface, train_gda, train_pca
+from tensorgda.training import (
+    GdaModel,
+    TrainingConfig,
+    train_fisherface,
+    train_gda,
+    train_pca,
+)
 
 
 def assert_models_equal(a, b):
@@ -110,9 +117,6 @@ class TestModelContainer:
         assert doc["version"] == 4
         assert (doc["mean_vector"] is None) == (doc["kind"] == "gda")
 
-    def test_config_decoders_cover_every_config_field(self):
-        assert set(_CONFIG_DECODERS) == {f.name for f in fields(TrainingConfig)}
-
 
 class TestReportText:
     def test_deterministic_and_timing_free(self):
@@ -140,3 +144,65 @@ class TestReportText:
         text = path.read_text()
         assert text.startswith("# tensorgda experiment report v1")
         assert "[confusion]" in text
+
+
+FUZZ_DATA = synth_gaussian_classes(3, 4, (4, 3), 4.0, 1.0, seed=13)
+# one multilinear and one vectorized model document, the property's seeds
+FUZZ_DOCUMENTS = [json.loads(model_to_json(train(FUZZ_DATA))) for train in (train_gda, train_pca)]
+# what a mutation writes: every JSON type, signs, non-finite and huge
+# numbers, base64 of 0 and 1 float64 values, and an array blob
+JSON_VALUES = [None, True, 0, -1, 1, 2, 1.5, -0.0, 1e308, math.inf, math.nan, 10**30,
+               "", "x", "gda", "AAAAAAAAAAA=", [], [1], [-1], [1.5], [[1]], ["x"], {},
+               {"shape": [1], "data": "AAAAAAAAAAA="}]
+
+
+def json_paths(node, path=()):
+    """Every path into a JSON document, through at most two list entries."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from json_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node[:2]):
+            yield from json_paths(value, path + (index,))
+
+
+@st.composite
+def mutated_model_json(draw):
+    """A saved model's text after 1 to 3 mutations of its document, each
+    replacing, deleting or adding a value at a path under a drawn key; one
+    text in 8 is then cut short."""
+    value = st.sampled_from(JSON_VALUES).map(copy.deepcopy)
+    document = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(document)))
+        path = draw(st.sampled_from(list(json_paths(document[key], (key,)))))
+        parent = document
+        for step in path[:-1]:
+            parent = parent[step]
+        action = draw(st.sampled_from(["replace", "replace", "delete", "add"]))
+        if action == "replace":
+            parent[path[-1]] = draw(value)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent["frobnicate"] = draw(value)
+        else:
+            parent.append(draw(value))
+    text = json.dumps(document)
+    return text[: len(text) // 2] if draw(st.integers(0, 7)) == 7 else text
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(mutated_model_json())
+def test_load_model_loads_or_raises_a_package_error(tmp_path_factory, text):
+    """Any mutated document loads as a model that classifies, or raises a
+    package error; nothing else escapes."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed-model.json"
+    path.write_text(text)
+    try:
+        model = load_model(path)
+        labels, _, _ = classify_many(model, FUZZ_DATA.samples)
+    except TensorGdaError:
+        return
+    assert isinstance(model, GdaModel) and len(labels) == FUZZ_DATA.n_samples
