@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("train", help="train a model and save it")
     add_data_flags(p)
     add_training_flags(p)
-    p.add_argument("--output", default="model.json", help="model file path")
+    p.add_argument("--output", default="model.tgda", help="model file path")
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("evaluate", help="run an evaluation protocol")
@@ -487,6 +487,10 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:  # reads map theirs to DatasetError; this is mostly output
         print(f"error: cannot access {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return DatasetError.exit_code
+    except MemoryError as exc:  # the input asked for more memory than there is
+        # numpy's message names the refused array; a bare MemoryError has none
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return DatasetError.exit_code
     return code
 

@@ -11,7 +11,8 @@ A manifest is a line-oriented text file: one ``path<TAB>label[<TAB>subject]``
 entry per line, ``#`` comments, and optional ``@key value`` directives
 (``@frames`` for the expected sequence length, ``@trim-seed`` to delete
 surplus frames deterministically).  Paths are resolved against the manifest's
-directory.
+directory.  Labels and directive integers are ASCII decimal digits after at
+most one leading ``-``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .training import LabeledTensorSet
 # each run to the end of their line.  Matched at a position, never searched,
 # and no separator can be read two ways, so each byte is scanned once.
 _TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]*)")
+# how much of a bad token an error message quotes
+_ECHO_BYTES = 32
 
 
 def _unsigned(payload: bytes, end: int, names) -> tuple:
@@ -41,7 +44,12 @@ def _unsigned(payload: bytes, end: int, names) -> tuple:
         match = _TOKEN.match(payload, end)
         raw, end = match[1], match.end()
         if not raw.isdigit():  # ASCII digits only: no sign, underscore or space
-            problem = f"invalid {what} {raw!r}" if raw else "unexpected end of file"
+            if not raw:
+                problem = "unexpected end of file"
+            elif len(raw) > _ECHO_BYTES:
+                problem = f"invalid {what} {raw[:_ECHO_BYTES]!r}... ({len(raw)} bytes)"
+            else:
+                problem = f"invalid {what} {raw!r}"
             raise PgmParseError(problem, match.start(1))
         try:
             values.append(int(raw))
@@ -222,9 +230,21 @@ def synth_gaussian_classes(
     return LabeledTensorSet.from_samples(samples, labels, subjects)
 
 
+# a manifest integer, by the graymap's digit rule plus an optional minus
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _manifest_int(text: str) -> int:
+    """``text`` as an integer: ASCII digits after at most one leading ``-``,
+    so no ``+``, underscore or space; ``ValueError`` otherwise."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _directive_int(path, lineno: int, key: str, value: str) -> int:
     try:
-        return int(value)
+        return _manifest_int(value)
     except ValueError:
         raise DatasetError(f"{path}:{lineno}: @{key} {value!r} is not an integer") from None
 
@@ -269,7 +289,7 @@ def load_manifest(path) -> LabeledTensorSet:
             )
         entry_path = root / fields[0]
         try:
-            label = int(fields[1])
+            label = _manifest_int(fields[1])
             np.int64(label)  # labels are held as 64-bit integers
         except (ValueError, OverflowError):
             raise DatasetError(

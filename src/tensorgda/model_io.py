@@ -1,16 +1,21 @@
 """Serialization of trained models and experiment reports.
 
-Model container: a single JSON document (sorted keys, no whitespace) with a
-format-version tag.  It stores each fact once: the served projectors
-``combined``, not the factors they were multiplied from, and no flag that
-``kind`` implies.  Arrays are stored as base64 of their raw little-endian
-float64 buffers in row-major (C) order, alongside their shapes, so a
-save/load round trip is bit-exact and repeated saves of the same model are
-byte-identical: a model holds no clock reading.  Loading checks the document
-before it builds a model: exact key sets, the JSON type of every value, a
-known kind, base64 and buffer sizes, finite arrays, shapes that fit
-``sample_shape``, and a ``mean_vector`` exactly when the kind is vectorized.
-A rejection names the key at fault.
+Model container: one line of JSON (sorted keys, no whitespace) with a
+format-version tag, then the raw bytes of the model's arrays.  The header
+stores each fact once: the served projectors ``combined``, not the factors
+they were multiplied from, and no flag that ``kind`` implies.  Each array
+appears in the header as its shape alone; its little-endian float64 buffer,
+in row-major (C) order, follows the newline, the arrays back to back in the
+order ``combined[0]``, ``combined[1]``, ..., ``gallery``, ``mean_vector``
+(when not null).  Lengths follow from shapes, so there is no offset to go
+wrong.  A save/load round trip is bit-exact and repeated saves of the same
+model are byte-identical: a model holds no clock reading.  Loading checks
+the header before it allocates an array: exact key sets, the JSON type of
+every value, a known kind, and shapes whose sizes add up to exactly the
+bytes after the header.  It then reads each array straight into its own
+buffer and checks that its entries are finite, that the shapes fit
+``sample_shape``, and that there is a ``mean_vector`` exactly when the kind
+is vectorized.  A rejection names the key at fault.
 
 Report files: a line-oriented text document, ``key = value`` pairs followed
 by ``[section]`` tables (tab-separated).  Floats are written with ``repr``
@@ -20,11 +25,12 @@ reports are byte-reproducible.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import numbers
+import os
 from dataclasses import asdict, fields
+from functools import partial
 
 import numpy as np
 
@@ -33,19 +39,15 @@ from .evaluation import METHODS, ExperimentReport
 from .training import GdaModel, TrainingConfig, _is_number
 
 MODEL_FORMAT = "tensorgda-model"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 
 
 def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
 
-def _encode_array(a: np.ndarray) -> dict:
-    a = np.asarray(a, dtype=np.float64)
-    return {
-        "shape": list(a.shape),
-        "data": base64.b64encode(a.astype("<f8").tobytes(order="C")).decode("ascii"),
-    }
+def _shape_of(a: np.ndarray) -> dict:
+    return {"shape": list(a.shape)}
 
 
 def _int_list(values) -> list:
@@ -56,16 +58,17 @@ def _float_list(values) -> list:
     return [float(v) for v in values]
 
 
-def model_to_json(model: GdaModel) -> str:
-    """Deterministic JSON text for a trained model."""
+def model_header(model: GdaModel) -> str:
+    """The deterministic JSON header line of a model file, without its
+    newline; the arrays in it are shapes only."""
     document = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "kind": model.kind,
         "sample_shape": list(model.sample_shape),
-        "combined": [_encode_array(p) for p in model.combined],
-        "mean_vector": _optional(_encode_array)(model.mean_vector),
-        "gallery": _encode_array(model.gallery),
+        "combined": [_shape_of(p) for p in model.combined],
+        "mean_vector": _optional(_shape_of)(model.mean_vector),
+        "gallery": _shape_of(model.gallery),
         "gallery_labels": _int_list(model.gallery_labels),
         "hosvd_ranks": _optional(_int_list)(model.hosvd_ranks),
         "mode_energy": _optional(_float_list)(model.mode_energy),
@@ -120,18 +123,13 @@ def _floats(value) -> tuple:
     return tuple(float(v) for v in _numbers(value))
 
 
-_ARRAY_DECODERS = {
+_SHAPE_DECODERS = {
     "shape": _list_of(lambda v: _is_int(v) and v >= 0, "nonnegative integers"),
-    "data": lambda value: base64.b64decode(value, validate=True),
 }
 
 
-def _decode_array(blob) -> np.ndarray:
-    array = _decode_object(blob, _ARRAY_DECODERS)
-    values = np.frombuffer(array["data"], dtype="<f8").astype(np.float64)
-    if not np.isfinite(values).all():
-        raise ValueError("holds a non-finite value")
-    return values.reshape(array["shape"])
+def _decode_shape(blob) -> tuple:
+    return _decode_object(blob, _SHAPE_DECODERS)["shape"]
 
 
 def _known_kind(kind) -> str:
@@ -149,14 +147,15 @@ def _config_value(key: str):
     return decode
 
 
-# how each model field is read back from its JSON key of the same name
+# how each model field is read back from its JSON key of the same name;
+# an array's key yields its shape, which ``_read_payload`` swaps for the array
 _DECODERS = {
     "kind": _known_kind,
     "sample_shape": _counts,
-    "combined": lambda value: [_decode_array(b) for b in _array_blobs(value)],
-    "gallery": _decode_array,
+    "combined": lambda value: [_decode_shape(b) for b in _array_blobs(value)],
+    "gallery": _decode_shape,
     "gallery_labels": lambda value: np.array(_list_of(_is_int, "integers")(value)),
-    "mean_vector": _optional(_decode_array),
+    "mean_vector": _optional(_decode_shape),
     "hosvd_ranks": _optional(_counts),
     "mode_energy": _optional(_floats),
     "objective_trace": _floats,
@@ -168,6 +167,42 @@ _DECODERS = {
     ),
     "warnings": _list_of(lambda w: isinstance(w, str), "strings"),
 }
+
+
+def _payload(model: GdaModel) -> list:
+    """The model's arrays in the order their bytes follow the header."""
+    mean = [] if model.mean_vector is None else [model.mean_vector]
+    return [*model.combined, model.gallery, *mean]
+
+
+def _read_array(handle, shape: tuple) -> np.ndarray:
+    array = np.empty(shape, "<f8")
+    if handle.readinto(array) != array.nbytes:
+        raise ValueError("the file ends inside it")
+    if not np.isfinite(array).all():
+        raise ValueError("holds a non-finite value")
+    return array.astype(np.float64, copy=False)
+
+
+def _read_payload(handle, values: dict) -> None:
+    """Swap the array shapes in the decoded header ``values`` for the
+    arrays stored after the header, once their sizes are known to add up
+    to exactly the bytes left in the file."""
+    shapes = [*values["combined"], values["gallery"], values["mean_vector"]]
+    need = sum(8 * math.prod(shape) for shape in shapes if shape is not None)
+    have = os.fstat(handle.fileno()).st_size - handle.tell()
+    if need != have:
+        raise ValueError(f"the header's arrays take {need} bytes, {have} follow it")
+    read = partial(_read_array, handle)
+    for key, decode in (  # in payload order
+        ("combined", lambda shapes: [read(s) for s in shapes]),
+        ("gallery", read),
+        ("mean_vector", _optional(read)),
+    ):
+        try:
+            values[key] = decode(values[key])
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
 
 
 def _check_consistency(model: GdaModel) -> None:
@@ -197,17 +232,17 @@ def _check_consistency(model: GdaModel) -> None:
 
 
 def save_model(model: GdaModel, path) -> None:
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(model_to_json(model))
-        handle.write("\n")
+    with open(path, "wb") as handle:
+        handle.write(model_header(model).encode("ascii") + b"\n")
+        for array in _payload(model):
+            handle.write(np.ascontiguousarray(array, "<f8").data)
 
 
-def load_model(path) -> GdaModel:
-    try:
-        with open(path, "r", encoding="ascii") as handle:
-            document = json.load(handle)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or non-ASCII bytes
-        raise DatasetError(f"cannot load model from {path}: {exc}") from exc
+def _read_model(handle, path) -> GdaModel:
+    try:  # a header never holds a raw newline: JSON escapes it in strings
+        document = json.loads(handle.readline().decode("ascii"))
+    except ValueError as exc:  # bad JSON or non-ASCII bytes
+        raise DatasetError(f"cannot load model from {path}: {exc}") from None
     if not isinstance(document, dict) or document.get("format") != MODEL_FORMAT:
         raise DatasetError(f"{path} is not a {MODEL_FORMAT} file")
     version = document.get("version")
@@ -216,11 +251,21 @@ def load_model(path) -> GdaModel:
             f"{path} has model version {version!r}, expected {MODEL_VERSION}"
         )
     try:
-        model = GdaModel(**_decode_object(document, _DECODERS, ("format", "version")))
+        values = _decode_object(document, _DECODERS, ("format", "version"))
+        _read_payload(handle, values)
+        model = GdaModel(**values)
         _check_consistency(model)
     except (TypeError, ValueError) as exc:
         raise DatasetError(f"{path} is not a valid model: {exc}") from None
     return model
+
+
+def load_model(path) -> GdaModel:
+    try:
+        with open(path, "rb") as handle:
+            return _read_model(handle, path)
+    except OSError as exc:
+        raise DatasetError(f"cannot load model from {path}: {exc}") from exc
 
 
 def _fmt(value) -> str:

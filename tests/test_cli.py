@@ -2,10 +2,10 @@
 import base64
 import contextlib
 import io
-import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +26,9 @@ from tensorgda.cli import (
 )
 from tensorgda.datasets import save_pgm
 from tensorgda.errors import ConfigurationError, PgmParseError, TensorGdaError
-from tensorgda.model_io import load_model, model_to_json
+from tensorgda.model_io import load_model, save_model
+
+from model_files import array_offsets, read_model_file, write_model_file
 
 
 def run(argv):
@@ -69,8 +71,9 @@ class TestTrain:
         assert model_path.exists()
         loaded = load_model(model_path)
         assert loaded.kind == "gda"
-        raw = model_path.read_text().strip()
-        assert model_to_json(loaded) == raw
+        again = tmp_path / "again.json"
+        save_model(loaded, again)
+        assert again.read_bytes() == model_path.read_bytes()
 
     def test_invalid_theta_is_usage_error(self, pgm_dataset, tmp_path, capsys):
         code = run([
@@ -121,6 +124,11 @@ class TestTrain:
                  if line.startswith("time")]
         assert len(times) == 1 and times[0].startswith("time train = ")
 
+    def test_default_output_is_model_tgda(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["train", "--synth", "c=3,per_class=4,shape=5x4"]) == 0
+        assert load_model(tmp_path / "model.tgda").kind == "gda"
+
     def test_synth_source_needs_no_files(self, tmp_path):
         code = run([
             "train", "--synth", "c=3,per_class=4,shape=5x4,separation=6,noise=1",
@@ -137,7 +145,7 @@ class TestTrain:
         assert run(["train", *self.SWEEPS, *argv, "--output", path]) == 0
         out = capsys.readouterr().out
         lines = [line for line in out.splitlines() if line.startswith("warning: ")]
-        return lines, json.loads(path.read_text())["warnings"]
+        return lines, read_model_file(path)[0]["warnings"]
 
     def test_sweep_cap_warns_on_stdout_and_in_the_model(self, tmp_path, capsys):
         lines, warnings = self._warning_lines(["--max-iters", 1], tmp_path, capsys)
@@ -694,7 +702,7 @@ class TestConfigFileAndErrors:
         (tmp_path / "run.conf").write_text(self.SYNTH_LINE + "output = other.json\n")
         assert run(["train", "--config", "run.conf"]) == 0
         assert (tmp_path / "other.json").exists()
-        assert not (tmp_path / "model.json").exists()
+        assert not (tmp_path / "model.tgda").exists()
 
     def test_config_value_outside_choices_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "run.conf"
@@ -721,75 +729,87 @@ class TestConfigFileAndErrors:
         assert not (tmp_path / "file.json").exists()
 
 
-def _drop_gallery(doc):
+def _drop_gallery(doc, payload):
     del doc["gallery"]
 
 
-def _bad_base64(doc):
-    doc["combined"][0]["data"] = "not*base64"
+def _short_payload(doc, payload):
+    del payload[-8:]
 
 
-def _buffer_misfits_shape(doc):
+def _trailing_bytes(doc, payload):
+    payload += bytes(8)
+
+
+def _shape_beyond_the_file(doc, payload):
+    doc["gallery"]["shape"][0] = 2**62
+
+
+def _version_4_data_key(doc, payload):
+    doc["gallery"]["data"] = ""
+
+
+def _buffer_misfits_shape(doc, payload):
     rows, cols = doc["combined"][0]["shape"]
     doc["combined"][0]["shape"] = [rows + 1, cols]
 
 
-def _unknown_kind(doc):
+def _unknown_kind(doc, payload):
     doc["kind"] = "lda"
 
 
-def _config_lacks_key(doc):
+def _config_lacks_key(doc, payload):
     del doc["config"]["ridge"]
 
 
-def _config_unknown_key(doc):
+def _config_unknown_key(doc, payload):
     doc["config"]["frobnicate"] = 1
 
 
-def _transposed_sample_shape(doc):
+def _transposed_sample_shape(doc, payload):
     doc["sample_shape"] = doc["sample_shape"][::-1]
 
 
-def _null_mean_vector(doc):
+def _null_mean_vector(doc, payload):
+    del payload[array_offsets(doc)["mean_vector"]:]
     doc["mean_vector"] = None
 
 
-def _multilinear_mean_vector(doc):
-    doc["mean_vector"] = {"shape": [1], "data": "AAAAAAAAAAA="}
+def _multilinear_mean_vector(doc, payload):
+    doc["mean_vector"] = {"shape": [1]}
+    payload += bytes(8)
 
 
-def _string_objective_trace(doc):
+def _string_objective_trace(doc, payload):
     doc["objective_trace"] = "abc"
 
 
-def _infinite_hosvd_rank(doc):
+def _infinite_hosvd_rank(doc, payload):
     doc["hosvd_ranks"][0] = math.inf
 
 
-def _string_target_dims(doc):
+def _string_target_dims(doc, payload):
     doc["config"]["target_dims"] = "1x1"
 
 
-def _scalar_sample_shape(doc):
+def _scalar_sample_shape(doc, payload):
     doc["sample_shape"] = 30
 
 
-def _scalar_warnings(doc):
+def _scalar_warnings(doc, payload):
     doc["warnings"] = 1
 
 
-def _string_gallery_labels(doc):
+def _string_gallery_labels(doc, payload):
     doc["gallery_labels"] = "12"
 
 
 def _non_finite(key, value):
     """A corrupter that sets the first entry of array ``key`` (of the first
     projector, for ``combined``) to ``value``."""
-    def corrupt(doc):
-        blob = doc[key][0] if key == "combined" else doc[key]
-        values = np.frombuffer(base64.b64decode(blob["data"]), dtype="<f8").copy()
-        values[0] = value
-        blob["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+    def corrupt(doc, payload):
+        offset = array_offsets(doc)[key]
+        payload[offset:offset + 8] = np.array([value], "<f8").tobytes()
     return corrupt
 
 
@@ -798,7 +818,10 @@ class TestBadModelFile:
 
     @pytest.mark.parametrize("corrupt", [
         _drop_gallery,
-        _bad_base64,
+        _short_payload,
+        _trailing_bytes,
+        _shape_beyond_the_file,
+        _version_4_data_key,
         _buffer_misfits_shape,
         _unknown_kind,
         _config_lacks_key,
@@ -808,9 +831,9 @@ class TestBadModelFile:
     def test_exits_3_with_one_line(self, corrupt, tmp_path, capsys):
         path = tmp_path / "model.json"
         assert run(["train", *self.SYNTH, "--output", path]) == 0
-        doc = json.loads(path.read_text())
-        corrupt(doc)
-        path.write_text(json.dumps(doc))
+        doc, payload = read_model_file(path)
+        corrupt(doc, payload)
+        write_model_file(path, doc, payload)
         capsys.readouterr()
         code = run(["classify", *self.SYNTH, "--model", path])
         err = capsys.readouterr().err
@@ -837,9 +860,9 @@ class TestBadModelFile:
     def test_exits_3_naming_the_key(self, method, corrupt, key, tmp_path, capsys):
         path = tmp_path / "model.json"
         assert run(["train", *self.SYNTH, "--method", method, "--output", path]) == 0
-        doc = json.loads(path.read_text())
-        corrupt(doc)
-        path.write_text(json.dumps(doc))
+        doc, payload = read_model_file(path)
+        corrupt(doc, payload)
+        write_model_file(path, doc, payload)
         capsys.readouterr()
         code = run(["classify", *self.SYNTH, "--model", path])
         err = capsys.readouterr().err
@@ -851,37 +874,50 @@ class TestBadModelFile:
     def _version_error(self, update, tmp_path, capsys):
         path = tmp_path / "model.json"
         assert run(["train", *self.SYNTH, "--output", path]) == 0
-        doc = json.loads(path.read_text())
-        update(doc)
-        path.write_text(json.dumps(doc))
+        doc, payload = read_model_file(path)
+        update(doc, payload)
+        write_model_file(path, doc)
         capsys.readouterr()
         code = run(["classify", *self.SYNTH, "--model", path])
         assert code == 3
         return capsys.readouterr().err.replace(str(path), "MODEL")
 
     def test_version_1_model_exits_3_with_one_line(self, tmp_path, capsys):
-        def v1(doc):
+        def v1(doc, payload):
             doc.update(version=1, vectorized=False, hosvd_factors=[], disc_factors=[])
             doc["config"].update(seed=0, gram_crossover=32768)
 
         err = self._version_error(v1, tmp_path, capsys)
-        assert err == "error: MODEL has model version 1, expected 4\n"
+        assert err == "error: MODEL has model version 1, expected 5\n"
 
     def test_version_2_model_exits_3_with_one_line(self, tmp_path, capsys):
-        def v2(doc):
+        def v2(doc, payload):
             doc.update(version=2, vectorized=False, hosvd_factors=[], disc_factors=[])
 
         err = self._version_error(v2, tmp_path, capsys)
-        assert err == "error: MODEL has model version 2, expected 4\n"
+        assert err == "error: MODEL has model version 2, expected 5\n"
 
     def test_version_3_model_exits_3_with_one_line(self, tmp_path, capsys):
         # same keys as version 4; its conv_tol bounded the U @ U.T change
-        err = self._version_error(lambda doc: doc.update(version=3), tmp_path, capsys)
-        assert err == "error: MODEL has model version 3, expected 4\n"
+        err = self._version_error(lambda doc, _: doc.update(version=3), tmp_path, capsys)
+        assert err == "error: MODEL has model version 3, expected 5\n"
+
+    def test_version_4_model_exits_3_with_one_line(self, tmp_path, capsys):
+        def v4(doc, payload):
+            # one JSON document: each array object held its bytes as base64
+            offset = 0
+            for blob in [*doc["combined"], doc["gallery"]]:
+                size = 8 * math.prod(blob["shape"])
+                blob["data"] = base64.b64encode(payload[offset:offset + size]).decode("ascii")
+                offset += size
+            doc["version"] = 4
+
+        err = self._version_error(v4, tmp_path, capsys)
+        assert err == "error: MODEL has model version 4, expected 5\n"
 
     def test_string_version_is_quoted(self, tmp_path, capsys):
-        err = self._version_error(lambda doc: doc.update(version="4"), tmp_path, capsys)
-        assert err == "error: MODEL has model version '4', expected 4\n"
+        err = self._version_error(lambda doc, _: doc.update(version="5"), tmp_path, capsys)
+        assert err == "error: MODEL has model version '5', expected 5\n"
 
 
 class TestNonFiniteTrainingValues:
@@ -975,13 +1011,15 @@ class TestSeed:
 SRC = Path(tensorgda.__file__).resolve().parents[1]
 
 
-def run_script(argv, cwd, command=("-m", "tensorgda.cli")):
+def run_script(argv, cwd, command=("-m", "tensorgda.cli"), preexec_fn=None):
     """The finished ``python -m tensorgda.cli argv`` run, in a fresh
-    interpreter so that nothing hides numpy's warnings from its stderr."""
+    interpreter so that nothing hides numpy's warnings from its stderr;
+    ``preexec_fn`` runs in the child before it starts."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *command, *map(str, argv)], cwd=cwd, capture_output=True,
         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -1006,6 +1044,22 @@ class TestOverflow:
             "assert (code, np.geterr()) == (4, before)\n"
         )))
         assert done.returncode == 0, done.stderr
+
+
+def _limit_address_space():
+    """Cap this process's address space at 1 GiB, so an oversize request
+    fails the same way whatever the host's overcommit policy."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_out_of_memory_exits_3_with_one_line(tmp_path):
+    done = run_script(
+        ["train", "--synth", "c=2,per_class=2,shape=200000x200000"], tmp_path,
+        preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("error: out of memory: ")
+    assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -75,6 +75,12 @@ class TestParsePgm:
             parse_pgm(payload)
         assert err.value.offset == payload.index(token)
 
+    def test_a_long_bad_token_is_quoted_in_part(self):
+        with pytest.raises(PgmParseError) as err:
+            parse_pgm(b"P2 1 1 255 " + b"x" * 1_000_000)
+        assert len(str(err.value)) < 120
+        assert "(1000000 bytes)" in str(err.value)
+
     @pytest.mark.parametrize("field", range(4))
     def test_more_digits_than_int_converts_rejected(self, field):
         fields = [b"1", b"1", b"255", b"7"]
@@ -342,12 +348,26 @@ class TestManifest:
             load_manifest(manifest)
         assert str(excinfo.value) == f"{manifest}:2: @frames {value!r} is not positive"
 
-    @pytest.mark.parametrize("label", ["x", "9223372036854775808", "-9223372036854775809"])
+    @pytest.mark.parametrize("key", ["frames", "trim-seed"])
+    @pytest.mark.parametrize("value", ["+1_0", "1_0", "+3", "\u0663"])
+    def test_directive_takes_ascii_digits_only(self, tmp_path, key, value):
+        write_frames(tmp_path / "seq", [np.zeros((4, 3))] * 3)
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(f"@{key} {value}\nseq\t1\n", encoding="utf-8")
+        with pytest.raises(DatasetError) as excinfo:
+            load_manifest(manifest)
+        assert str(excinfo.value) == f"{manifest}:1: @{key} {value!r} is not an integer"
+
+    @pytest.mark.parametrize("label", [
+        "x", "9223372036854775808", "-9223372036854775809",
+        "1_0", " +2", "+2", "2 ", "--2", "\u0663",
+    ])
     def test_label_beyond_int64_is_data_error_naming_the_line(self, tmp_path, label):
         save_pgm(tmp_path / "a.pgm", np.zeros((3, 3)))
         save_pgm(tmp_path / "b.pgm", np.ones((3, 3)))
         manifest = tmp_path / "manifest.tsv"
-        manifest.write_text(f"a.pgm\t1\nb.pgm\t{label}\n")
+        # the subject column keeps a trailing space inside the label field
+        manifest.write_text(f"a.pgm\t1\nb.pgm\t{label}\tx\n", encoding="utf-8")
         with pytest.raises(DatasetError) as excinfo:
             load_manifest(manifest)
         assert str(excinfo.value) == f"{manifest}:2: label {label!r} is not a 64-bit integer"
@@ -416,7 +436,8 @@ def manifest_dir(tmp_path_factory):
 
 
 MANIFEST_VALUES = ["0", "-1", "1", "3", "5", "x", "", "1.5", "99999999999999999999",
-                   "9" * 5000, "sub", "..", "/nonexistent", "a\0b"]
+                   "9" * 5000, "sub", "..", "/nonexistent", "a\0b",
+                   "+1", "1_0", " 2", "-0", "\u0663"]
 MANIFEST_NAMES = ["a.pgm", "b.pgm", "c.pgm", "bad.pgm", "seq3", "seq5", "mixed", "empty",
                   "absent.pgm", "sub", "a\0.pgm", "../manifest"]
 

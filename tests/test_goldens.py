@@ -165,22 +165,22 @@ GOLDENS = {
         'report_split_pca.txt': 'db6ffaf7dfeb6dcb6f944c27d8865d3e7e5601c068a5b76981fcfa578f87b819',
     },
     'o2-train-fisherface': {
-        'out': '7b02ef00b284897e7667b6555b554e20078c775d7bfd92cff97889718a833343',
+        'out': 'b9c831e1f81e35c6b14708755ba5c18930a5f1ba8e365a28e6c5775d6483d2f2',
     },
     'o2-train-gda': {
-        'out': 'e54cfd8e370cd26a30489967cda9ce72b2b1897e02b324e372f746e1b1237774',
+        'out': '7c9d1a72f2c58e2398ce12e938891620073088e1bab1d20d2611c21fe0703517',
     },
     'o2-train-gda-flags': {
-        'out': 'b15b577283eb22a4e8b4856402ac6a0c3aff9f1f0fb986df108886b2369e1cf8',
+        'out': '1a7f4479d6dc9a5a6d32d3e15184a2eb1096836b6c8c6e5dabc6d57e848d0b99',
     },
     'o2-train-hopca': {
-        'out': '27fd6cf755ac14bc6e2d6e477aa01f7044066eaaa1ed5a0d2392799f812c1e1a',
+        'out': '0f11bf4277f7e95da7ce4f69c2decf6e041b5c558f7106098f266498265719e6',
     },
     'o2-train-mda': {
-        'out': 'c40b427522c2a1215bf0b8d78d83d5a996fa0fafde343fcb7a9dc4c4e19d8e85',
+        'out': '71f8cc073f8f09860e80780dbe28a6a552d3bea1c9293e4f9b717f47f3dbde3d',
     },
     'o2-train-pca': {
-        'out': '4deb5f521ebf612813c569d971a70a187d843e18b69f0914b668c196e0304aa1',
+        'out': '6b143942050eb759218d356198af6b46f883ea206df7cd6c96d50d4f3e66f93a',
     },
     'o2-visualize-1x2': {
         'out': '59c83ff2cffb1ddea338202dca2701e9006a0a85c548ed4b920fad36ea370a46',
@@ -209,22 +209,22 @@ GOLDENS = {
         'report_split_pca.txt': '410d562e8bbc960d555b3f460f00ed2a790a97fe766b1b77ac44f077a45f54e5',
     },
     'o3-train-fisherface': {
-        'out': 'abccb8494807f54e5a1953c6119b64ee51616f7bf285797a0e6cace605998515',
+        'out': '1fb87a5c8000f86171787314b96b097cdd30c2532fcdc61171c9ba16fc6e15e4',
     },
     'o3-train-gda': {
-        'out': 'ac1f962d93ab88d9df0fbc4cc6a487f3191e6e32122070042bc0c563a5d945fe',
+        'out': '74f75620aa7dc32f658510388bcc1e67f6e30030dc3c5ffcf0e628d35a1063b2',
     },
     'o3-train-gda-ranks': {
-        'out': 'd7fbf4b0d1487384ce2b72f5010111f5b4deb02979f2faaa520c52bc5c6322e9',
+        'out': 'ad4d22ed435d5ca235029eb50cee1f68c0e16b9d93664111d0670a32c1adcf5f',
     },
     'o3-train-hopca': {
-        'out': '10a0929e9af878fd1e705bd93d6382f4df4fa879e5239cc9625d2d4616ab2299',
+        'out': '37ae357fdc8b5a783351539a2fcecf214c99b6daaae2478412d829047c3cfb84',
     },
     'o3-train-mda': {
-        'out': 'ada0d6ed350653e06c7144acaa18134c79a111d7dd98bbfe71da48b226ed31f0',
+        'out': 'c7f845e41b285293fb00301a68229a6b1dfd735779f90af390397b501dedbbad',
     },
     'o3-train-pca': {
-        'out': '7fc4098c7edfcc37fd8eb68ffb2f837b6f4c691230f2be63067905b0f3fb025b',
+        'out': '23dbc9728a24b411c6ea342c76ac33838c052474305d048260789cf141b376c8',
     },
     'o3-visualize-pair': {
         'out': 'c6d16d59fa14f4c1bb9938e453c0441a2789f8d50dbd2689e1c42c817339eddb',

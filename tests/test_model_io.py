@@ -12,7 +12,7 @@ from tensorgda.errors import DatasetError, TensorGdaError
 from tensorgda.evaluation import classify, classify_many, evaluate_split
 from tensorgda.model_io import (
     load_model,
-    model_to_json,
+    model_header,
     report_to_text,
     save_model,
     save_report,
@@ -24,6 +24,8 @@ from tensorgda.training import (
     train_gda,
     train_pca,
 )
+
+from model_files import read_model_file
 
 
 def assert_models_equal(a, b):
@@ -46,7 +48,7 @@ class TestModelContainer:
         save_model(model, path)
         loaded = load_model(path)
         assert_models_equal(model, loaded)
-        assert model_to_json(loaded) == model_to_json(model)
+        assert model_header(loaded) == model_header(model)
 
     def test_repeated_saves_byte_identical(self, tmp_path):
         data = synth_gaussian_classes(3, 6, (5, 4), 5.0, 1.0, seed=1)
@@ -97,7 +99,7 @@ class TestModelContainer:
     def test_version_validation(self, tmp_path):
         data = synth_gaussian_classes(2, 3, (3, 3), 3.0, 1.0, seed=4)
         model = train_gda(data, TrainingConfig(target_dims=(1, 1)))
-        doc = json.loads(model_to_json(model))
+        doc = json.loads(model_header(model))
         doc["version"] = 99
         path = tmp_path / "future.json"
         path.write_text(json.dumps(doc))
@@ -107,15 +109,29 @@ class TestModelContainer:
     @pytest.mark.parametrize("train", [train_gda, train_pca])
     def test_document_stores_each_fact_once(self, train):
         data = synth_gaussian_classes(3, 4, (4, 3), 4.0, 1.0, seed=12)
-        doc = json.loads(model_to_json(train(data)))
+        doc = json.loads(model_header(train(data)))
         assert sorted(doc) == [
             "combined", "config", "format", "gallery", "gallery_labels",
             "hosvd_ranks", "kind", "mean_vector", "mode_energy",
             "objective_trace", "sample_shape", "subspace_change_trace",
             "version", "warnings",
         ]
-        assert doc["version"] == 4
+        assert doc["version"] == 5
         assert (doc["mean_vector"] is None) == (doc["kind"] == "gda")
+
+    @pytest.mark.parametrize("train", [train_gda, train_pca])
+    def test_payload_is_the_arrays_raw_in_order(self, train, tmp_path):
+        model = train(synth_gaussian_classes(3, 4, (4, 3), 4.0, 1.0, seed=12))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc, payload = read_model_file(path)
+        arrays = [*model.combined, model.gallery]
+        blobs = [*doc["combined"], doc["gallery"]]
+        if model.mean_vector is not None:
+            arrays.append(model.mean_vector)
+            blobs.append(doc["mean_vector"])
+        assert all(blob == {"shape": list(a.shape)} for blob, a in zip(blobs, arrays))
+        assert payload == b"".join(a.astype("<f8").tobytes() for a in arrays)
 
 
 class TestReportText:
@@ -147,13 +163,22 @@ class TestReportText:
 
 
 FUZZ_DATA = synth_gaussian_classes(3, 4, (4, 3), 4.0, 1.0, seed=13)
-# one multilinear and one vectorized model document, the property's seeds
-FUZZ_DOCUMENTS = [json.loads(model_to_json(train(FUZZ_DATA))) for train in (train_gda, train_pca)]
-# what a mutation writes: every JSON type, signs, non-finite and huge
-# numbers, base64 of 0 and 1 float64 values, and an array blob
+
+
+def _saved_parts(model, directory):
+    path = directory / f"{model.kind}.tgda"
+    save_model(model, path)
+    return read_model_file(path)
+
+
+# what a header mutation writes: every JSON type, signs, non-finite and huge
+# numbers, and an array object; the payload of a zero-sized array is empty
 JSON_VALUES = [None, True, 0, -1, 1, 2, 1.5, -0.0, 1e308, math.inf, math.nan, 10**30,
-               "", "x", "gda", "AAAAAAAAAAA=", [], [1], [-1], [1.5], [[1]], ["x"], {},
-               {"shape": [1], "data": "AAAAAAAAAAA="}]
+               "", "x", "gda", [], [1], [-1], [1.5], [[1]], ["x"], {},
+               {"shape": [0]}, {"shape": [1]}]
+# what a shape mutation writes into one extent: an empty, a small, a large,
+# and extents that no file or address space holds
+EXTENTS = [0, 1, 2, 3, 1000, 2**31, 2**62, 10**30]
 
 
 def json_paths(node, path=()):
@@ -167,39 +192,82 @@ def json_paths(node, path=()):
             yield from json_paths(value, path + (index,))
 
 
+def _shapes(document) -> list:
+    """The shape lists of the header's array objects that still have one."""
+    blobs = [document.get("gallery"), document.get("mean_vector")]
+    if isinstance(document.get("combined"), list):
+        blobs += document["combined"]
+    return [b["shape"] for b in blobs if isinstance(b, dict) and isinstance(b.get("shape"), list)]
+
+
 @st.composite
-def mutated_model_json(draw):
-    """A saved model's text after 1 to 3 mutations of its document, each
-    replacing, deleting or adding a value at a path under a drawn key; one
-    text in 8 is then cut short."""
+def mutated_model_file(draw, files):
+    """The bytes of a saved model file after up to 3 header and up to 3
+    payload mutations.  A header mutation replaces, deletes or adds a value
+    at a path under a drawn key, or changes, adds or drops one extent of an
+    array's shape.  A payload mutation cuts it short, appends bytes, or
+    overwrites one entry with a non-finite float64.  One header in 8 is
+    then cut short."""
     value = st.sampled_from(JSON_VALUES).map(copy.deepcopy)
-    document = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCUMENTS)))
-    for _ in range(draw(st.integers(1, 3))):
+    document, payload = copy.deepcopy(draw(st.sampled_from(files)))
+    for _ in range(draw(st.integers(0, 3))):
+        action = draw(st.sampled_from(["replace", "replace", "delete", "add", "shape"]))
+        shapes = _shapes(document)
+        if action == "shape" and shapes:
+            shape = draw(st.sampled_from(shapes))
+            index = draw(st.integers(0, len(shape)))
+            extent = draw(st.sampled_from(EXTENTS))
+            if index == len(shape):
+                shape.append(extent)
+            elif draw(st.booleans()):
+                shape[index] = extent
+            else:
+                del shape[index]
+            continue
         key = draw(st.sampled_from(sorted(document)))
         path = draw(st.sampled_from(list(json_paths(document[key], (key,)))))
         parent = document
         for step in path[:-1]:
             parent = parent[step]
-        action = draw(st.sampled_from(["replace", "replace", "delete", "add"]))
-        if action == "replace":
-            parent[path[-1]] = draw(value)
-        elif action == "delete":
+        if action == "delete":
             del parent[path[-1]]
-        elif isinstance(parent, dict):
+        elif action == "add" and isinstance(parent, dict):
             parent["frobnicate"] = draw(value)
-        else:
+        elif action == "add":
             parent.append(draw(value))
-    text = json.dumps(document)
-    return text[: len(text) // 2] if draw(st.integers(0, 7)) == 7 else text
+        else:
+            parent[path[-1]] = draw(value)
+    for _ in range(draw(st.integers(0, 3))):
+        action = draw(st.sampled_from(["cut", "append", "non-finite"]))
+        if action == "cut":
+            del payload[draw(st.integers(0, len(payload))):]
+        elif action == "append":
+            payload += bytes(draw(st.integers(1, 16)))
+        elif len(payload) >= 8:
+            offset = 8 * draw(st.integers(0, len(payload) // 8 - 1))
+            entry = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            payload[offset:offset + 8] = np.array([entry], "<f8").tobytes()
+    header = json.dumps(document).encode("ascii")
+    if draw(st.integers(0, 7)) == 7:
+        header = header[: len(header) // 2]
+    return header + b"\n" + bytes(payload)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """One multilinear and one vectorized model file, as (header, payload),
+    the property's seeds."""
+    directory = tmp_path_factory.mktemp("fuzz-seeds")
+    return [_saved_parts(train(FUZZ_DATA), directory) for train in (train_gda, train_pca)]
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(mutated_model_json())
-def test_load_model_loads_or_raises_a_package_error(tmp_path_factory, text):
-    """Any mutated document loads as a model that classifies, or raises a
+@given(data=st.data())
+def test_load_model_loads_or_raises_a_package_error(tmp_path_factory, fuzz_files, data):
+    """Any mutated file loads as a model that classifies, or raises a
     package error; nothing else escapes."""
-    path = tmp_path_factory.getbasetemp() / "fuzzed-model.json"
-    path.write_text(text)
+    path = tmp_path_factory.getbasetemp() / "fuzzed-model.tgda"
+    path.write_bytes(data.draw(mutated_model_file(fuzz_files)))
     try:
         model = load_model(path)
         labels, _, _ = classify_many(model, FUZZ_DATA.samples)
