@@ -18,6 +18,7 @@ most one leading ``-``.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import re
 from pathlib import Path
@@ -215,7 +216,11 @@ def synth_gaussian_classes(
     every subject appears once per class.
     """
     if n_classes < 1 or per_class < 1:
-        raise DatasetError("need at least one class and one sample per class")
+        raise ConfigurationError("need at least one class and one sample per class")
+    if not (math.isfinite(class_separation) and math.isfinite(noise)):
+        raise ConfigurationError(
+            f"class separation and noise must be finite, got {class_separation!r} and {noise!r}"
+        )
     shape = tuple(int(s) for s in shape)
     rng = np.random.default_rng(seed)
     samples = []

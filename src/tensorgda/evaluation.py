@@ -280,6 +280,8 @@ def evaluate_split(
     """Random per-class splits, averaged over ``trials`` seeded repetitions."""
     if trials < 1:
         raise ConfigurationError("trials must be at least 1")
+    if train_per_class < 1:
+        raise ConfigurationError("train_per_class must be at least 1")
     folds = (split_indices(data, train_per_class, seed, trial) for trial in range(trials))
     return _run_folds(
         data, method, config, folds, protocol="split", seed=seed,

@@ -6,10 +6,11 @@ then alternates per-mode eigen updates of discriminant factors U_k that
 maximize the ratio of between-class to within-class scatter of the core
 tensors.  The served projectors are the per-mode products V_k @ U_k.
 
-Variants: ``train_mda`` skips the HOSVD stage (identity V_k), ``train_hopca``
-skips the discriminant stage (truncated-identity U_k) and so never builds
-the core tensors, and ``train_pca`` /
-``train_fisherface`` are the classical vectorizing baselines.
+Variants run one stage each: ``train_mda`` only the discriminant stage, so
+its projectors are the U_k, and ``train_hopca`` only the HOSVD stage, so
+its projectors are the leading columns of the V_k and it never builds the
+core tensors.  ``train_pca`` / ``train_fisherface`` are the classical
+vectorizing baselines.
 
 Everything here is deterministic: identical data and config produce
 bit-identical models.
@@ -163,14 +164,6 @@ class TrainingConfig:
                 raise ConfigurationError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ScatterPair:
-    """Between-class and within-class scatter along one mode."""
-
-    s_b: np.ndarray
-    s_w: np.ndarray
-
-
 # samples projected, queries screened or gallery rows centred at a time:
 # bounds the transients
 _QUERY_BLOCK = 256
@@ -180,9 +173,10 @@ _QUERY_BLOCK = 256
 class GdaModel:
     """A trained projector set plus the projected training gallery.
 
-    For multilinear kinds (gda/mda/hopca) ``combined[k]`` is the mode-``k``
-    projector ``V_k @ U_k``, the product of the HOSVD basis and the
-    discriminant factor; only the product is kept.  For vectorized kinds
+    For multilinear kinds ``combined[k]`` is the mode-``k`` projector: for
+    gda ``V_k @ U_k``, the product of the HOSVD basis and the discriminant
+    factor (only the product is kept); for mda ``U_k``; for hopca the
+    leading ``d_k`` columns of ``V_k``.  For vectorized kinds
     (pca/fisherface) ``combined`` holds a single matrix applied to the
     vectorized sample minus ``mean_vector``, which only they carry.
     Every field is a deterministic fact of the training run; none is a
@@ -286,9 +280,9 @@ def deviation_stacks(data: LabeledTensorSet) -> tuple:
 
 def scatter_matrices(
     data: LabeledTensorSet, projectors, mode: int, stacks=None
-) -> ScatterPair:
-    """Between/within scatter along ``mode`` under the other modes'
-    projectors.
+) -> tuple:
+    """``(s_b, s_w)``, the between/within scatter along ``mode`` under the
+    other modes' projectors.
 
     ``projectors`` lists one matrix per mode; the entry at ``mode`` is
     ignored.  ``stacks`` is the :func:`deviation_stacks` pair, built from
@@ -314,17 +308,18 @@ def scatter_matrices(
         return flat @ flat.T
 
     within, between = deviation_stacks(data) if stacks is None else stacks
-    return ScatterPair(s_b=scatter(between), s_w=scatter(within))
+    return scatter(between), scatter(within)
 
 
-def eval_objective(pair: ScatterPair, u: np.ndarray) -> float:
-    """``tr(U^T S_b U) / tr(U^T S_w U)`` on one mode's scatter pair, or ``inf``
-    for a zero denominator; :func:`k_mode_optimize` records it through this
-    module global, which ``perfbench/tracing.py`` wraps."""
-    denominator = float(np.sum(u * (pair.s_w @ u)))
+def eval_objective(pair: tuple, u: np.ndarray) -> float:
+    """``tr(U^T S_b U) / tr(U^T S_w U)`` on one mode's ``(s_b, s_w)`` pair, or
+    ``inf`` for a zero denominator; :func:`k_mode_optimize` records it
+    through this module global, which ``perfbench/tracing.py`` wraps."""
+    s_b, s_w = pair
+    denominator = float(np.sum(u * (s_w @ u)))
     if denominator == 0.0:
         return float("inf")
-    return float(np.sum(u * (pair.s_b @ u))) / denominator
+    return float(np.sum(u * (s_b @ u))) / denominator
 
 
 @dataclass(frozen=True)
@@ -332,12 +327,12 @@ class KModeResult:
     """``stop_reason`` is ``"tolerance"`` when the objective settled within
     ``conv_tol``, ``"sweep_cap"`` when ``max_iters`` sweeps ran without that.
     ``subspace_change_trace`` is a diagnostic only: the largest per-mode
-    Frobenius change of ``U @ U.T`` in each sweep."""
+    Frobenius change of ``U @ U.T`` in each sweep.  ``objective_trace``
+    holds one entry more than the sweeps that ran."""
 
     factors: list
     objective_trace: tuple
     subspace_change_trace: tuple
-    sweeps: int
     stop_reason: str
 
 
@@ -404,7 +399,7 @@ def k_mode_optimize(core_data: LabeledTensorSet, config: TrainingConfig) -> KMod
             if not objective_trace:
                 objective_trace.append(eval_objective(pair, factors[k]))
             try:
-                factors[k] = ratio_trace_eig(pair.s_b, pair.s_w, dims[k], config.ridge)
+                factors[k] = ratio_trace_eig(*pair, dims[k], config.ridge)
             except SingularityError as exc:
                 raise SingularityError(f"mode {k}: {exc}") from exc
         objective_trace.append(eval_objective(pair, factors[n - 1]))
@@ -419,7 +414,6 @@ def k_mode_optimize(core_data: LabeledTensorSet, config: TrainingConfig) -> KMod
         factors=factors,
         objective_trace=tuple(objective_trace),
         subspace_change_trace=tuple(change_trace),
-        sweeps=len(change_trace),
         stop_reason=stop_reason,
     )
 
@@ -460,6 +454,11 @@ def hosvd_stage(data: LabeledTensorSet, config: TrainingConfig):
             raise ConfigurationError(
                 f"expected {n} HOSVD ranks, got {len(config.hosvd_ranks)}"
             )
+        for k, (r, extent) in enumerate(zip(config.hosvd_ranks, data.sample_shape)):
+            if r > extent:
+                raise ConfigurationError(
+                    f"HOSVD rank {r} exceeds the sample extent {extent} of mode {k}"
+                )
         ranks = list(config.hosvd_ranks) + [data.n_samples]
     return hosvd(
         data.samples,
@@ -473,45 +472,32 @@ def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str
     if data.n_samples < 2 or data.n_classes < 2:
         raise ConfigurationError("training needs at least 2 samples and 2 classes")
     n = data.order
-    if kind in ("gda", "hopca"):
+    if kind == "mda":
+        kept, mode_energy = data.sample_shape, (1.0,) * n
+    else:
         decomposition = hosvd_stage(data, config)
-        hosvd_factors = list(decomposition.factors[:n])
-        kept = decomposition.kept_ranks[:n]
-        mode_energy = decomposition.mode_energy[:n]
-    else:  # mda: identity stage
-        hosvd_factors = [np.eye(s) for s in data.sample_shape]
-        kept = data.sample_shape
-        mode_energy = tuple(1.0 for _ in range(n))
-
+        bases = decomposition.factors[:n]
+        kept, mode_energy = decomposition.kept_ranks[:n], decomposition.mode_energy[:n]
     dims = _target_dims(config, kept, data.n_classes, after_hosvd=kind != "mda")
-    warnings = []
-    if kind == "hopca":
-        disc = [np.eye(kept[k])[:, : dims[k]] for k in range(n)]
-        objective_trace: tuple = ()
-        change_trace: tuple = ()
-    else:  # only the optimizer reads the core
-        core_data = data if kind == "mda" else LabeledTensorSet(
-            decomposition.core, data.labels, data.subjects)
-        result = k_mode_optimize(core_data, replace(config, target_dims=dims))
-        disc = result.factors
-        objective_trace = result.objective_trace
-        change_trace = result.subspace_change_trace
-        if result.stop_reason == "sweep_cap":
-            warnings.append(
-                f"the discriminant sweeps reached the cap of max_iters = "
-                f"{config.max_iters} before the objective settled: the last sweep "
-                f"changed it by {_relative_change(*objective_trace[-2:]):.3g} "
-                f"relative, conv_tol = {config.conv_tol!r}"
-            )
+    facts = dict(hosvd_ranks=tuple(kept), mode_energy=tuple(mode_energy), config=config)
+    if kind == "hopca":  # C-contiguous like every projector: project's BLAS calls see the layout
+        leading = [np.ascontiguousarray(v[:, :d]) for v, d in zip(bases, dims)]
+        return _fitted(data, kind, leading, **facts)
 
-    return _fitted(
-        data, kind, [hosvd_factors[k] @ disc[k] for k in range(n)], warnings,
-        hosvd_ranks=tuple(kept),
-        mode_energy=tuple(mode_energy),
-        objective_trace=objective_trace,
-        subspace_change_trace=change_trace,
-        config=config,
-    )
+    core_data = data if kind == "mda" else LabeledTensorSet(
+        decomposition.core, data.labels, data.subjects)
+    result = k_mode_optimize(core_data, replace(config, target_dims=dims))
+    warnings = []
+    if result.stop_reason == "sweep_cap":
+        warnings.append(
+            f"the discriminant sweeps reached the cap of max_iters = "
+            f"{config.max_iters} before the objective settled: the last sweep "
+            f"changed it by {_relative_change(*result.objective_trace[-2:]):.3g} "
+            f"relative, conv_tol = {config.conv_tol!r}"
+        )
+    combined = result.factors if kind == "mda" else [v @ u for v, u in zip(bases, result.factors)]
+    return _fitted(data, kind, combined, warnings, objective_trace=result.objective_trace,
+                   subspace_change_trace=result.subspace_change_trace, **facts)
 
 
 def train_gda(data: LabeledTensorSet, config: TrainingConfig | None = None) -> GdaModel:
@@ -576,6 +562,5 @@ def train_fisherface(data: LabeledTensorSet, config: TrainingConfig | None = Non
             f"fisherface lda dims must lie in [1, {min(n_classes - 1, pca_dims)}]"
         )
     reduced = LabeledTensorSet(pca_basis.T @ centered, data.labels)
-    pair = scatter_matrices(reduced, [None], 0)
-    lda_basis = ratio_trace_eig(pair.s_b, pair.s_w, lda_dims, config.ridge)
+    lda_basis = ratio_trace_eig(*scatter_matrices(reduced, [None], 0), lda_dims, config.ridge)
     return _fitted(data, "fisherface", [pca_basis @ lda_basis], mean_vector=mean_vector)

@@ -193,12 +193,12 @@ def test_scatter_correctness():
                 for i in np.flatnonzero(data.labels == c):
                     flat = tensor.unfold(data.samples[..., i] - means[idx], mode)
                     s_w += flat @ sandwich @ flat.T
-            pair = scatter_matrices(data, projectors, mode)
+            got_b, got_w = scatter_matrices(data, projectors, mode)
             np.testing.assert_allclose(
-                pair.s_b, s_b, atol=1e-9 * max(1.0, np.linalg.norm(s_b))
+                got_b, s_b, atol=1e-9 * max(1.0, np.linalg.norm(s_b))
             )
             np.testing.assert_allclose(
-                pair.s_w, s_w, atol=1e-9 * max(1.0, np.linalg.norm(s_w))
+                got_w, s_w, atol=1e-9 * max(1.0, np.linalg.norm(s_w))
             )
 
 
@@ -271,7 +271,7 @@ def test_convergence_bookkeeping():
             result = k_mode_optimize(core, config)
             assert result.objective_trace == model.objective_trace
             assert result.stop_reason == "tolerance"
-            assert result.sweeps < 10
+            assert len(result.objective_trace) - 1 < 10
             assert model.warnings == ()
 
 

@@ -115,6 +115,18 @@ class TestTrain:
         assert err == "error: target dim 7 exceeds the sample extent 6 of mode 0\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize("method", ["gda", "hopca"])
+    def test_ranks_beyond_the_sample_extent_exit_2_with_one_line(self, method, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        code = run([
+            "train", "--synth", "c=3,per_class=4,shape=6x5", "--method", method,
+            "--ranks", "7x5", "--output", path,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: HOSVD rank 7 exceeds the sample extent 6 of mode 0\n"
+        assert not path.exists()
+
     def test_prints_one_time_line(self, tmp_path, capsys):
         assert run([
             "train", "--synth", "c=3,per_class=4,shape=5x4", "--method", "gda",
@@ -221,6 +233,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("extra,message", [
         (["--trials", "0", "--train-per-class", "2"], "trials must be at least 1"),
         (["--train-per-class", "4"], "class 1 has 4 samples; need more than 4"),
+        (["--train-per-class", "-1"], "train_per_class must be at least 1"),
+        (["--train-per-class", "0"], "train_per_class must be at least 1"),
     ])
     def test_rejected_split_exits_2_and_makes_no_directory(self, extra, message, tmp_path, capsys):
         out = tmp_path / "reports"
@@ -618,14 +632,20 @@ class TestConfigFileAndErrors:
         code = run(["train", "--output", tmp_path / "m.json"])
         assert code == 2
 
-    def test_non_integer_synth_value_is_usage_error(self, tmp_path, capsys):
-        code = run([
-            "train", "--synth", "c=2,per_class=x,shape=3x3",
-            "--output", tmp_path / "m.json",
-        ])
+    @pytest.mark.parametrize("spec,named", [
+        ("c=2,per_class=x", "per_class"),
+        ("c=0", "one class"),
+        ("per_class=0", "one sample per class"),
+        ("noise=nan", "noise"),
+        ("separation=inf", "separation"),
+    ])
+    def test_non_integer_synth_value_is_usage_error(self, spec, named, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        code = run(["train", "--synth", f"{spec},shape=3x3", "--output", path])
         assert code == 2
         err = capsys.readouterr().err
-        assert "per_class" in err and "Traceback" not in err
+        assert named in err and err.startswith("error: ") and err.count("\n") == 1
+        assert not path.exists()
 
     def test_non_numeric_config_value_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "run.conf"
