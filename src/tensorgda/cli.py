@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor
 from .datasets import load_manifest, save_sample, synth_gaussian_classes
 from .errors import ConfigurationError, DatasetError, TensorGdaError
 from .evaluation import (
@@ -37,7 +36,7 @@ from .evaluation import (
     train_method,
     write_projection_csv,
 )
-from .hosvd import hopca_compression_fraction, psnr
+from .hosvd import hopca_compression_fraction, psnr, reconstruct
 from .model_io import load_model, save_model, save_report
 from .training import TrainingConfig, hosvd_stage, vector_pca
 
@@ -290,23 +289,24 @@ def cmd_evaluate(args) -> int:
         extra = ""
         if report.macro_accuracy is not None:
             extra = f" (macro {report.macro_accuracy:.2f}%)"
+        unit = "fold" if args.protocol == "loo" else "trial"
         print(
             f"{method}: mean accuracy {report.mean_accuracy:.2f}%{extra} "
-            f"over {len(report.trial_accuracies)} "
-            f"{'folds' if args.protocol == 'loo' else 'trials'} -> {path}"
+            f"over {len(report.trial_accuracies)} {unit}s -> {path}"
         )
+        for i, fold_warnings in enumerate(report.warnings):
+            for warning in fold_warnings:
+                print(f"warning: {unit} {i}: {warning}")
         print(f"  time = {seconds:.3f}s")
     return 0
 
 
 def cmd_compress(args) -> int:
     data = load_data(args)
-    n = data.order
     t0 = time.perf_counter()
     decomposition = hosvd_stage(data, build_config(args))
     hosvd_seconds = time.perf_counter() - t0
-    dims = decomposition.kept_ranks[:n]
-    factors = decomposition.factors[:n]
+    dims = decomposition.kept_ranks
     extents = data.sample_shape
     m_samples = data.n_samples
     length = int(np.prod(extents))
@@ -319,17 +319,11 @@ def cmd_compress(args) -> int:
     mean_vec, centered, basis = vector_pca(data, p, "pca components")
     pca_fraction = hopca_compression_fraction(m_samples, (length,), (p,))
 
-    # multilinear reconstruction: project onto each mode's kept basis;
-    # a square orthonormal basis projects to the identity, so skip it and
-    # keep full-rank reconstruction exact
-    projections = [
-        (f @ f.T, k) for k, f in enumerate(factors) if f.shape[0] != f.shape[1]
-    ]
     pca_recon = mean_vec[:, None] + basis @ (basis.T @ centered)
 
     psnr_h = []
     psnr_p = []
-    hopca_recon = tensor._per_sample_products(data.samples, projections)
+    hopca_recon = reconstruct(decomposition)
     for i, restored in enumerate(np.moveaxis(hopca_recon, -1, 0)):
         original = data.samples[..., i]
         psnr_h.append(psnr(original, restored))

@@ -177,8 +177,10 @@ class ExperimentReport:
     figure: the trial mean for splits, the per-sample (micro) accuracy for
     leave-one-out, where ``macro_accuracy`` additionally averages the
     per-subject accuracies.  The confusion matrix aggregates all trials;
-    its rows (true classes, sorted) sum to ``test_counts``.  Every field is
-    deterministic given the data, config and seed; none is a clock reading.
+    its rows (true classes, sorted) sum to ``test_counts``.  ``warnings``
+    holds each fold's model warnings, one tuple per fold; the report text
+    leaves them out.  Every field is deterministic given the data, config
+    and seed; none is a clock reading.
     """
 
     protocol: str
@@ -193,6 +195,7 @@ class ExperimentReport:
     per_trial_dims: tuple
     compression_fractions: tuple
     objective_traces: tuple
+    warnings: tuple
     train_per_class: int | None = None
 
 
@@ -240,6 +243,7 @@ def _run_folds(
     dims_per_fold = []
     fractions = []
     traces = []
+    warnings = []
     for train_idx, test_idx in folds:
         train_set = data.subset(train_idx)
         test_set = data.subset(test_idx)
@@ -255,6 +259,7 @@ def _run_folds(
             [c.shape[1] for c in model.combined],
         ))
         traces.append(model.objective_trace)
+        warnings.append(model.warnings)
     return ExperimentReport(
         method=method,
         classes=classes,
@@ -265,6 +270,7 @@ def _run_folds(
         per_trial_dims=tuple(dims_per_fold),
         compression_fractions=tuple(fractions),
         objective_traces=tuple(traces),
+        warnings=tuple(warnings),
         **report_fields,
     )
 

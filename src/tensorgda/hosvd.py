@@ -1,11 +1,16 @@
-"""Higher-order SVD with energy-threshold truncation and quality metrics.
+"""Higher-order SVD of a sample stack with energy-threshold truncation and
+quality metrics.
 
-The decomposition factors a tensor into per-mode orthonormal bases plus a
-core tensor: ``t ~ core x_0 V_0 x_1 V_1 ...``.  Per-mode ranks are either
-given explicitly or chosen as the smallest count whose singular values
-retain a fraction ``theta`` of that mode's total singular-value mass.  The
-core is built from the input on first read, so a caller that needs only
-the bases (the ``hopca`` trainer, ``compress``) never pays for it.
+The input stacks its samples on the last axis, ``sample_shape + (m,)``, as
+everywhere in the package; a lone tensor ``t`` is the stack ``t[..., None]``.
+The decomposition factors each data mode ``k < n`` into an orthonormal
+basis ``V_k`` and never reduces the sample mode (the HOSVD stage of MPCA,
+Lu, Plataniotis & Venetsanopoulos, IEEE TNN 2008): ``core = samples x_0
+V_0^T ... x_{n-1} V_{n-1}^T``.  Per-mode ranks are either given explicitly
+or chosen as the smallest count whose singular values retain a fraction
+``theta`` of that mode's total singular-value mass.  The core is built
+from the input on first read, so a caller that needs only the bases (the
+``hopca`` trainer, ``compress``) never pays for it.
 
 Every mode's left singular basis comes from one path: the triangle ``R``
 of a QR factorization of the transposed unfolding (``unfolding = R.T @
@@ -28,40 +33,38 @@ and the storage fractions of vector PCA versus multilinear truncation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import tensor
-from .errors import DegenerateModeError, DimensionError, NumericInputError
+from .errors import ConfigurationError, DegenerateModeError, DimensionError, NumericInputError
 # sym_eig is unused here but stays bound: perfbench/tracing.py wraps it by name
 from .linalg import svd, sym_eig
 
 
 @dataclass(frozen=True)
 class HosvdResult:
-    """Per-mode orthonormal factors of ``source``, and its core tensor.
+    """Per-data-mode orthonormal factors of the stack ``source``, and its core.
 
-    ``factors[k]`` has shape ``I_k x J_k``; exempt modes carry the identity.
+    ``factors[k]`` has shape ``I_k x J_k``, one per data mode.
     ``mode_energy[k]`` is the retained fraction of mode ``k``'s singular-value
-    mass (1.0 for exempt modes).  ``source`` is the decomposed float64
-    tensor, the caller's own array when it already was one.  ``core`` is
-    ``source x_k factors[k].T`` over the modes not in ``exempt_modes``,
-    built on first read.
+    mass.  ``source`` is the decomposed float64 stack, the caller's own array
+    when it already was one.  ``core`` is ``source x_k factors[k].T`` over the
+    data modes, a ``kept_ranks + (m,)`` stack built on first read.
     """
 
     factors: tuple
     kept_ranks: tuple
     mode_energy: tuple
     source: np.ndarray = field(repr=False)
-    exempt_modes: frozenset = frozenset()
 
     @cached_property
     def core(self) -> np.ndarray:
         return tensor.multi_mode_product(
-            self.source,
-            [(f.T, k) for k, f in enumerate(self.factors) if k not in self.exempt_modes],
+            self.source, [(f.T, k) for k, f in enumerate(self.factors)]
         )
 
 
@@ -115,50 +118,38 @@ def _mode_basis(unfolding: np.ndarray, needed: int | None):
     return result.u, result.s
 
 
-def hosvd(
-    t: np.ndarray,
-    ranks=None,
-    theta: float | None = None,
-    exempt_modes=(),
-) -> HosvdResult:
-    """Decompose ``t`` into per-mode orthonormal factors (and a core tensor,
-    built when read).
+def hosvd(samples: np.ndarray, ranks=None, theta: float | None = None) -> HosvdResult:
+    """Decompose the data modes of ``samples``, a ``sample_shape + (m,)``
+    stack, into orthonormal factors (and a core stack, built when read).
 
-    Exactly one of ``ranks`` (per-mode rank list; entries for exempt modes
-    are ignored) and ``theta`` (global energy threshold) must be given.
-    Modes in ``exempt_modes`` receive identity factors and keep their full
-    extent; the sample mode of a stacked training set is handled this way.
+    Exactly one of ``ranks`` (one rank per data mode, each in ``[1, I_k]``)
+    and ``theta`` (global energy threshold) must be given.
     """
-    t = np.asarray(t, dtype=np.float64)
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim < 2:
+        raise DimensionError(
+            "samples must be a sample_shape + (m,) stack; a lone tensor t is t[..., None]")
     if (ranks is None) == (theta is None):
         raise DimensionError("specify exactly one of ranks/theta")
-    exempt = set(exempt_modes)
-    for mode in exempt:
-        if not 0 <= mode < t.ndim:
-            raise DimensionError(f"exempt mode {mode} invalid for order {t.ndim}")
+    shape = samples.shape[:-1]
     if ranks is not None:
-        ranks = list(ranks)
-        if len(ranks) != t.ndim:
-            raise DimensionError(
-                f"expected {t.ndim} ranks, got {len(ranks)}"
-            )
-        for k, r in enumerate(ranks):
-            if k not in exempt and not 1 <= r <= t.shape[k]:
-                raise DimensionError(
-                    f"rank {r} out of range for mode {k} of extent {t.shape[k]}"
-                )
+        ranks = tuple(ranks)
+        if len(ranks) != len(shape):
+            raise ConfigurationError(f"expected {len(shape)} HOSVD ranks, got {len(ranks)}")
+        for k, (r, extent) in enumerate(zip(ranks, shape)):
+            if not (isinstance(r, numbers.Integral) and not isinstance(r, bool) and r >= 1):
+                raise ConfigurationError(
+                    f"HOSVD rank {r!r} of mode {k} must be an integer of at least 1")
+            if r > extent:
+                raise ConfigurationError(
+                    f"HOSVD rank {r} exceeds the sample extent {extent} of mode {k}")
 
     factors = []
     kept = []
     energy = []
-    for k in range(t.ndim):
-        if k in exempt:
-            factors.append(np.eye(t.shape[k]))
-            kept.append(t.shape[k])
-            energy.append(1.0)
-            continue
+    for k in range(len(shape)):
         needed = None if ranks is None else int(ranks[k])
-        basis, sigmas = _mode_basis(tensor.unfold(t, k), needed)
+        basis, sigmas = _mode_basis(tensor.unfold(samples, k), needed)
         if needed is None:
             needed = select_rank(sigmas, theta)
         total = float(np.sum(sigmas))
@@ -172,23 +163,18 @@ def hosvd(
         factors=tuple(factors),
         kept_ranks=tuple(kept),
         mode_energy=tuple(energy),
-        source=t,
-        exempt_modes=frozenset(exempt),
+        source=samples,
     )
 
 
 def reconstruct(result: HosvdResult) -> np.ndarray:
-    """Expand a decomposition back to the original space."""
-    if len(result.factors) != result.core.ndim:
-        raise DimensionError("factor count does not match core order")
-    for k, f in enumerate(result.factors):
-        if f.shape[1] != result.core.shape[k]:
-            raise DimensionError(
-                f"factor {k} of shape {f.shape} does not fit core extent "
-                f"{result.core.shape[k]}"
-            )
-    return tensor.multi_mode_product(
-        result.core, [(f, k) for k, f in enumerate(result.factors)]
+    """Each sample of ``result.source`` projected onto every kept basis,
+    ``source x_k V_k V_k^T``, bit for bit as for that sample alone.  A square
+    orthonormal basis projects to the identity and is skipped, so a
+    full-rank reconstruction returns the source exactly."""
+    return tensor._per_sample_products(
+        result.source,
+        [(f @ f.T, k) for k, f in enumerate(result.factors) if f.shape[0] != f.shape[1]],
     )
 
 

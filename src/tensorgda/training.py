@@ -1,7 +1,7 @@
 """Discriminant training for labeled tensor sets.
 
 The full pipeline stacks the samples into an (N+1)-order tensor, reduces
-each data mode with an energy-thresholded HOSVD (the sample mode is exempt),
+each data mode with an energy-thresholded HOSVD (never the sample mode),
 then alternates per-mode eigen updates of discriminant factors U_k that
 maximize the ratio of between-class to within-class scatter of the core
 tensors.  The served projectors are the per-mode products V_k @ U_k.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -445,39 +445,22 @@ def _fitted(data: LabeledTensorSet, kind: str, combined: list, warnings=(), **fa
 
 
 def hosvd_stage(data: LabeledTensorSet, config: TrainingConfig):
-    """HOSVD of the stacked samples with the sample mode exempt, truncated
-    to ``config.hosvd_ranks`` when given, else by ``config.theta``."""
-    n = data.order
-    ranks = None
+    """HOSVD of the data modes of the stacked samples, truncated to
+    ``config.hosvd_ranks`` when given, else by ``config.theta``."""
     if config.hosvd_ranks is not None:
-        if len(config.hosvd_ranks) != n:
-            raise ConfigurationError(
-                f"expected {n} HOSVD ranks, got {len(config.hosvd_ranks)}"
-            )
-        for k, (r, extent) in enumerate(zip(config.hosvd_ranks, data.sample_shape)):
-            if r > extent:
-                raise ConfigurationError(
-                    f"HOSVD rank {r} exceeds the sample extent {extent} of mode {k}"
-                )
-        ranks = list(config.hosvd_ranks) + [data.n_samples]
-    return hosvd(
-        data.samples,
-        ranks=ranks,
-        theta=config.theta if ranks is None else None,
-        exempt_modes={n},
-    )
+        return hosvd(data.samples, ranks=config.hosvd_ranks)
+    return hosvd(data.samples, theta=config.theta)
 
 
 def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str) -> GdaModel:
     if data.n_samples < 2 or data.n_classes < 2:
         raise ConfigurationError("training needs at least 2 samples and 2 classes")
-    n = data.order
     if kind == "mda":
-        kept, mode_energy = data.sample_shape, (1.0,) * n
+        kept, mode_energy = data.sample_shape, (1.0,) * data.order
     else:
         decomposition = hosvd_stage(data, config)
-        bases = decomposition.factors[:n]
-        kept, mode_energy = decomposition.kept_ranks[:n], decomposition.mode_energy[:n]
+        bases, kept, mode_energy = (
+            decomposition.factors, decomposition.kept_ranks, decomposition.mode_energy)
     dims = _target_dims(config, kept, data.n_classes, after_hosvd=kind != "mda")
     facts = dict(hosvd_ranks=tuple(kept), mode_energy=tuple(mode_energy), config=config)
     if kind == "hopca":  # C-contiguous like every projector: project's BLAS calls see the layout
@@ -486,7 +469,7 @@ def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str
 
     core_data = data if kind == "mda" else LabeledTensorSet(
         decomposition.core, data.labels, data.subjects)
-    result = k_mode_optimize(core_data, replace(config, target_dims=dims))
+    result = k_mode_optimize(core_data, config)
     warnings = []
     if result.stop_reason == "sweep_cap":
         warnings.append(
@@ -555,6 +538,11 @@ def train_fisherface(data: LabeledTensorSet, config: TrainingConfig | None = Non
     if n_classes < 2:
         raise ConfigurationError("fisherface needs at least 2 classes")
     pca_dims = config.fisherface_pca_dims or data.n_samples - n_classes
+    if pca_dims < 1:
+        raise ConfigurationError(
+            f"fisherface needs more samples than classes, got {data.n_samples} "
+            f"samples in {n_classes} classes"
+        )
     mean_vector, centered, pca_basis = vector_pca(data, pca_dims, "fisherface pca dims")
     lda_dims = config.fisherface_lda_dims or n_classes - 1
     if not 1 <= lda_dims <= min(n_classes - 1, pca_dims):

@@ -91,19 +91,19 @@ def test_hosvd_criteria():
     rng = np.random.default_rng(77)
     for shape in ((6, 5, 4), (5, 7), (4, 3, 3, 2)):
         t = rng.standard_normal(shape)
-        full = hosvd(t, ranks=shape)
-        err = np.linalg.norm((reconstruct(full) - t).ravel())
+        full = hosvd(t[..., None], ranks=shape)
+        err = np.linalg.norm((reconstruct(full)[..., 0] - t).ravel())
         assert err <= 1e-8 * np.linalg.norm(t.ravel())
 
     t = rng.standard_normal((6, 5, 4))
     previous_dims, previous_err = None, None
     for theta in (0.5, 0.7, 0.9, 0.98, 1.0):
-        result = hosvd(t, theta=theta)
+        result = hosvd(t[..., None], theta=theta)
         for f in result.factors:
             np.testing.assert_allclose(
                 f.T @ f, np.eye(f.shape[1]), atol=1e-10
             )
-        err = np.linalg.norm((reconstruct(result) - t).ravel())
+        err = np.linalg.norm((reconstruct(result)[..., 0] - t).ravel())
         if previous_dims is not None:
             assert all(a <= b for a, b in zip(previous_dims, result.kept_ranks))
             assert err <= previous_err + 1e-12
@@ -111,7 +111,7 @@ def test_hosvd_criteria():
 
     # order-2 factor pair against the direct two-sided PCA oracle
     img = rng.standard_normal((9, 7))
-    result = hosvd(img, ranks=(4, 4))
+    result = hosvd(img[..., None], ranks=(4, 4))
     rows = np.linalg.eigh(img @ img.T)[1][:, ::-1][:, :4]
     cols = np.linalg.eigh(img.T @ img)[1][:, ::-1][:, :4]
     assert principal_angles(result.factors[0], rows).max() <= 1e-8

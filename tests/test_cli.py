@@ -127,6 +127,18 @@ class TestTrain:
         assert err == "error: HOSVD rank 7 exceeds the sample extent 6 of mode 0\n"
         assert not path.exists()
 
+    def test_fisherface_without_more_samples_than_classes_names_the_cause(self, tmp_path, capsys):
+        path = tmp_path / "m.tgda"
+        code = run([
+            "train", "--method", "fisherface", "--synth", "c=3,per_class=1,shape=4x4",
+            "--output", path,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("error: fisherface needs more samples than classes, "
+                       "got 3 samples in 3 classes\n")
+        assert not path.exists()
+
     def test_prints_one_time_line(self, tmp_path, capsys):
         assert run([
             "train", "--synth", "c=3,per_class=4,shape=5x4", "--method", "gda",
@@ -299,11 +311,42 @@ class TestEvaluate:
             "evaluate", "--synth", "c=3,per_class=5,shape=5x4", "--method", "gda,pca",
             "--train-per-class", 3, "--trials", 2, "--output-dir", tmp_path,
         ]) == 0
+        # trial 1's gda sweeps reach the cap: its warning line sits between
         lines = capsys.readouterr().out.splitlines()
-        assert [line[:9] for line in lines] == ["gda: mean", "  time = ", "pca: mean", "  time = "]
+        assert [line[:9] for line in lines] == [
+            "gda: mean", "warning: ", "  time = ", "pca: mean", "  time = "]
+
+    @pytest.mark.parametrize("protocol,unit", [
+        (["--train-per-class", "3", "--trials", "2"], "trial"),
+        (["--protocol", "loo"], "fold"),
+    ])
+    def test_prints_each_folds_warnings(self, protocol, unit, tmp_path, capsys):
+        assert run([
+            "evaluate", "--synth", "c=3,per_class=4,shape=6x5", "--method", "gda",
+            "--max-iters", 1, *protocol, "--output-dir", tmp_path,
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        warnings = lines[1:-1]
+        folds = 2 if unit == "trial" else 4
+        assert [line.split(": ", 2)[1] for line in warnings] == [
+            f"{unit} {i}" for i in range(folds)]
+        assert all(line.startswith("warning: ") and "reached the cap of max_iters = 1" in line
+                   for line in warnings)
+        assert lines[-1].startswith("  time = ")
 
 
 class TestCompress:
+    def test_ranks_beyond_the_sample_extent_exit_2_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "report.txt"
+        code = run([
+            "compress", "--synth", "c=3,per_class=4,shape=6x5", "--ranks", "7x5",
+            "--output", out,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: HOSVD rank 7 exceeds the sample extent 6 of mode 0\n"
+        assert not out.exists()
+
     def test_theta_one_reports_infinite_psnr(self, tmp_path):
         out = tmp_path / "report.txt"
         code = run([

@@ -1,11 +1,17 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tensorgda import tensor
-from tensorgda.errors import DegenerateModeError, DimensionError, NumericInputError
+from tensorgda.errors import (
+    ConfigurationError,
+    DegenerateModeError,
+    DimensionError,
+    NumericInputError,
+)
 from tensorgda.hosvd import (
     _QR_BLOCK,
     _mode_basis,
@@ -59,36 +65,36 @@ class TestHosvd:
     def test_full_rank_reconstruction(self):
         rng = np.random.default_rng(1)
         t = rng.standard_normal((4, 3, 5))
-        result = hosvd(t, ranks=t.shape)
+        result = hosvd(t[..., None], ranks=t.shape)
         np.testing.assert_allclose(
-            reconstruct(result), t, atol=1e-8 * np.linalg.norm(t.ravel())
+            reconstruct(result)[..., 0], t, atol=1e-8 * np.linalg.norm(t.ravel())
         )
 
     def test_rank_one_tensor(self):
         rng = np.random.default_rng(2)
         a, b, c = rng.random(4), rng.random(3), rng.random(5)
         t = np.einsum("i,j,k->ijk", a, b, c)
-        result = hosvd(t, ranks=(1, 1, 1))
+        result = hosvd(t[..., None], ranks=(1, 1, 1))
         np.testing.assert_allclose(
-            reconstruct(result), t, atol=1e-10 * np.linalg.norm(t.ravel())
+            reconstruct(result)[..., 0], t, atol=1e-10 * np.linalg.norm(t.ravel())
         )
 
     def test_orthonormal_factors(self):
         rng = np.random.default_rng(3)
         t = rng.standard_normal((6, 5, 4))
-        result = hosvd(t, theta=0.9)
+        result = hosvd(t[..., None], theta=0.9)
         for f in result.factors:
             np.testing.assert_allclose(f.T @ f, np.eye(f.shape[1]), atol=1e-10)
 
     def test_core_matches_transposed_projection(self):
         rng = np.random.default_rng(4)
         t = rng.standard_normal((4, 4, 3))
-        result = hosvd(t, ranks=(2, 3, 2))
+        result = hosvd(t[..., None], ranks=(2, 3, 2))
         expect = tensor.multi_mode_product(
             t, [(result.factors[k].T, k) for k in range(3)]
         )
         np.testing.assert_allclose(
-            result.core, expect, atol=1e-10 * np.linalg.norm(t.ravel())
+            result.core[..., 0], expect, atol=1e-10 * np.linalg.norm(t.ravel())
         )
 
     def test_truncation_against_gram_eigen_oracle(self):
@@ -97,7 +103,7 @@ class TestHosvd:
         rng = np.random.default_rng(5)
         t = rng.standard_normal((6, 5, 4))
         ranks = (3, 3, 2)
-        mine = np.linalg.norm((reconstruct(hosvd(t, ranks=ranks)) - t).ravel())
+        mine = np.linalg.norm((reconstruct(hosvd(t[..., None], ranks=ranks))[..., 0] - t).ravel())
 
         recon = t
         factors = []
@@ -114,7 +120,8 @@ class TestHosvd:
         rng = np.random.default_rng(6)
         t = rng.standard_normal((6, 5, 4))
         ranks = (3, 3, 2)
-        err_sq = np.linalg.norm((reconstruct(hosvd(t, ranks=ranks)) - t).ravel()) ** 2
+        restored = reconstruct(hosvd(t[..., None], ranks=ranks))[..., 0]
+        err_sq = np.linalg.norm((restored - t).ravel()) ** 2
         bound = 0.0
         for k in range(3):
             sigmas = np.linalg.svd(tensor.unfold(t, k), compute_uv=False)
@@ -127,8 +134,8 @@ class TestHosvd:
         previous_dims = None
         previous_err = None
         for theta in (0.5, 0.7, 0.9, 0.98, 1.0):
-            result = hosvd(t, theta=theta)
-            err = np.linalg.norm((reconstruct(result) - t).ravel())
+            result = hosvd(t[..., None], theta=theta)
+            err = np.linalg.norm((reconstruct(result)[..., 0] - t).ravel())
             if previous_dims is not None:
                 assert all(
                     a <= b for a, b in zip(previous_dims, result.kept_ranks)
@@ -141,12 +148,12 @@ class TestHosvd:
     def test_projection_form_equivalence(self):
         rng = np.random.default_rng(8)
         t = rng.standard_normal((5, 4, 3))
-        result = hosvd(t, ranks=(3, 2, 2))
+        result = hosvd(t[..., None], ranks=(3, 2, 2))
         via_projection = tensor.multi_mode_product(
             t, [(f @ f.T, k) for k, f in enumerate(result.factors)]
         )
         np.testing.assert_allclose(
-            reconstruct(result),
+            reconstruct(result)[..., 0],
             via_projection,
             atol=1e-9 * np.linalg.norm(t.ravel()),
         )
@@ -154,19 +161,19 @@ class TestHosvd:
     def test_order2_matches_two_sided_pca_oracle(self):
         rng = np.random.default_rng(9)
         t = rng.standard_normal((7, 6))
-        result = hosvd(t, ranks=(3, 3))
+        result = hosvd(t[..., None], ranks=(3, 3))
         row_eigs = np.linalg.eigh(t @ t.T)[1][:, ::-1][:, :3]
         col_eigs = np.linalg.eigh(t.T @ t)[1][:, ::-1][:, :3]
         assert principal_angles(result.factors[0], row_eigs).max() <= 1e-8
         assert principal_angles(result.factors[1], col_eigs).max() <= 1e-8
 
-    def test_exempt_mode_gets_identity(self):
+    def test_sample_axis_is_never_decomposed(self):
         rng = np.random.default_rng(10)
-        t = rng.standard_normal((4, 3, 8))
-        result = hosvd(t, theta=0.98, exempt_modes={2})
-        np.testing.assert_array_equal(result.factors[2], np.eye(8))
-        assert result.kept_ranks[2] == 8
-        assert result.mode_energy[2] == 1.0
+        stack = rng.standard_normal((4, 3, 8))
+        result = hosvd(stack, theta=0.98)
+        assert len(result.factors) == len(result.kept_ranks) == len(result.mode_energy) == 2
+        assert [f.shape[0] for f in result.factors] == [4, 3]
+        assert result.core.shape == result.kept_ranks + (8,)
 
     def test_small_singular_values_of_wide_unfolding_stay_accurate(self):
         # a 4 x 40000 unfolding whose singular values span 1e-10: the
@@ -176,7 +183,7 @@ class TestHosvd:
         u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         v, _ = np.linalg.qr(rng.standard_normal((40000, 4)))
         t = (u * sigmas) @ v.T
-        energy = [hosvd(t, ranks=(r, 1)).mode_energy[0] for r in (1, 2, 3)]
+        energy = [hosvd(t[..., None], ranks=(r, 1)).mode_energy[0] for r in (1, 2, 3)]
         used = np.diff([0.0, *energy, 1.0])
         oracle = np.linalg.svd(t, compute_uv=False)
         np.testing.assert_allclose(used, oracle / oracle.sum(), rtol=1e-4)
@@ -184,7 +191,7 @@ class TestHosvd:
     def test_tall_unfolding_keeps_thin_factors(self):
         rng = np.random.default_rng(14)
         t = rng.standard_normal((20000, 3))
-        result = hosvd(t, theta=0.98)
+        result = hosvd(t[..., None], theta=0.98)
         assert result.factors[0].shape[1] <= 3
         assert result.factors[1].shape[0] == 3
         f = result.factors[0]
@@ -195,24 +202,35 @@ class TestHosvd:
         # orthonormal directions must still work deterministically
         rng = np.random.default_rng(12)
         t = rng.standard_normal((5, 3))
-        result = hosvd(t, ranks=(4, 2))
+        result = hosvd(t[..., None], ranks=(4, 2))
         f = result.factors[0]
         assert f.shape == (5, 4)
         np.testing.assert_allclose(f.T @ f, np.eye(4), atol=1e-10)
 
-    def test_rank_exceeding_extent_rejected(self):
-        with pytest.raises(DimensionError):
-            hosvd(np.ones((3, 3)), ranks=(4, 2))
+    @pytest.mark.parametrize("ranks,message", [
+        ((4, 2), "HOSVD rank 4 exceeds the sample extent 3 of mode 0"),
+        ((2, 0), "HOSVD rank 0 of mode 1 must be an integer of at least 1"),
+        ((2.5, 2), "HOSVD rank 2.5 of mode 0 must be an integer of at least 1"),
+        ((2, True), "HOSVD rank True of mode 1 must be an integer of at least 1"),
+        ((2, 2, 1), "expected 2 HOSVD ranks, got 3"),
+    ])
+    def test_bad_ranks_are_configuration_errors(self, ranks, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            hosvd(np.ones((3, 3))[..., None], ranks=ranks)
 
     def test_zero_tensor_rejected(self):
         with pytest.raises(DegenerateModeError):
-            hosvd(np.zeros((3, 3)), theta=0.9)
+            hosvd(np.zeros((3, 3))[..., None], theta=0.9)
 
     def test_policy_exclusivity(self):
         with pytest.raises(DimensionError):
-            hosvd(np.ones((2, 2)), ranks=(1, 1), theta=0.5)
+            hosvd(np.ones((2, 2))[..., None], ranks=(1, 1), theta=0.5)
         with pytest.raises(DimensionError):
-            hosvd(np.ones((2, 2)))
+            hosvd(np.ones((2, 2))[..., None])
+
+    def test_lone_tensor_is_not_a_stack(self):
+        with pytest.raises(DimensionError, match="t\\[..., None\\]"):
+            hosvd(np.ones(3), theta=0.9)
 
 
 def graded_tensor(shape, seed):
@@ -269,7 +287,7 @@ class TestBlockedQr:
     def test_kept_factors_span_the_oracle_subspaces(self):
         t = graded_tensor(self.SHAPE, seed=32)
         ranks = (7, 9, 30)
-        result = hosvd(t, ranks=ranks)
+        result = hosvd(t[..., None], ranks=ranks)
         for k, factor in enumerate(result.factors):
             u = np.linalg.svd(tensor.unfold(t, k), full_matrices=False)[0][:, : ranks[k]]
             assert principal_angles(factor, u).max() < 1e-10
@@ -296,10 +314,24 @@ class TestBlockedQr:
 
 class TestReconstruct:
     def test_zero_core(self):
-        result = hosvd(np.ones((3, 4)), ranks=(1, 1))
+        result = hosvd(np.ones((3, 4))[..., None], ranks=(1, 1))
         zeroed = replace(result, source=np.zeros_like(result.source))
-        np.testing.assert_array_equal(zeroed.core, np.zeros((1, 1)))
-        np.testing.assert_array_equal(reconstruct(zeroed), np.zeros((3, 4)))
+        np.testing.assert_array_equal(zeroed.core, np.zeros((1, 1, 1)))
+        np.testing.assert_array_equal(reconstruct(zeroed), np.zeros((3, 4, 1)))
+
+    def test_full_rank_returns_the_source_bit_for_bit(self):
+        stack = np.random.default_rng(15).standard_normal((4, 3, 5, 6))
+        result = hosvd(stack, ranks=(4, 3, 5))
+        np.testing.assert_array_equal(reconstruct(result), stack)
+
+    @pytest.mark.parametrize("ranks", [(3, 2, 4), (2, 5, 1)])
+    def test_stack_equals_each_sample_alone_bit_for_bit(self, ranks):
+        stack = graded_tensor((6, 5, 4, 7), seed=16)
+        result = hosvd(stack, ranks=ranks)
+        whole = reconstruct(result)
+        for i in range(stack.shape[-1]):
+            alone = reconstruct(replace(result, source=stack[..., i:i + 1]))
+            np.testing.assert_array_equal(alone[..., 0], whole[..., i])
 
 
 class TestPsnr:
