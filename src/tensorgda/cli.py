@@ -37,7 +37,7 @@ from .evaluation import (
     write_projection_csv,
 )
 from .hosvd import hopca_compression_fraction, psnr, reconstruct
-from .model_io import load_model, save_model, save_report
+from .model_io import format_report, load_model, save_model, save_report
 from .training import TrainingConfig, hosvd_stage, vector_pca
 
 
@@ -334,22 +334,22 @@ def cmd_compress(args) -> int:
                 save_sample(args.save_reconstructions, f"{tag}_{i:04d}",
                             np.clip(np.rint(sample), 0, 255))
 
-    lines = ["# tensorgda compression report v1"]
-    lines.append(f"samples = {m_samples}")
-    lines.append("sample_shape = " + "x".join(str(e) for e in extents))
-    lines.append("hopca_dims = " + "x".join(str(d) for d in dims))
-    lines.append(f"pca_components = {p}")
-    lines.append(f"cr_hopca = {repr(hopca_fraction)}")
-    lines.append(f"hopca_ratio = {repr(1.0 / hopca_fraction)}")
-    lines.append(f"cr_pca = {repr(pca_fraction)}")
-    lines.append(f"pca_ratio = {repr(1.0 / pca_fraction)}")
-    lines.append(f"psnr_hopca_mean_db = {repr(float(np.mean(psnr_h)))}")
-    lines.append(f"psnr_pca_mean_db = {repr(float(np.mean(psnr_p)))}")
-    lines.append("[per_sample]")
-    lines.append("index\tpsnr_hopca_db\tpsnr_pca_db")
-    for i, (a, b) in enumerate(zip(psnr_h, psnr_p)):
-        lines.append(f"{i}\t{repr(a)}\t{repr(b)}")
-    write_output("\n".join(lines) + "\n", args.output, "compression report")
+    report = format_report("compression", {
+        "samples": m_samples,
+        "sample_shape": extents,
+        "hopca_dims": dims,
+        "pca_components": p,
+        "cr_hopca": hopca_fraction,
+        "hopca_ratio": 1.0 / hopca_fraction,
+        "cr_pca": pca_fraction,
+        "pca_ratio": 1.0 / pca_fraction,
+        "psnr_hopca_mean_db": np.mean(psnr_h),
+        "psnr_pca_mean_db": np.mean(psnr_p),
+    }, [("per_sample", [
+        ["index", "psnr_hopca_db", "psnr_pca_db"],
+        *([i, *pair] for i, pair in enumerate(zip(psnr_h, psnr_p))),
+    ])])
+    write_output(report, args.output, "compression report")
     print(f"time hosvd = {hosvd_seconds:.3f}s")
     return 0
 

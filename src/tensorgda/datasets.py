@@ -223,16 +223,13 @@ def synth_gaussian_classes(
         )
     shape = tuple(int(s) for s in shape)
     rng = np.random.default_rng(seed)
-    samples = []
-    labels = []
-    subjects = []
-    for c in range(1, n_classes + 1):
+    samples = np.empty(shape + (n_classes * per_class,))
+    for c in range(n_classes):
         center = class_separation * rng.standard_normal(shape)
-        for s in range(1, per_class + 1):
-            samples.append(center + noise * rng.standard_normal(shape))
-            labels.append(c)
-            subjects.append(s)
-    return LabeledTensorSet.from_samples(samples, labels, subjects)
+        for s in range(per_class):
+            samples[..., c * per_class + s] = center + noise * rng.standard_normal(shape)
+    labels = np.repeat(np.arange(1, n_classes + 1), per_class)
+    return LabeledTensorSet(samples, labels, np.tile(np.arange(1, per_class + 1), n_classes))
 
 
 # a manifest integer, by the graymap's digit rule plus an optional minus

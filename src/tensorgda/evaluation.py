@@ -191,12 +191,16 @@ class ExperimentReport:
     mean_accuracy: float
     macro_accuracy: float | None
     confusion: np.ndarray
-    test_counts: tuple
     per_trial_dims: tuple
     compression_fractions: tuple
     objective_traces: tuple
     warnings: tuple
     train_per_class: int | None = None
+
+    @property
+    def test_counts(self) -> tuple:
+        """Test samples per class: the row sums of ``confusion``."""
+        return tuple(int(x) for x in self.confusion.sum(axis=1))
 
 
 def _count_correct(model: GdaModel, test: LabeledTensorSet, classes, confusion) -> int:
@@ -266,7 +270,6 @@ def _run_folds(
         trial_accuracies=tuple(accuracies),
         mean_accuracy=float(np.mean(accuracies)),
         confusion=confusion,
-        test_counts=tuple(int(x) for x in confusion.sum(axis=1)),
         per_trial_dims=tuple(dims_per_fold),
         compression_fractions=tuple(fractions),
         objective_traces=tuple(traces),

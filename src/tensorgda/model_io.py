@@ -1,4 +1,4 @@
-"""Serialization of trained models and experiment reports.
+"""Serialization of trained models, and the text of both reports.
 
 Model container: one line of JSON (sorted keys, no whitespace) with a
 format-version tag, then the raw bytes of the model's arrays.  The header
@@ -11,16 +11,19 @@ order ``combined[0]``, ``combined[1]``, ..., ``gallery``, ``mean_vector``
 wrong.  A save/load round trip is bit-exact and repeated saves of the same
 model are byte-identical: a model holds no clock reading.  Loading checks
 the header before it allocates an array: exact key sets, the JSON type of
-every value, a known kind, and shapes whose sizes add up to exactly the
-bytes after the header.  It then reads each array straight into its own
-buffer and checks that its entries are finite, that the shapes fit
-``sample_shape``, and that there is a ``mean_vector`` exactly when the kind
-is vectorized.  A rejection names the key at fault.
+every value, a known kind, labels that fit 64-bit integers, and shapes
+whose sizes add up to exactly the bytes after the header.  It then reads
+each array straight into its own buffer and checks that its entries are
+finite, that the shapes fit ``sample_shape``, and that there is a
+``mean_vector`` exactly when the kind is vectorized.  A rejection names the
+key at fault.
 
-Report files: a line-oriented text document, ``key = value`` pairs followed
-by ``[section]`` tables (tab-separated).  Floats are written with ``repr``
-(shortest exact round trip), and a report holds no clock reading, so
-reports are byte-reproducible.
+Reports: the experiment report (:func:`report_to_text`) and the compression
+report of ``tensorgda compress`` share one line-oriented layout, written by
+:func:`format_report`: a ``# tensorgda <name> report v1`` title line,
+``key = value`` pairs, then ``[section]`` tables with tab-separated rows.
+Floats are written with ``repr`` (shortest exact round trip), and a report
+holds no clock reading, so reports are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -46,6 +49,15 @@ def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
 
+def _each(convert):
+    """``convert`` applied to each entry of a list."""
+    def convert_each(values) -> list:
+        if not isinstance(values, (list, tuple)):
+            raise TypeError("must be a list")
+        return [convert(v) for v in values]
+    return convert_each
+
+
 def _shape_of(a: np.ndarray) -> dict:
     return {"shape": list(a.shape)}
 
@@ -56,28 +68,6 @@ def _int_list(values) -> list:
 
 def _float_list(values) -> list:
     return [float(v) for v in values]
-
-
-def model_header(model: GdaModel) -> str:
-    """The deterministic JSON header line of a model file, without its
-    newline; the arrays in it are shapes only."""
-    document = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "kind": model.kind,
-        "sample_shape": list(model.sample_shape),
-        "combined": [_shape_of(p) for p in model.combined],
-        "mean_vector": _optional(_shape_of)(model.mean_vector),
-        "gallery": _shape_of(model.gallery),
-        "gallery_labels": _int_list(model.gallery_labels),
-        "hosvd_ranks": _optional(_int_list)(model.hosvd_ranks),
-        "mode_energy": _optional(_float_list)(model.mode_energy),
-        "objective_trace": _float_list(model.objective_trace),
-        "subspace_change_trace": _float_list(model.subspace_change_trace),
-        "config": _optional(asdict)(model.config),
-        "warnings": list(model.warnings),
-    }
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
 def _decode_object(blob, decoders: dict, header=()) -> dict:
@@ -116,7 +106,8 @@ def _list_of(accept, what: str):
 
 _counts = _list_of(lambda v: _is_int(v) and v >= 1, "positive integers")
 _numbers = _list_of(_is_number, "numbers")
-_array_blobs = _list_of(lambda v: isinstance(v, dict), "arrays")
+# labels are held as 64-bit integers, as the manifest reads them
+_labels = _list_of(lambda v: _is_int(v) and -2**63 <= v < 2**63, "64-bit integers")
 
 
 def _floats(value) -> tuple:
@@ -147,32 +138,49 @@ def _config_value(key: str):
     return decode
 
 
-# how each model field is read back from its JSON key of the same name;
-# an array's key yields its shape, which ``_read_payload`` swaps for the array
-_DECODERS = {
-    "kind": _known_kind,
-    "sample_shape": _counts,
-    "combined": lambda value: [_decode_shape(b) for b in _array_blobs(value)],
-    "gallery": _decode_shape,
-    "gallery_labels": lambda value: np.array(_list_of(_is_int, "integers")(value)),
-    "mean_vector": _optional(_decode_shape),
-    "hosvd_ranks": _optional(_counts),
-    "mode_energy": _optional(_floats),
-    "objective_trace": _floats,
-    "subspace_change_trace": _floats,
-    "config": _optional(
-        lambda blob: TrainingConfig(**_decode_object(
-            blob, {f.name: _config_value(f.name) for f in fields(TrainingConfig)}
-        ))
-    ),
-    "warnings": _list_of(lambda w: isinstance(w, str), "strings"),
+def _decode_config(blob) -> TrainingConfig:
+    decoders = {f.name: _config_value(f.name) for f in fields(TrainingConfig)}
+    return TrainingConfig(**_decode_object(blob, decoders))
+
+
+# each header key but the arrays', named after the model field it stores,
+# with the writer of its JSON value and the checked reader of that value
+_FIELDS = {
+    "kind": (str, _known_kind),
+    "sample_shape": (_int_list, _counts),
+    "gallery_labels": (_int_list, lambda value: np.array(_labels(value), np.int64)),
+    "hosvd_ranks": (_optional(_int_list), _optional(_counts)),
+    "mode_energy": (_optional(_float_list), _optional(_floats)),
+    "objective_trace": (_float_list, _floats),
+    "subspace_change_trace": (_float_list, _floats),
+    "config": (_optional(asdict), _optional(_decode_config)),
+    "warnings": (list, _list_of(lambda w: isinstance(w, str), "strings")),
 }
 
+# the array keys, in the order their buffers follow the header, each with
+# how a function of one array applies to the key's value: to each array of a
+# list, to the one array, or to an array that may be null
+_PAYLOAD = {"combined": _each, "gallery": lambda convert: convert, "mean_vector": _optional}
 
-def _payload(model: GdaModel) -> list:
-    """The model's arrays in the order their bytes follow the header."""
-    mean = [] if model.mean_vector is None else [model.mean_vector]
-    return [*model.combined, model.gallery, *mean]
+# an array's key holds its shape, which ``_read_payload`` swaps for the array
+_FIELDS.update((key, (lift(_shape_of), lift(_decode_shape))) for key, lift in _PAYLOAD.items())
+
+
+def model_header(model: GdaModel) -> str:
+    """The deterministic JSON header line of a model file, without its
+    newline; the arrays in it are shapes only."""
+    document = {key: encode(getattr(model, key)) for key, (encode, _) in _FIELDS.items()}
+    document.update(format=MODEL_FORMAT, version=MODEL_VERSION)
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+def _payload(values: dict) -> list:
+    """The arrays under the array keys of ``values`` (of decoded header
+    values, their shapes) in payload order."""
+    arrays = []
+    for key, lift in _PAYLOAD.items():
+        lift(arrays.append)(values[key])
+    return arrays
 
 
 def _read_array(handle, shape: tuple) -> np.ndarray:
@@ -188,19 +196,14 @@ def _read_payload(handle, values: dict) -> None:
     """Swap the array shapes in the decoded header ``values`` for the
     arrays stored after the header, once their sizes are known to add up
     to exactly the bytes left in the file."""
-    shapes = [*values["combined"], values["gallery"], values["mean_vector"]]
-    need = sum(8 * math.prod(shape) for shape in shapes if shape is not None)
+    need = sum(8 * math.prod(shape) for shape in _payload(values))
     have = os.fstat(handle.fileno()).st_size - handle.tell()
     if need != have:
         raise ValueError(f"the header's arrays take {need} bytes, {have} follow it")
     read = partial(_read_array, handle)
-    for key, decode in (  # in payload order
-        ("combined", lambda shapes: [read(s) for s in shapes]),
-        ("gallery", read),
-        ("mean_vector", _optional(read)),
-    ):
+    for key, lift in _PAYLOAD.items():
         try:
-            values[key] = decode(values[key])
+            values[key] = lift(read)(values[key])
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
 
@@ -208,16 +211,11 @@ def _read_payload(handle, values: dict) -> None:
 def _check_consistency(model: GdaModel) -> None:
     """Projectors, gallery and mean vector must fit ``sample_shape``, and
     only the vectorized kinds carry a mean vector."""
-    if model.vectorized:
-        rows = [math.prod(model.sample_shape)]
-    else:
-        rows = list(model.sample_shape)
+    rows = [math.prod(model.sample_shape)] if model.vectorized else list(model.sample_shape)
     got = [p.shape[0] if p.ndim == 2 else None for p in model.combined]
     if got != rows:
-        raise ValueError(
-            f"combined: projector rows {got} do not fit sample_shape "
-            f"{list(model.sample_shape)}"
-        )
+        raise ValueError(f"combined: projector rows {got} do not fit sample_shape "
+                         f"{list(model.sample_shape)}")
     gallery_shape = model.projected_shape + (len(model.gallery_labels),)
     if model.gallery.shape != gallery_shape:
         raise ValueError(f"gallery: shape {model.gallery.shape}, expected {gallery_shape}")
@@ -226,15 +224,13 @@ def _check_consistency(model: GdaModel) -> None:
         raise ValueError(f"mean_vector: must be null for kind {model.kind!r}")
     if model.vectorized and (mean is None or mean.shape != (rows[0],)):
         found = "null" if mean is None else f"shape {mean.shape}"
-        raise ValueError(
-            f"mean_vector: kind {model.kind!r} needs shape {(rows[0],)}, got {found}"
-        )
+        raise ValueError(f"mean_vector: kind {model.kind!r} needs shape {(rows[0],)}, got {found}")
 
 
 def save_model(model: GdaModel, path) -> None:
     with open(path, "wb") as handle:
         handle.write(model_header(model).encode("ascii") + b"\n")
-        for array in _payload(model):
+        for array in _payload(vars(model)):
             handle.write(np.ascontiguousarray(array, "<f8").data)
 
 
@@ -247,11 +243,10 @@ def _read_model(handle, path) -> GdaModel:
         raise DatasetError(f"{path} is not a {MODEL_FORMAT} file")
     version = document.get("version")
     if not _is_int(version) or version != MODEL_VERSION:
-        raise DatasetError(
-            f"{path} has model version {version!r}, expected {MODEL_VERSION}"
-        )
+        raise DatasetError(f"{path} has model version {version!r}, expected {MODEL_VERSION}")
     try:
-        values = _decode_object(document, _DECODERS, ("format", "version"))
+        decoders = {key: decode for key, (_, decode) in _FIELDS.items()}
+        values = _decode_object(document, decoders, ("format", "version"))
         _read_payload(handle, values)
         model = GdaModel(**values)
         _check_consistency(model)
@@ -268,10 +263,26 @@ def load_model(path) -> GdaModel:
         raise DatasetError(f"cannot load model from {path}: {exc}") from exc
 
 
-def _fmt(value) -> str:
+def _cell(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
+    if isinstance(value, tuple):
+        return "x".join(str(v) for v in value)
     return str(value)
+
+
+def format_report(name: str, pairs: dict, sections) -> str:
+    """The text of a ``# tensorgda <name> report v1``: one ``key = value``
+    line for each entry of ``pairs`` whose value is not None, then for each
+    ``(section, rows)`` of ``sections`` a ``[section]`` line and one line per
+    row, its cells tab-separated.  A float is written with ``repr``, a tuple
+    (a shape) as its entries joined by ``x``, anything else with ``str``."""
+    lines = [f"# tensorgda {name} report v1"]
+    lines += [f"{key} = {_cell(value)}" for key, value in pairs.items() if value is not None]
+    for section, rows in sections:
+        lines.append(f"[{section}]")
+        lines += ["\t".join(_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def report_to_text(report: ExperimentReport) -> str:
@@ -280,41 +291,26 @@ def report_to_text(report: ExperimentReport) -> str:
     Field names are stable.  Every value is deterministic given the data,
     config and seed, so equal runs write equal text.
     """
-    lines = ["# tensorgda experiment report v1"]
-    lines.append(f"protocol = {report.protocol}")
-    lines.append(f"method = {report.method}")
-    lines.append(f"seed = {report.seed}")
-    if report.train_per_class is not None:
-        lines.append(f"train_per_class = {report.train_per_class}")
-    lines.append(f"trials = {len(report.trial_accuracies)}")
-    lines.append(f"mean_accuracy = {_fmt(report.mean_accuracy)}")
-    if report.macro_accuracy is not None:
-        lines.append(f"macro_accuracy = {_fmt(report.macro_accuracy)}")
-    lines.append("classes = " + " ".join(str(c) for c in report.classes))
-
-    lines.append("[trials]")
-    lines.append("index\taccuracy\tdims\tcompression_fraction")
-    for i, acc in enumerate(report.trial_accuracies):
-        dims = "x".join(str(d) for d in report.per_trial_dims[i])
-        lines.append(
-            f"{i}\t{_fmt(acc)}\t{dims}\t{_fmt(report.compression_fractions[i])}"
-        )
-
-    lines.append("[confusion]")
-    for i, c in enumerate(report.classes):
-        row = "\t".join(str(int(v)) for v in report.confusion[i])
-        lines.append(f"{c}\t{row}")
-
-    lines.append("[test_counts]")
-    for c, count in zip(report.classes, report.test_counts):
-        lines.append(f"{c}\t{count}")
-
-    for i, trace in enumerate(report.objective_traces):
-        if not trace:
-            continue
-        lines.append(f"[objective_trace {i}]")
-        lines.append(" ".join(_fmt(float(v)) for v in trace))
-    return "\n".join(lines) + "\n"
+    trials = zip(report.trial_accuracies, report.per_trial_dims, report.compression_fractions)
+    return format_report("experiment", {
+        "protocol": report.protocol,
+        "method": report.method,
+        "seed": report.seed,
+        "train_per_class": report.train_per_class,
+        "trials": len(report.trial_accuracies),
+        "mean_accuracy": report.mean_accuracy,
+        "macro_accuracy": report.macro_accuracy,
+        "classes": " ".join(str(c) for c in report.classes),
+    }, [
+        ("trials", [
+            ["index", "accuracy", "dims", "compression_fraction"],
+            *([i, *trial] for i, trial in enumerate(trials)),
+        ]),
+        ("confusion", ([c, *row] for c, row in zip(report.classes, report.confusion))),
+        ("test_counts", zip(report.classes, report.test_counts)),
+        *((f"objective_trace {i}", [[" ".join(_cell(float(v)) for v in trace)]])
+          for i, trace in enumerate(report.objective_traces) if trace),
+    ])
 
 
 def save_report(report: ExperimentReport, path) -> None:

@@ -867,6 +867,13 @@ def _string_gallery_labels(doc, payload):
     doc["gallery_labels"] = "12"
 
 
+def _gallery_label(value):
+    """A corrupter that sets the first gallery label to ``value``."""
+    def corrupt(doc, payload):
+        doc["gallery_labels"][0] = value
+    return corrupt
+
+
 def _non_finite(key, value):
     """A corrupter that sets the first entry of array ``key`` (of the first
     projector, for ``combined``) to ``value``."""
@@ -914,6 +921,9 @@ class TestBadModelFile:
         ("gda", _scalar_sample_shape, "sample_shape"),
         ("gda", _scalar_warnings, "warnings"),
         ("gda", _string_gallery_labels, "gallery_labels"),
+        ("gda", _gallery_label(2**63), "gallery_labels"),
+        ("gda", _gallery_label(2**70), "gallery_labels"),
+        ("gda", _gallery_label(-2**63 - 1), "gallery_labels"),
         ("gda", _non_finite("gallery", math.nan), "gallery"),
         ("hopca", _non_finite("gallery", -math.inf), "gallery"),
         ("gda", _non_finite("combined", math.nan), "combined"),
@@ -1115,11 +1125,12 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
-def test_out_of_memory_exits_3_with_one_line(tmp_path):
-    done = run_script(
-        ["train", "--synth", "c=2,per_class=2,shape=200000x200000"], tmp_path,
-        preexec_fn=_limit_address_space,
-    )
+@pytest.mark.parametrize("synth", [
+    "c=2,per_class=2,shape=200000x200000",
+    "c=100000,per_class=100000,shape=2x2",
+])
+def test_out_of_memory_exits_3_with_one_line(synth, tmp_path):
+    done = run_script(["train", "--synth", synth], tmp_path, preexec_fn=_limit_address_space)
     assert done.returncode == 3, done.stderr
     assert done.stderr.startswith("error: out of memory: ")
     assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
