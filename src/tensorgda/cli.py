@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import load_manifest, save_sample, synth_gaussian_classes
+from .datasets import load_manifest, save_dataset, save_sample, synth_gaussian_classes
 from .errors import ConfigurationError, DatasetError, TensorGdaError
 from .evaluation import (
     METHODS,
@@ -384,20 +384,7 @@ def cmd_classify(args) -> int:
 
 def cmd_synth(args) -> int:
     data = synth_gaussian_classes(**parse_synth_spec(args.spec), seed=args.seed)
-    out_dir = Path(args.output_dir)
-    lo = float(data.samples.min())
-    hi = float(data.samples.max())
-    scale = 255.0 / (hi - lo) if hi > lo else 1.0
-    quantized = np.clip(np.rint((data.samples - lo) * scale), 0, 255)
-
-    manifest_lines = ["# generated synthetic dataset"]
-    if data.order == 3:
-        manifest_lines.append(f"@frames {data.sample_shape[-1]}")
-    for i in range(data.n_samples):
-        name = save_sample(out_dir, f"sample_{i:04d}", quantized[..., i])
-        manifest_lines.append(f"{name}\t{data.labels[i]}\t{data.subjects[i]}")
-    manifest = out_dir / "manifest.tsv"
-    manifest.write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
+    manifest = save_dataset(data, args.output_dir)
     print(f"{data.n_samples} samples and {manifest} written")
     return 0
 

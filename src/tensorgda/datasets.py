@@ -12,7 +12,7 @@ entry per line, ``#`` comments, and optional ``@key value`` directives
 (``@frames`` for the expected sequence length, ``@trim-seed`` to delete
 surplus frames deterministically).  Paths are resolved against the manifest's
 directory.  Labels and directive integers are ASCII decimal digits after at
-most one leading ``-``.
+most one leading ``-``.  :func:`save_dataset` writes a set in this format.
 """
 
 from __future__ import annotations
@@ -154,18 +154,16 @@ def load_sequence(directory, expected_t: int | None = None, seed: int | None = N
     names = sorted(p.name for p in directory.iterdir() if p.is_file())
     if not names:
         raise DatasetError(f"{directory} contains no frames")
-    frames = []
-    shape = None
-    for name in names:
+    sequence = None
+    for t, name in enumerate(names):
         frame = load_image(directory / name)
-        if shape is None:
-            shape = frame.shape
-        elif frame.shape != shape:
+        if sequence is None:
+            sequence = np.empty(frame.shape + (len(names),))
+        elif frame.shape != sequence.shape[:2]:
             raise DatasetError(
-                f"frame {directory / name} has size {frame.shape}, expected {shape}"
+                f"frame {directory / name} has size {frame.shape}, expected {sequence.shape[:2]}"
             )
-        frames.append(frame)
-    sequence = np.stack(frames, axis=2)
+        sequence[..., t] = frame
     if expected_t is not None:
         t = sequence.shape[2]
         if t < expected_t:
@@ -285,7 +283,7 @@ def load_manifest(path) -> LabeledTensorSet:
                 raise DatasetError(f"{path}:{lineno}: unknown directive @{key}")
             continue
         fields = line.split("\t")
-        if len(fields) < 2:
+        if not 2 <= len(fields) <= 3:
             raise DatasetError(
                 f"{path}:{lineno}: expected path<TAB>label[<TAB>subject]"
             )
@@ -302,28 +300,43 @@ def load_manifest(path) -> LabeledTensorSet:
     if not entries:
         raise DatasetError(f"manifest {path} lists no samples")
 
-    samples = []
-    labels = []
-    subjects = []
-    shape = None
-    for lineno, entry_path, label, subject in entries:
+    samples = None
+    for i, (lineno, entry_path, _, _) in enumerate(entries):
         if entry_path.is_dir():
             sample = load_sequence(entry_path, expected_t=frames, seed=trim_seed)
         else:
             sample = load_image(entry_path)
-        if shape is None:
-            shape = sample.shape
-        elif sample.shape != shape:
+        if samples is None:
+            samples = np.empty(sample.shape + (len(entries),))
+        elif sample.shape != samples.shape[:-1]:
             raise DatasetError(
                 f"{path}:{lineno}: sample {entry_path} has shape {sample.shape}, "
-                f"expected {shape}"
+                f"expected {samples.shape[:-1]}"
             )
-        samples.append(sample)
-        labels.append(label)
-        subjects.append(subject)
+        samples[..., i] = sample
+    _, _, labels, subjects = zip(*entries)
     have_subjects = any(s is not None for s in subjects)
     if have_subjects and not all(s is not None for s in subjects):
         raise DatasetError(f"manifest {path} mixes entries with and without subjects")
-    return LabeledTensorSet.from_samples(
-        samples, labels, subjects if have_subjects else None
-    )
+    return LabeledTensorSet(samples, labels, subjects if have_subjects else None)
+
+
+def save_dataset(data: LabeledTensorSet, directory) -> Path:
+    """Write ``data`` as :func:`load_manifest` reads it and return its
+    ``manifest.tsv``: values scaled from the set's min..max to 0..255 and
+    rounded, one :func:`save_sample` file per sample, listed in order."""
+    directory = Path(directory)
+    lo = float(data.samples.min())
+    hi = float(data.samples.max())
+    scale = 255.0 / (hi - lo) if hi > lo else 1.0
+    quantized = np.clip(np.rint((data.samples - lo) * scale), 0, 255)
+    lines = ["# generated synthetic dataset"]
+    if data.order == 3:
+        lines.append(f"@frames {data.sample_shape[-1]}")
+    for i in range(data.n_samples):
+        name = save_sample(directory, f"sample_{i:04d}", quantized[..., i])
+        subject = "" if data.subjects is None else f"\t{data.subjects[i]}"
+        lines.append(f"{name}\t{data.labels[i]}{subject}")
+    manifest = directory / "manifest.tsv"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return manifest

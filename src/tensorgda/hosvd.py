@@ -150,11 +150,11 @@ def hosvd(samples: np.ndarray, ranks=None, theta: float | None = None) -> HosvdR
     for k in range(len(shape)):
         needed = None if ranks is None else int(ranks[k])
         basis, sigmas = _mode_basis(tensor.unfold(samples, k), needed)
-        if needed is None:
-            needed = select_rank(sigmas, theta)
         total = float(np.sum(sigmas))
         if total == 0.0:
             raise DegenerateModeError(f"mode {k} of the input is identically zero")
+        if needed is None:
+            needed = select_rank(sigmas, theta)
         factors.append(basis[:, :needed])
         kept.append(needed)
         energy.append(float(np.sum(sigmas[:needed])) / total)

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -10,6 +11,7 @@ from tensorgda.datasets import (
     load_manifest,
     load_sequence,
     parse_pgm,
+    save_dataset,
     save_pgm,
     synth_gaussian_classes,
     trim_to_length,
@@ -167,6 +169,41 @@ class TestSaveLoadRoundtrip:
     def test_out_of_range_rejected(self, tmp_path):
         with pytest.raises(DatasetError):
             save_pgm(tmp_path / "x.pgm", np.array([[300.0]]))
+
+
+def file_bytes(directory):
+    """``relative path -> bytes`` of every file under ``directory``."""
+    return {
+        path.relative_to(directory).as_posix(): path.read_bytes()
+        for path in directory.rglob("*") if path.is_file()
+    }
+
+
+class TestSaveDataset:
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 3, 2)])
+    def test_a_full_range_set_round_trips_byte_for_byte(self, tmp_path, shape):
+        # integers that already span 0..255 are what the writer's scaling
+        # maps to themselves, so rewriting what was read writes the same files
+        rng = np.random.default_rng(5)
+        samples = rng.integers(0, 256, size=shape + (6,)).astype(np.float64)
+        samples.flat[0], samples.flat[-1] = 0.0, 255.0
+        data = LabeledTensorSet(samples, [1, 1, 2, 2, 3, 3], [1, 2, 1, 2, 1, 2])
+        manifest = save_dataset(data, tmp_path / "a")
+        assert manifest == tmp_path / "a" / "manifest.tsv"
+        loaded = load_manifest(manifest)
+        np.testing.assert_array_equal(loaded.samples, samples)
+        np.testing.assert_array_equal(loaded.labels, data.labels)
+        np.testing.assert_array_equal(loaded.subjects, data.subjects.astype(str))
+        save_dataset(loaded, tmp_path / "b")
+        written = file_bytes(tmp_path / "a")
+        assert len(written) == 1 + 6 * (1 if len(shape) == 2 else shape[-1])
+        assert file_bytes(tmp_path / "b") == written
+
+    def test_a_set_without_subjects_lists_two_fields(self, tmp_path):
+        data = LabeledTensorSet(np.arange(8.0).reshape(2, 2, 2), [1, 2])
+        loaded = load_manifest(save_dataset(data, tmp_path))
+        assert loaded.subjects is None
+        np.testing.assert_array_equal(loaded.labels, [1, 2])
 
 
 def write_frames(directory, frames, names=None):
@@ -398,10 +435,12 @@ class TestManifest:
         with pytest.raises(DatasetError, match="b.pgm"):
             load_manifest(manifest)
 
-    def test_malformed_line_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line", ["only-one-field", "a.pgm\t1\t1\textra"])
+    def test_malformed_line_rejected(self, tmp_path, line):
         manifest = tmp_path / "manifest.tsv"
-        manifest.write_text("only-one-field\n")
-        with pytest.raises(DatasetError):
+        manifest.write_text(f"{line}\n")
+        message = f"{manifest}:1: expected path<TAB>label[<TAB>subject]"
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
             load_manifest(manifest)
 
     def test_empty_manifest_rejected(self, tmp_path):

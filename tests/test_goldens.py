@@ -35,6 +35,7 @@ def _cases():
                 True,
             )
         cases[f"{tag}-compress-theta"] = (["compress", *data, "--theta", "0.9"], False)
+        cases[f"{tag}-synth"] = (["synth", "--spec", data[1], "--seed", data[3]], True)
     cases["o2-train-gda-flags"] = (
         ["train", *ORDER2, "--method", "gda", "--theta", "0.95", "--dims", "2x2",
          "--max-iters", "3", "--conv-tol", "1e-3", "--ridge", "1e-5"],
@@ -111,7 +112,8 @@ def classify_inputs(name, directory: Path):
 
 
 def run_case(name, directory: Path) -> dict:
-    """Run one case into ``directory``; ``file name -> SHA-256`` of its output."""
+    """Run one case into ``directory``; ``relative path -> SHA-256`` of every
+    file under it, frame directories included."""
     argv, takes_dir = CASES[name]
     if "{manifest}" in argv:
         manifest = unequal_folds_manifest(directory.parent / f"{name}-data")
@@ -124,8 +126,9 @@ def run_case(name, directory: Path) -> dict:
     target = ["--output-dir", str(directory)] if takes_dir else ["--output", str(directory / "out")]
     assert main([*argv, *target]) == 0
     return {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(directory.iterdir())
+        path.relative_to(directory).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
     }
 
 
@@ -163,6 +166,27 @@ GOLDENS = {
         'report_split_hopca.txt': 'aa6bcacce4216641365f2273123ac403cdf275d89aff3269eb5df903ef05dbe1',
         'report_split_mda.txt': '32715664138cad48acaf17a72c8d27fa9490a95a47b7d33e93289e125cdd7e3e',
         'report_split_pca.txt': 'db6ffaf7dfeb6dcb6f944c27d8865d3e7e5601c068a5b76981fcfa578f87b819',
+    },
+    'o2-synth': {
+        'manifest.tsv': '602a56a00784e2660330a997678626fc4acc3a6d6fa0220cecb42f61228e8b1e',
+        'sample_0000.pgm': 'fe49e917c043811a4cdeab033c5bcbedf5f68cf64c458017e285b3d7f9209eef',
+        'sample_0001.pgm': '641bbe8c5cd8f9f60417fd98479dee39ce9f600768007b7b9d1b0164ea29890f',
+        'sample_0002.pgm': '2e449b52ed260c87dd1dab17d49b0b83b5a1785b8bf039b130b73814c1a600b9',
+        'sample_0003.pgm': 'fab4f06688403a3f4a358a789b4445c28fea6c64697a6332065c2ec46c8f816d',
+        'sample_0004.pgm': '9455b86cc50f028bb7c7539efb6722372b7628f2db548230cfc97e4f6271cd35',
+        'sample_0005.pgm': 'c0c6eaa45ba0667e2ddc5e6601b59316d5f40d1b6da0d788b9280a14a8408fec',
+        'sample_0006.pgm': 'dbcc5487758ba3652caa313b3f9da3e90ed5d9d97dbe8b3d148ce706863f9fea',
+        'sample_0007.pgm': '9fe0dc9b0e26c72f3cf04c171783cc0877b6aa1645449bca53cae692d7e6204c',
+        'sample_0008.pgm': 'a50425d4f268c7ffd8ff7af37fb8ac33c12a74d66cded0770916a586a35a98bf',
+        'sample_0009.pgm': '7eba2738c0c2fa76cda0b0b3a43e053dfb30c7f5782467b0508d0dfc161d83f0',
+        'sample_0010.pgm': '574ae6004ffd0dd7b68b09dc68d4e497846621ad3ec700c95e16902abf0a84e0',
+        'sample_0011.pgm': '738a14e21e55d02f77cd54489bce8e035e96b22372d8313229c8f96a745b7c39',
+        'sample_0012.pgm': '2bd4de55753e749b22821edacb6991bde3e88028613f3d7381c6aa3a8c6c5114',
+        'sample_0013.pgm': '0e88c936579fa9f6ac66bc8b55b8a14e7c18f102aac615e1dbf4d150572c943a',
+        'sample_0014.pgm': '0f55b24d3a6271c874e418d98af0296b9ac4ee2d530e69866095a91aac1099ce',
+        'sample_0015.pgm': 'ee6c56a7230670b4d89241cd25931d0ad382d62b3a066f4170eac27631b1b139',
+        'sample_0016.pgm': '4251c5a1dcf1a9e1cdd8a326008e3443c872b9bbb32f946996f701988abe4c98',
+        'sample_0017.pgm': '2a5fcb7daccdca9dee581f670921680292db236b91181f2aea0858eaa5ed0ddf',
     },
     'o2-train-fisherface': {
         'out': 'b9c831e1f81e35c6b14708755ba5c18930a5f1ba8e365a28e6c5775d6483d2f2',
@@ -207,6 +231,45 @@ GOLDENS = {
         'report_split_hopca.txt': '25598c2d9bfd3c5e0fbec5d9bde9af9be878fac5b08c398fbefb96f0dad73480',
         'report_split_mda.txt': '6d93eaeaad900d710b61e48524c6f4138bb5de1eaca89a1fce2c7936e7592c73',
         'report_split_pca.txt': '410d562e8bbc960d555b3f460f00ed2a790a97fe766b1b77ac44f077a45f54e5',
+    },
+    'o3-synth': {
+        'manifest.tsv': '3b7d0cc54f68d259483a4927086ab9608f459fdaff44bc5c312a12f1e51f125a',
+        'sample_0000/frame_000.pgm': 'ecb5badb73447d601f48a757ecfe0994a94197b3a2af789a17d35f36c9452747',
+        'sample_0000/frame_001.pgm': 'd6fdf3ae1f4dce945abc215616c25b0d2df983f132cd8bf0002099fbf830378d',
+        'sample_0000/frame_002.pgm': 'd574d948cbbf78c19b6aeea08a49965bd6888e9d76815d9529f02c1833f6a612',
+        'sample_0001/frame_000.pgm': '5f5b57717f6ebd0dc5663e0014c079aa8e2ad7a52b17c5eec4a684648015008a',
+        'sample_0001/frame_001.pgm': 'bdd0d01705339f52d0409dcf8c5c1f3103f95d4b5a538f1324f734f74581c65b',
+        'sample_0001/frame_002.pgm': '9ca93a81d8608767894108f1e9f69f24a9478ffbdab04a1bbb4d244042a093b4',
+        'sample_0002/frame_000.pgm': '4fdbbf588678693c5827fc55b1e924eb6063f9c3647c022959d2cb43a7af9051',
+        'sample_0002/frame_001.pgm': 'afbd56baa63fd89d0ca128a4604ef9a32ea058f4070ce67fa958724463f98385',
+        'sample_0002/frame_002.pgm': 'bc4eb4b528bf5d023e9a706f675ea42db8ec630f27385468a8f2be18f38c6f8f',
+        'sample_0003/frame_000.pgm': '61f0f704ed24c0835c167090a5bc8d55fe83b335a1db1b27912facc3f66a84c1',
+        'sample_0003/frame_001.pgm': '637dca8d119f126f4e2471aad521cfc4cf968214fad3044eb7285c87c7a9d76b',
+        'sample_0003/frame_002.pgm': '04269c3bd34130adc577f9e1095f69718039bb40707c6fba93cccdc2c79c872d',
+        'sample_0004/frame_000.pgm': 'deeb6230b072363fb51e539089b1f8705523b2495aa7260b849f0000c9a703cc',
+        'sample_0004/frame_001.pgm': 'b979bc0ae6f7188f098599418a758cb65db5c629d3a3c464ec1c9b3f4c241d87',
+        'sample_0004/frame_002.pgm': '8129eaf3741707489e5d5ee8d1e35ce9b7b36d8fbc8ce6926e19405a693b2f0b',
+        'sample_0005/frame_000.pgm': '4316ec6cb74539b1bcd0924bca0058dd21c53569025f7d80a92f15444113a23f',
+        'sample_0005/frame_001.pgm': '3efda2f5e3f7e2f1c68a142def980ef8b02072a143d4ba5bec5f624bb48b69d3',
+        'sample_0005/frame_002.pgm': 'f6a873fba39fdd8f5c694f1a2b1bf92c956eebf8ea661974120135809bd86882',
+        'sample_0006/frame_000.pgm': 'd99d248185a07866b201f9ade4c1ea00d9c5c8f8f00978d960fe4ac5a488956f',
+        'sample_0006/frame_001.pgm': '6f27dad264743cf97cf0b7cf1b4a9add12c7182ba21e42c2b94efbe50da2c635',
+        'sample_0006/frame_002.pgm': 'ebc1a90a9f32087f56defe0e654b48a5986f5fa11558d54a9a67ce97b27792c0',
+        'sample_0007/frame_000.pgm': '2f16b45d5a2044b1d5377ca4d347399e825ea766f2b497aadb3a8bd4b71efdfd',
+        'sample_0007/frame_001.pgm': '7a61fbda4af2058378aa079f2f219b50a6f65f307c7af9ea0120e3e61b5b3648',
+        'sample_0007/frame_002.pgm': '18e74a8f2a1c166160c67fc75b79023babd72bb2e50683aa347954546e67ce96',
+        'sample_0008/frame_000.pgm': '543f1e95ba2ea2e2bccb4520cafb03a314317d3243c23c5731f633d9352b3b28',
+        'sample_0008/frame_001.pgm': 'd0151f5aed7c2308c7a7788b40b94c1d5d522a1ca14c0c65320257202007f2a9',
+        'sample_0008/frame_002.pgm': '32f22b7ceaed9ad394f202cf18f4b233f905a5990032c99fa754b5886eaa2d32',
+        'sample_0009/frame_000.pgm': 'c23eb8ce49fb450138a027b723eb24081eeff4138e85e35478e49dc387386d2c',
+        'sample_0009/frame_001.pgm': '3ed422117f559dd261977f413bcfc2058338680e614dbafac7f386c8ef5b4a76',
+        'sample_0009/frame_002.pgm': 'fc30aceb579b7d8f27a9b53d83f41740e5ff049bad23e1e9b8386653d9f9854a',
+        'sample_0010/frame_000.pgm': '6ba62d92c33f953092d8aea2be22fb11ef25f1987b8c2adf0018467bac6b228b',
+        'sample_0010/frame_001.pgm': '6ebc996311d13c7ce17ef04e25f94ec59a61df7eecb250b13e40d30b5155e807',
+        'sample_0010/frame_002.pgm': '4ca4b5aa219b95707985d29f2434b3705ef861648644d462164fee0542586820',
+        'sample_0011/frame_000.pgm': '756681e645b22be387ff337270eb984de94f920903d6866d4151a257532f57ba',
+        'sample_0011/frame_001.pgm': '1339dc939b4d5ce384764e4166f5e7a531060bfbe732bbd4e83fc240a2297935',
+        'sample_0011/frame_002.pgm': 'f82107e82d5b25adacdfbe2ab6fff180ca87bb680101388110da5fdb9be7f142',
     },
     'o3-train-fisherface': {
         'out': '1fb87a5c8000f86171787314b96b097cdd30c2532fcdc61171c9ba16fc6e15e4',

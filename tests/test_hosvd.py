@@ -218,9 +218,10 @@ class TestHosvd:
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             hosvd(np.ones((3, 3))[..., None], ranks=ranks)
 
-    def test_zero_tensor_rejected(self):
-        with pytest.raises(DegenerateModeError):
-            hosvd(np.zeros((3, 3))[..., None], theta=0.9)
+    @pytest.mark.parametrize("policy", [{"theta": 0.9}, {"ranks": (1, 1)}])
+    def test_zero_tensor_rejected(self, policy):
+        with pytest.raises(DegenerateModeError, match="^mode 0 of the input is identically zero$"):
+            hosvd(np.zeros((3, 3))[..., None], **policy)
 
     def test_policy_exclusivity(self):
         with pytest.raises(DimensionError):
