@@ -3,9 +3,13 @@
 Supported image format is portable graymap only, plain P2 or binary P5 with
 maxval up to 255; ``save_pgm`` writes P5 only.  Header fields and plain
 pixels are unsigned decimal digits, and a ``#`` comment runs to the end of
-its line.  File pixels are row-major; ``load_image`` returns an ``H x W``
-matrix indexed (row, column).  A frame directory becomes an
-``H x W x T`` tensor with frames stacked in lexicographic filename order.
+its line.  In a P5 header, comments may follow the maxval directly, each
+running through its newline; exactly one whitespace byte then ends the
+header, and any other byte there is an error.  File pixels are row-major;
+``load_image`` returns an ``H x W`` matrix indexed (row, column).  A frame
+directory becomes an ``H x W x T`` tensor: its files, symlinks followed,
+stacked in lexicographic filename order.  Entries that are not files, such
+as subdirectories, are skipped.
 
 A manifest is a line-oriented text file: one ``path<TAB>label[<TAB>subject]``
 entry per line, ``#`` comments, and optional ``@key value`` directives
@@ -17,6 +21,7 @@ most one leading ``-``.  :func:`save_dataset` writes a set in this format.
 
 from __future__ import annotations
 
+import errno
 import itertools
 import math
 import os
@@ -32,6 +37,11 @@ from .training import LabeledTensorSet
 # each run to the end of their line.  Matched at a position, never searched,
 # and no separator can be read two ways, so each byte is scanned once.
 _TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]*)")
+# the comments a P5 header may hold between its maxval and the whitespace
+# byte that ends it, each again running to the end of its line
+_MAXVAL_COMMENTS = re.compile(rb"(?:#[^\n]*(?:\n|\Z))*")
+# the bytes ``\s`` matches in a bytes pattern
+_WHITESPACE = b" \t\n\r\f\v"
 # how much of a bad token an error message quotes
 _ECHO_BYTES = 32
 
@@ -73,9 +83,15 @@ def parse_pgm(payload: bytes) -> np.ndarray:
     count = width * height
 
     if magic == b"P5":
+        # comments right after the maxval, then one whitespace byte
+        end = _MAXVAL_COMMENTS.match(payload, end).end()
         if end >= len(payload):
             raise PgmParseError("missing raster", end)
-        end += 1  # single whitespace byte after maxval
+        if payload[end] not in _WHITESPACE:
+            raise PgmParseError(
+                f"expected whitespace before the raster, got {payload[end:end + 1]!r}", end
+            )
+        end += 1
         raster = payload[end : end + count]
         end += len(raster)
         if len(raster) < count:
@@ -87,16 +103,18 @@ def parse_pgm(payload: bytes) -> np.ndarray:
         # int or a float, either of which the maxval check still compares
         pixels, end = _unsigned(payload, end, itertools.repeat("pixel", count))
         pixels = np.array(pixels)
-    if pixels.max() > maxval:
+    # no byte of a P5 raster exceeds a maxval of 255
+    if (magic == b"P2" or maxval < 255) and pixels.max() > maxval:
         raise PgmParseError("pixel exceeds declared maxval", end)
     return pixels.astype(np.float64).reshape(height, width)
 
 
 def load_image(path) -> np.ndarray:
     """Load a P2/P5 graymap file as an ``H x W`` matrix."""
-    path = Path(path)
+    path = os.fspath(path)  # a str or bytes path, never a file descriptor
     try:
-        payload = path.read_bytes()
+        with open(path, "rb", buffering=0) as handle:  # one read, no buffer object
+            payload = handle.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     try:
@@ -141,27 +159,49 @@ def save_sample(directory, stem: str, sample: np.ndarray) -> str:
     return stem
 
 
+# the errors ``pathlib`` reads as no such entry: a missing or dangling
+# path, a file where a directory should be, and a symlink loop
+_ABSENT = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+
+
+def _is_frame(entry: os.DirEntry) -> bool:
+    """Whether a directory entry is a file, symlinks followed, as
+    ``Path.is_file`` answers it."""
+    try:
+        return entry.is_file()
+    except OSError as exc:
+        if exc.errno in _ABSENT:
+            return False
+        raise
+
+
 def load_sequence(directory, expected_t: int | None = None, seed: int | None = None) -> np.ndarray:
     """Stack a directory of equal-size frames into an ``H x W x T`` tensor.
 
-    Frames load in lexicographic filename order.  When ``expected_t`` is
-    given, surplus frames are deleted via :func:`trim_to_length` (requires
-    ``seed``); too few frames is an error.
+    Frames are the directory's files, symlinks followed; other entries are
+    skipped.  They load in lexicographic filename order.  When
+    ``expected_t`` is given, surplus frames are deleted via
+    :func:`trim_to_length` (requires ``seed``); too few frames is an error.
     """
     directory = Path(directory)
-    if not directory.is_dir():
-        raise DatasetError(f"{directory} is not a directory")
-    names = sorted(p.name for p in directory.iterdir() if p.is_file())
+    try:
+        with os.scandir(directory) as entries:
+            names = sorted(entry.name for entry in entries if _is_frame(entry))
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        if isinstance(exc, OSError) and exc.errno not in _ABSENT:
+            raise
+        raise DatasetError(f"{directory} is not a directory") from None
     if not names:
         raise DatasetError(f"{directory} contains no frames")
+    prefix = os.path.join(directory, "")
     sequence = None
     for t, name in enumerate(names):
-        frame = load_image(directory / name)
+        frame = load_image(prefix + name)
         if sequence is None:
             sequence = np.empty(frame.shape + (len(names),))
         elif frame.shape != sequence.shape[:2]:
             raise DatasetError(
-                f"frame {directory / name} has size {frame.shape}, expected {sequence.shape[:2]}"
+                f"frame {prefix}{name} has size {frame.shape}, expected {sequence.shape[:2]}"
             )
         sequence[..., t] = frame
     if expected_t is not None:

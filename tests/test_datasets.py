@@ -105,6 +105,27 @@ class TestParsePgm:
     def test_comment_directly_after_a_token_ends_it(self):
         np.testing.assert_array_equal(parse_pgm(b"P2 1 1 255#c\n7#d"), [[7]])
 
+    @pytest.mark.parametrize("header", [
+        b"P5\n2 1\n255#c\n\n", b"P5\n2 1\n255#a\n#b\n\t", b"P5\n2 1\n255#\n ",
+    ], ids=["one-comment", "two-comments", "empty-comment"])
+    def test_comments_after_the_maxval_run_to_their_line_ends(self, header):
+        # each comment takes its newline; one whitespace byte then ends the header
+        np.testing.assert_array_equal(parse_pgm(header + b"\x01\x02"), [[1, 2]])
+
+    def test_a_hash_after_the_delimiter_is_a_pixel(self):
+        np.testing.assert_array_equal(parse_pgm(b"P5\n2 1\n255\n#\x02"), [[35, 2]])
+
+    @pytest.mark.parametrize("payload, offset, problem", [
+        (b"P5\n2 1\n255#c\n\x01\x02", 13, r"expected whitespace before the raster, got b'\x01'"),
+        (b"P5\n2 1\n255#c\nc\x01\x02", 13, "expected whitespace before the raster, got b'c'"),
+        (b"P5\n2 1\n255#\x01\x02", 13, "missing raster"),
+        (b"P5\n2 1\n255#c\n", 13, "missing raster"),
+    ], ids=["raw-byte", "letter", "comment-to-eof", "nothing-after-comment"])
+    def test_no_whitespace_byte_after_a_maxval_comment_rejected(self, payload, offset, problem):
+        with pytest.raises(PgmParseError) as err:
+            parse_pgm(payload)
+        assert (err.value.message, err.value.offset) == (problem, offset)
+
 
 # what a byte edit of a valid graymap inserts or writes over: separators,
 # signs, digits, and tokens that once loaded or crashed
@@ -238,6 +259,12 @@ class TestLoadSequence:
         write_frames(tmp_path / "seq", [np.zeros((2, 2))] * 3)
         with pytest.raises(DatasetError):
             load_sequence(tmp_path / "seq", expected_t=5)
+
+    def test_dangling_and_looping_symlinks_are_skipped(self, tmp_path):
+        write_frames(tmp_path / "seq", [np.full((2, 2), 3.0)])
+        (tmp_path / "seq" / "f02.pgm").symlink_to(tmp_path / "absent.pgm")
+        (tmp_path / "seq" / "f03.pgm").symlink_to(tmp_path / "seq" / "f03.pgm")
+        np.testing.assert_array_equal(load_sequence(tmp_path / "seq"), np.full((2, 2, 1), 3.0))
 
     def test_surplus_needs_seed(self, tmp_path):
         write_frames(tmp_path / "seq", [np.zeros((2, 2))] * 5)
@@ -448,6 +475,108 @@ class TestManifest:
         manifest.write_text("# nothing here\n")
         with pytest.raises(DatasetError):
             load_manifest(manifest)
+
+    def test_frames_load_bit_for_bit_as_parse_pgm_reads_them(self, tmp_path):
+        """Every frame read through ``load_manifest`` equals the frame
+        ``parse_pgm`` makes of its bytes: headers spelled several ways, a
+        plain frame among binary ones, a subdirectory inside a frame
+        directory (skipped) and a symlinked frame (followed)."""
+        rng = np.random.default_rng(15)
+        height, width, n_frames = 4, 3, 4
+        headers = [b"P5\n3 4\n255\n", b"P5 # made by hand\n3   4\n255\n",
+                   b"P5\t3\t4 255 ", b"P5\n3 4\n200#max\n\n"]
+        lines = ["@frames 4"]
+        for s in range(3):
+            seq = tmp_path / f"seq{s}"
+            seq.mkdir()
+            for t in range(n_frames):
+                pixels = rng.integers(0, 201, size=(height, width), dtype=np.uint8)
+                if s == 1 and t == 2:
+                    payload = b"P2\n3 4\n255\n" + " ".join(map(str, pixels.ravel())).encode()
+                else:
+                    payload = headers[(s + t) % len(headers)] + pixels.tobytes()
+                (seq / f"frame_{t}.pgm").write_bytes(payload)
+            lines.append(f"seq{s}\t{s + 1}")
+        (tmp_path / "seq0" / "frame_1.sub").mkdir()
+        save_pgm(tmp_path / "seq0" / "frame_1.sub" / "x.pgm", np.zeros((height, width)))
+        (tmp_path / "seq2" / "frame_3.pgm").unlink()
+        (tmp_path / "seq2" / "frame_3.pgm").symlink_to(tmp_path / "seq1" / "frame_0.pgm")
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("\n".join(lines) + "\n")
+
+        expected = np.stack([
+            np.stack([parse_pgm((tmp_path / f"seq{s}" / f"frame_{t}.pgm").read_bytes())
+                      for t in range(n_frames)], axis=-1)
+            for s in range(3)
+        ], axis=-1)
+        samples = load_manifest(manifest).samples
+        assert samples.dtype == expected.dtype and samples.shape == expected.shape
+        assert samples.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(samples[..., 3, 2], samples[..., 0, 1])
+
+
+class TestLoaderMessages:
+    """Each error of the manifest loader, word for word."""
+
+    def test_missing_entry(self, tmp_path):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("absent\t1\n")
+        with pytest.raises(DatasetError) as err:
+            load_manifest(manifest)
+        assert str(err.value) == (
+            f"cannot read {tmp_path}/absent: "
+            f"[Errno 2] No such file or directory: '{tmp_path}/absent'"
+        )
+
+    def test_missing_directory(self, tmp_path):
+        with pytest.raises(DatasetError) as err:
+            load_sequence(tmp_path / "absent")
+        assert str(err.value) == f"{tmp_path}/absent is not a directory"
+
+    def test_a_file_is_not_a_directory(self, tmp_path):
+        save_pgm(tmp_path / "a.pgm", np.zeros((2, 2)))
+        with pytest.raises(DatasetError) as err:
+            load_sequence(tmp_path / "a.pgm")
+        assert str(err.value) == f"{tmp_path}/a.pgm is not a directory"
+
+    def test_empty_directory(self, tmp_path):
+        (tmp_path / "seq").mkdir()
+        (tmp_path / "seq" / "sub").mkdir()
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("seq\t1\n")
+        with pytest.raises(DatasetError) as err:
+            load_manifest(manifest)
+        assert str(err.value) == f"{tmp_path}/seq contains no frames"
+
+    def test_frame_of_the_wrong_size(self, tmp_path):
+        write_frames(tmp_path / "seq", [np.zeros((4, 3)), np.zeros((3, 3))])
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("seq\t1\n")
+        with pytest.raises(DatasetError) as err:
+            load_manifest(manifest)
+        assert str(err.value) == (
+            f"frame {tmp_path}/seq/f02.pgm has size (3, 3), expected (4, 3)"
+        )
+
+    def test_truncated_frame(self, tmp_path):
+        write_frames(tmp_path / "seq", [np.zeros((4, 3))] * 2)
+        frame = tmp_path / "seq" / "f02.pgm"
+        frame.write_bytes(frame.read_bytes()[:-7])
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("seq\t1\n")
+        with pytest.raises(PgmParseError) as err:
+            load_manifest(manifest)
+        assert str(err.value) == (
+            f"{frame}: raster truncated: 5 of 12 bytes (byte offset 16)"
+        )
+        assert err.value.offset == 16
+
+    def test_nul_byte_in_a_path(self, tmp_path):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("a\0.pgm\t1\n")
+        with pytest.raises(DatasetError) as err:
+            load_manifest(manifest)
+        assert str(err.value) == f"cannot read {tmp_path}/a\0.pgm: embedded null byte"
 
 
 @pytest.fixture(scope="module")
