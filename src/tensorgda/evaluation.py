@@ -130,7 +130,7 @@ def classify_many(model: GdaModel, samples: np.ndarray):
     """
     if model.gallery.size == 0:
         raise DatasetError("model has an empty gallery")
-    gallery, mean, sq_norms, max_sq_norm, centred32 = model.gallery_matrix()
+    gallery, mean, sq_norms, max_sq_norm, centred32 = model.screen
     # one query per row, flattened in C order like the gallery's columns
     projected = model.project(samples).reshape(gallery.shape[0], -1).T
     count = len(projected)
@@ -204,14 +204,10 @@ class ExperimentReport:
 
 
 def _count_correct(model: GdaModel, test: LabeledTensorSet, classes, confusion) -> int:
-    class_index = {c: i for i, c in enumerate(classes)}
-    correct = 0
     predictions, _, _ = classify_many(model, test.samples)
-    for predicted, truth in zip(predictions, test.labels):
-        confusion[class_index[truth], class_index[predicted]] += 1
-        if predicted == truth:
-            correct += 1
-    return correct
+    cells = np.searchsorted(classes, test.labels), np.searchsorted(classes, predictions)
+    np.add.at(confusion, cells, 1)
+    return int(np.count_nonzero(predictions == test.labels))
 
 
 def split_indices(data: LabeledTensorSet, train_per_class: int, seed: int, trial: int):
@@ -335,7 +331,7 @@ def export_projection_2d(model: GdaModel, data: LabeledTensorSet, plane: str = "
     coordinates.  Returns a list of ``(x, y, label)`` rows in sample order.
     """
     if plane in ("1x2", "2x1"):
-        if model.vectorized or len(model.combined) != 2:
+        if len(model.combined) != 2:
             raise ConfigurationError(
                 f"plane {plane!r} needs a multilinear model over order-2 data"
             )

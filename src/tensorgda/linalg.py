@@ -43,9 +43,9 @@ class EigResult:
     vectors: np.ndarray
 
 
-def _require_finite(a: np.ndarray, name: str) -> None:
+def _require_finite(a: np.ndarray, name: str, error=NumericInputError) -> None:
     if not np.all(np.isfinite(a)):
-        raise NumericInputError(f"{name} contains non-finite entries")
+        raise error(f"{name} contains non-finite entries")
 
 
 def _fix_signs(vectors: np.ndarray, *coupled: np.ndarray) -> None:
@@ -132,6 +132,10 @@ def ratio_trace_eig(
     if scale == 0.0:
         scale = np.trace(s_b_sym)
     reg = s_w_sym + (ridge * scale / n) * np.eye(n)
+    # a ridge that overflows puts inf on the diagonal and NaN beside it, and
+    # Cholesky returns a non-finite factor for that instead of failing
+    ridged = f"the within-class scatter under ridge {ridge!r}"
+    _require_finite(reg, ridged, SingularityError)
     try:
         chol = np.linalg.cholesky(reg)
     except np.linalg.LinAlgError as exc:
@@ -139,6 +143,7 @@ def ratio_trace_eig(
             "regularized within-class scatter is not positive definite; "
             "increase the ridge"
         ) from exc
+    _require_finite(chol, f"the Cholesky factor of {ridged}", SingularityError)
 
     # whiten: C = inv(L) @ s_b @ inv(L).T, kept exactly symmetric
     half = np.linalg.solve(chol, s_b_sym)

@@ -6,17 +6,17 @@ stores each fact once: the served projectors ``combined``, not the factors
 they were multiplied from, and no flag that ``kind`` implies.  Each array
 appears in the header as its shape alone; its little-endian float64 buffer,
 in row-major (C) order, follows the newline, the arrays back to back in the
-order ``combined[0]``, ``combined[1]``, ..., ``gallery``, ``mean_vector``
-(when not null).  Lengths follow from shapes, so there is no offset to go
-wrong.  A save/load round trip is bit-exact and repeated saves of the same
-model are byte-identical: a model holds no clock reading.  Loading checks
-the header before it allocates an array: exact key sets, the JSON type of
-every value, a known kind, labels that fit 64-bit integers, and shapes
-whose sizes add up to exactly the bytes after the header.  It then reads
-each array straight into its own buffer and checks that its entries are
-finite, that the shapes fit ``sample_shape``, and that there is a
-``mean_vector`` exactly when the kind is vectorized.  A rejection names the
-key at fault.
+order ``combined[0]``, ``combined[1]``, ..., ``gallery``.  Lengths follow
+from shapes, so there is no offset to go wrong.  A save/load round trip is
+bit-exact and repeated saves of the same model are byte-identical: a model
+holds no clock reading.  No kind stores a mean: projection is linear, so a
+shift shared by the gallery and the queries leaves every distance as it is.
+Loading checks the header before it allocates an array: exact key sets, the
+JSON type of every value, a known kind, labels that fit 64-bit integers,
+and shapes whose sizes add up to exactly the bytes after the header.  It
+then reads each array straight into its own buffer and checks that its
+entries are finite and that the shapes fit ``sample_shape``.  A rejection
+names the key at fault.
 
 Reports: the experiment report (:func:`report_to_text`) and the compression
 report of ``tensorgda compress`` share one line-oriented layout, written by
@@ -42,7 +42,7 @@ from .evaluation import METHODS, ExperimentReport
 from .training import GdaModel, TrainingConfig, _is_number
 
 MODEL_FORMAT = "tensorgda-model"
-MODEL_VERSION = 5
+MODEL_VERSION = 6
 
 
 def _optional(convert):
@@ -159,8 +159,8 @@ _FIELDS = {
 
 # the array keys, in the order their buffers follow the header, each with
 # how a function of one array applies to the key's value: to each array of a
-# list, to the one array, or to an array that may be null
-_PAYLOAD = {"combined": _each, "gallery": lambda convert: convert, "mean_vector": _optional}
+# list, or to the one array
+_PAYLOAD = {"combined": _each, "gallery": lambda convert: convert}
 
 # an array's key holds its shape, which ``_read_payload`` swaps for the array
 _FIELDS.update((key, (lift(_shape_of), lift(_decode_shape))) for key, lift in _PAYLOAD.items())
@@ -209,8 +209,7 @@ def _read_payload(handle, values: dict) -> None:
 
 
 def _check_consistency(model: GdaModel) -> None:
-    """Projectors, gallery and mean vector must fit ``sample_shape``, and
-    only the vectorized kinds carry a mean vector."""
+    """Projectors and gallery must fit ``sample_shape``."""
     rows = [math.prod(model.sample_shape)] if model.vectorized else list(model.sample_shape)
     got = [p.shape[0] if p.ndim == 2 else None for p in model.combined]
     if got != rows:
@@ -219,12 +218,6 @@ def _check_consistency(model: GdaModel) -> None:
     gallery_shape = model.projected_shape + (len(model.gallery_labels),)
     if model.gallery.shape != gallery_shape:
         raise ValueError(f"gallery: shape {model.gallery.shape}, expected {gallery_shape}")
-    mean = model.mean_vector
-    if not model.vectorized and mean is not None:
-        raise ValueError(f"mean_vector: must be null for kind {model.kind!r}")
-    if model.vectorized and (mean is None or mean.shape != (rows[0],)):
-        found = "null" if mean is None else f"shape {mean.shape}"
-        raise ValueError(f"mean_vector: kind {model.kind!r} needs shape {(rows[0],)}, got {found}")
 
 
 def save_model(model: GdaModel, path) -> None:

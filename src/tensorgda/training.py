@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -169,7 +170,7 @@ class TrainingConfig:
 _QUERY_BLOCK = 256
 
 
-@dataclass
+@dataclass(frozen=True)
 class GdaModel:
     """A trained projector set plus the projected training gallery.
 
@@ -177,11 +178,13 @@ class GdaModel:
     gda ``V_k @ U_k``, the product of the HOSVD basis and the discriminant
     factor (only the product is kept); for mda ``U_k``; for hopca the
     leading ``d_k`` columns of ``V_k``.  For vectorized kinds
-    (pca/fisherface) ``combined`` holds a single matrix applied to the
-    vectorized sample minus ``mean_vector``, which only they carry.
-    Every field is a deterministic fact of the training run; none is a
-    clock reading.  ``gallery`` holds one projected sample per index of its
-    last axis; treat it as immutable and assign a new array to change it.
+    (pca/fisherface) ``combined`` holds a single matrix applied to the raw
+    column-major sample vector: no kind subtracts a mean, since a
+    nearest-neighbour distance cannot see a shift shared by the gallery and
+    the query.  Every field is a deterministic fact of the training run;
+    none is a clock reading.  ``gallery`` holds one projected sample per
+    index of its last axis.  A model is immutable: derive a changed one
+    with :func:`dataclasses.replace`, which builds its own :attr:`screen`.
     """
 
     kind: str
@@ -189,59 +192,51 @@ class GdaModel:
     combined: list
     gallery: np.ndarray
     gallery_labels: np.ndarray
-    mean_vector: np.ndarray | None = None
     hosvd_ranks: tuple | None = None
     mode_energy: tuple | None = None
     objective_trace: tuple = ()
     subspace_change_trace: tuple = ()
     config: TrainingConfig | None = None
     warnings: tuple = ()
-    _gallery_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def gallery_matrix(self) -> tuple:
+    @cached_property
+    def screen(self) -> tuple:
         """``(matrix, mean, sq_norms, max_sq_norm, centred32)``, the
-        screen's view of the gallery: the ``(d, n)`` matrix, one column per
-        sample flattened in C order (a view of a C-contiguous gallery); the
-        column mean; the float64 squared norms of the centred columns
-        ``g_j - mean`` and their maximum; and the centred columns rounded
-        to one C-contiguous float32 matrix.  Cached for the gallery array it
-        was built from, so assigning a new ``gallery`` rebuilds it."""
-        cache = self._gallery_cache
-        if cache is None or cache[0] is not self.gallery:
-            matrix = self.gallery.reshape(-1, self.gallery.shape[-1])
-            centred32 = np.empty(matrix.shape, dtype=np.float32)
-            sq_norms = np.zeros(matrix.shape[1])
-            # a gallery beyond float32's range (or not finite) gets a norm
-            # that sends every query to the direct scan, which never reads
-            # what these arrays hold
-            with np.errstate(over="ignore", invalid="ignore"):
-                mean = matrix.mean(axis=1)
-                # a block of rows at a time: no full float64 centred copy
-                for start in range(0, len(matrix), _QUERY_BLOCK):
-                    rows = slice(start, start + _QUERY_BLOCK)
-                    block = matrix[rows] - mean[rows, None]
-                    sq_norms += np.einsum("ij,ij->j", block, block)
-                    centred32[rows] = block
-            cache = (self.gallery, matrix, mean, sq_norms, float(sq_norms.max()), centred32)
-            self._gallery_cache = cache
-        return cache[1:]
+        classifier's view of the gallery, built once per model: the ``(d,
+        n)`` matrix, one column per sample flattened in C order (a view of a
+        C-contiguous gallery); the column mean; the float64 squared norms of
+        the centred columns ``g_j - mean`` and their maximum; and the
+        centred columns rounded to one C-contiguous float32 matrix."""
+        matrix = self.gallery.reshape(-1, self.gallery.shape[-1])
+        centred32 = np.empty(matrix.shape, dtype=np.float32)
+        sq_norms = np.zeros(matrix.shape[1])
+        # a gallery beyond float32's range (or not finite) gets a norm that
+        # sends every query to the direct scan, which never reads what these
+        # arrays hold
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = matrix.mean(axis=1)
+            # a block of rows at a time: no full float64 centred copy
+            for start in range(0, len(matrix), _QUERY_BLOCK):
+                rows = slice(start, start + _QUERY_BLOCK)
+                block = matrix[rows] - mean[rows, None]
+                sq_norms += np.einsum("ij,ij->j", block, block)
+                centred32[rows] = block
+        return matrix, mean, sq_norms, float(sq_norms.max()), centred32
 
     @property
     def vectorized(self) -> bool:
-        """pca/fisherface: samples are projected as mean-centered vectors."""
+        """pca/fisherface: samples are projected as column-major vectors."""
         return self.kind in ("pca", "fisherface")
 
     @property
     def projected_shape(self) -> tuple:
-        if self.vectorized:
-            return (self.combined[0].shape[1],)
         return tuple(p.shape[1] for p in self.combined)
 
     def project(self, samples: np.ndarray) -> np.ndarray:
         """Samples stacked on the last axis, ``sample_shape + (m,)``, projected
         to one C-contiguous ``projected_shape + (m,)`` stack, ``_QUERY_BLOCK``
-        samples at a time (vectorized kinds: the mean-centered column-major
-        vector).  A sample's bits do not depend on the batch it comes in."""
+        samples at a time (vectorized kinds: the column-major vector).  A
+        sample's bits do not depend on the batch it comes in."""
         samples = np.asarray(samples, dtype=np.float64)
         if samples.shape[:-1] != self.sample_shape:
             raise DimensionError(f"samples of shape {samples.shape} do not stack the "
@@ -252,7 +247,7 @@ class GdaModel:
             chunk = slice(start, start + _QUERY_BLOCK)
             block = samples[..., chunk]
             if self.vectorized:
-                block = block.reshape(-1, block.shape[-1], order="F") - self.mean_vector[:, None]
+                block = block.reshape(-1, block.shape[-1], order="F")
             projected[..., chunk] = tensor._per_sample_products(block, factors)
         return projected
 
@@ -440,8 +435,7 @@ def _fitted(data: LabeledTensorSet, kind: str, combined: list, warnings=(), **fa
         warnings=_singleton_warnings(data) + tuple(warnings),
         **facts,
     )
-    model.gallery = model.project(data.samples)
-    return model
+    return replace(model, gallery=model.project(data.samples))
 
 
 def hosvd_stage(data: LabeledTensorSet, config: TrainingConfig):
@@ -524,8 +518,8 @@ def train_pca(data: LabeledTensorSet, config: TrainingConfig | None = None) -> G
     """Vectorizing PCA baseline: the top ``config.pca_dims`` principal
     directions of the centered sample vectors."""
     config = config or TrainingConfig()
-    mean_vector, _, basis = vector_pca(data, config.pca_dims)
-    return _fitted(data, "pca", [basis], mean_vector=mean_vector)
+    _, _, basis = vector_pca(data, config.pca_dims)
+    return _fitted(data, "pca", [basis])
 
 
 def train_fisherface(data: LabeledTensorSet, config: TrainingConfig | None = None) -> GdaModel:
@@ -543,7 +537,7 @@ def train_fisherface(data: LabeledTensorSet, config: TrainingConfig | None = Non
             f"fisherface needs more samples than classes, got {data.n_samples} "
             f"samples in {n_classes} classes"
         )
-    mean_vector, centered, pca_basis = vector_pca(data, pca_dims, "fisherface pca dims")
+    _, centered, pca_basis = vector_pca(data, pca_dims, "fisherface pca dims")
     lda_dims = config.fisherface_lda_dims or n_classes - 1
     if not 1 <= lda_dims <= min(n_classes - 1, pca_dims):
         raise ConfigurationError(
@@ -551,4 +545,4 @@ def train_fisherface(data: LabeledTensorSet, config: TrainingConfig | None = Non
         )
     reduced = LabeledTensorSet(pca_basis.T @ centered, data.labels)
     lda_basis = ratio_trace_eig(*scatter_matrices(reduced, [None], 0), lda_dims, config.ridge)
-    return _fitted(data, "fisherface", [pca_basis @ lda_basis], mean_vector=mean_vector)
+    return _fitted(data, "fisherface", [pca_basis @ lda_basis])

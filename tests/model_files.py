@@ -17,12 +17,6 @@ def write_model_file(path, document, payload=b"") -> None:
 
 def array_offsets(document) -> dict:
     """Payload byte offset of the first array under each array key of an
-    unmodified header: ``combined`` (its first projector), ``gallery`` and
-    ``mean_vector``."""
-    sizes = [8 * math.prod(blob["shape"]) for blob in document["combined"]]
-    gallery = sum(sizes)
-    return {
-        "combined": 0,
-        "gallery": gallery,
-        "mean_vector": gallery + 8 * math.prod(document["gallery"]["shape"]),
-    }
+    unmodified header: ``combined`` (its first projector) and ``gallery``."""
+    gallery = sum(8 * math.prod(blob["shape"]) for blob in document["combined"])
+    return {"combined": 0, "gallery": gallery}

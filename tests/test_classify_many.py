@@ -6,6 +6,7 @@ must return the oracle's index and the oracle's distance bits.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,13 +273,13 @@ class TestBatchIndependence:
             classify_many(identity_model(np.eye(3)), np.float64(1.0))
 
 
-class TestGalleryMatrix:
+class TestScreen:
     @pytest.mark.parametrize("method", ["gda", "mda", "hopca", "pca", "fisherface"])
     def test_trained_gallery_is_viewed_centred_and_rounded_to_float32(self, method):
         data = synth_gaussian_classes(3, 4, (4, 3), 4.0, 1.0, seed=47)
         model = train_method(method, data, TrainingConfig())
         assert model.gallery.flags.c_contiguous
-        matrix, mean, sq_norms, max_sq_norm, centred32 = model.gallery_matrix()
+        matrix, mean, sq_norms, max_sq_norm, centred32 = model.screen
         assert np.shares_memory(matrix, model.gallery)
         assert matrix.shape == (int(np.prod(model.projected_shape)), data.n_samples)
         np.testing.assert_allclose(mean, matrix.mean(axis=1), rtol=1e-14)
@@ -290,18 +291,21 @@ class TestGalleryMatrix:
         assert centred32.dtype == np.float32 and centred32.flags.c_contiguous
         assert centred32.tobytes() == centred.astype(np.float32).tobytes()
 
-    def test_reassigned_gallery_refreshes_the_cache(self):
+    def test_built_once_per_model_and_anew_for_a_replaced_gallery(self):
         model = identity_model(np.array([[1.0, 5.0], [0.0, 0.0]]))
+        screen = model.screen
         assert classify(model, np.array([4.0, 0.0]))[1] == 1
-        model.gallery = np.array([[5.0, 1.0], [0.0, 0.0]])
-        _, mean, sq_norms, max_sq_norm, centred32 = model.gallery_matrix()
+        assert model.screen is screen
+        swapped = replace(model, gallery=np.array([[5.0, 1.0], [0.0, 0.0]]))
+        _, mean, sq_norms, max_sq_norm, centred32 = swapped.screen
         assert (mean.tolist(), sq_norms.tolist(), max_sq_norm) == ([3.0, 0.0], [4.0, 4.0], 4.0)
         assert centred32.tolist() == [[2.0, -2.0], [0.0, 0.0]]
-        assert classify(model, np.array([4.0, 0.0]))[1] == 0
-        model.gallery = np.array([[1.0, 1.0, 4.0], [0.0, 0.0, 9.0]])
-        model.gallery_labels = np.array([7, 8, 9])
-        assert model.gallery_matrix()[2].tolist() == [10.0, 10.0, 40.0]
-        assert classify(model, np.array([4.0, 8.0])) == (9, 2, 1.0)
+        assert classify(swapped, np.array([4.0, 0.0]))[1] == 0
+        assert classify(model, np.array([4.0, 0.0]))[1] == 1
+        grown = replace(swapped, gallery=np.array([[1.0, 1.0, 4.0], [0.0, 0.0, 9.0]]),
+                        gallery_labels=np.array([7, 8, 9]))
+        assert grown.screen[2].tolist() == [10.0, 10.0, 40.0]
+        assert classify(grown, np.array([4.0, 8.0])) == (9, 2, 1.0)
 
 
 @st.composite

@@ -833,16 +833,6 @@ def _transposed_sample_shape(doc, payload):
     doc["sample_shape"] = doc["sample_shape"][::-1]
 
 
-def _null_mean_vector(doc, payload):
-    del payload[array_offsets(doc)["mean_vector"]:]
-    doc["mean_vector"] = None
-
-
-def _multilinear_mean_vector(doc, payload):
-    doc["mean_vector"] = {"shape": [1]}
-    payload += bytes(8)
-
-
 def _string_objective_trace(doc, payload):
     doc["objective_trace"] = "abc"
 
@@ -912,9 +902,6 @@ class TestBadModelFile:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("method,corrupt,key", [
-        ("pca", _null_mean_vector, "mean_vector"),
-        ("fisherface", _null_mean_vector, "mean_vector"),
-        ("gda", _multilinear_mean_vector, "mean_vector"),
         ("gda", _string_objective_trace, "objective_trace"),
         ("gda", _infinite_hosvd_rank, "hosvd_ranks"),
         ("gda", _string_target_dims, "target_dims"),
@@ -928,7 +915,6 @@ class TestBadModelFile:
         ("hopca", _non_finite("gallery", -math.inf), "gallery"),
         ("gda", _non_finite("combined", math.nan), "combined"),
         ("fisherface", _non_finite("combined", math.inf), "combined"),
-        ("pca", _non_finite("mean_vector", math.nan), "mean_vector"),
     ])
     def test_exits_3_naming_the_key(self, method, corrupt, key, tmp_path, capsys):
         path = tmp_path / "model.json"
@@ -961,19 +947,19 @@ class TestBadModelFile:
             doc["config"].update(seed=0, gram_crossover=32768)
 
         err = self._version_error(v1, tmp_path, capsys)
-        assert err == "error: MODEL has model version 1, expected 5\n"
+        assert err == "error: MODEL has model version 1, expected 6\n"
 
     def test_version_2_model_exits_3_with_one_line(self, tmp_path, capsys):
         def v2(doc, payload):
             doc.update(version=2, vectorized=False, hosvd_factors=[], disc_factors=[])
 
         err = self._version_error(v2, tmp_path, capsys)
-        assert err == "error: MODEL has model version 2, expected 5\n"
+        assert err == "error: MODEL has model version 2, expected 6\n"
 
     def test_version_3_model_exits_3_with_one_line(self, tmp_path, capsys):
         # same keys as version 4; its conv_tol bounded the U @ U.T change
         err = self._version_error(lambda doc, _: doc.update(version=3), tmp_path, capsys)
-        assert err == "error: MODEL has model version 3, expected 5\n"
+        assert err == "error: MODEL has model version 3, expected 6\n"
 
     def test_version_4_model_exits_3_with_one_line(self, tmp_path, capsys):
         def v4(doc, payload):
@@ -986,11 +972,19 @@ class TestBadModelFile:
             doc["version"] = 4
 
         err = self._version_error(v4, tmp_path, capsys)
-        assert err == "error: MODEL has model version 4, expected 5\n"
+        assert err == "error: MODEL has model version 4, expected 6\n"
+
+    def test_version_5_model_exits_3_with_one_line(self, tmp_path, capsys):
+        # version 5 also stored a mean vector, null for the multilinear kinds
+        def v5(doc, payload):
+            doc.update(version=5, mean_vector=None)
+
+        err = self._version_error(v5, tmp_path, capsys)
+        assert err == "error: MODEL has model version 5, expected 6\n"
 
     def test_string_version_is_quoted(self, tmp_path, capsys):
-        err = self._version_error(lambda doc, _: doc.update(version="5"), tmp_path, capsys)
-        assert err == "error: MODEL has model version '5', expected 5\n"
+        err = self._version_error(lambda doc, _: doc.update(version="6"), tmp_path, capsys)
+        assert err == "error: MODEL has model version '6', expected 6\n"
 
 
 class TestNonFiniteTrainingValues:
@@ -1008,6 +1002,19 @@ class TestNonFiniteTrainingValues:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be finite")
+        assert err.count("\n") == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize("method", ["gda", "fisherface"])
+    def test_overflowing_ridge_exits_4_with_one_line_and_writes_nothing(
+        self, method, tmp_path, capsys
+    ):
+        path = tmp_path / "m.json"
+        code = run(["train", "--synth", "c=3,per_class=4,shape=6x5", "--method", method,
+                    "--ridge", "1e308", "--output", path])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: ") and "ridge 1e+308" in err
         assert err.count("\n") == 1
         assert not path.exists()
 

@@ -82,9 +82,8 @@ class TestClassify:
             assert distance == 0.0
 
     def test_tie_breaks_to_lowest_index(self):
-        model = identity_model((2,))
-        model.gallery = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        model.gallery_labels = np.array([7, 8, 9])
+        model = replace(identity_model((2,)), gallery=np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                        gallery_labels=np.array([7, 8, 9]))
         label, index, _ = classify(model, np.array([0.0, 0.0]))
         assert (label, index) == (7, 0)
 

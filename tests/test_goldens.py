@@ -138,7 +138,7 @@ GOLDENS = {
         'out': 'bc418cc2f7446bfad53a21c066bd5e15f06977add253c475adb0d09cfffcf785',
     },
     'o2-classify-pca': {
-        'out': '32e71f64644e9681e3a5bc2691f2c13ee6270b2aaeaa69a32cf26efd622961df',
+        'out': '9cea07ec99c2ef73a1db8f1bea9ede6a7eaa46079e3e4f7324fef4b4d59b30bf',
     },
     'o2-compress-ranks': {
         'out': 'f0b052ed305aa9f39556730c078962a73c95fc0b3182780b4814f7c349231084',
@@ -189,22 +189,22 @@ GOLDENS = {
         'sample_0017.pgm': '2a5fcb7daccdca9dee581f670921680292db236b91181f2aea0858eaa5ed0ddf',
     },
     'o2-train-fisherface': {
-        'out': 'b9c831e1f81e35c6b14708755ba5c18930a5f1ba8e365a28e6c5775d6483d2f2',
+        'out': '2b4b1b810b41c073f772c93720f2b6e8f724989c4204fe0296b18281bbd5d13c',
     },
     'o2-train-gda': {
-        'out': '7c9d1a72f2c58e2398ce12e938891620073088e1bab1d20d2611c21fe0703517',
+        'out': '0bd564ea4e554a5df1b31873a5e69449d7026a9c8692e2c8ff74afab40f4ec40',
     },
     'o2-train-gda-flags': {
-        'out': '1a7f4479d6dc9a5a6d32d3e15184a2eb1096836b6c8c6e5dabc6d57e848d0b99',
+        'out': '0e848494e8f26322c33caab73a141754a3643eea48797fa2a5f3fee1ea7b419e',
     },
     'o2-train-hopca': {
-        'out': '0f11bf4277f7e95da7ce4f69c2decf6e041b5c558f7106098f266498265719e6',
+        'out': '32a3f8b8b9a4c71ca9cda04cddf497856d11694fb3a4e521fe377d2c859d2e03',
     },
     'o2-train-mda': {
-        'out': '71f8cc073f8f09860e80780dbe28a6a552d3bea1c9293e4f9b717f47f3dbde3d',
+        'out': 'fbd318a95d5a4ffc908959e1c53ed275c5fda9cfe5d4405d3521994f25b1165d',
     },
     'o2-train-pca': {
-        'out': '6b143942050eb759218d356198af6b46f883ea206df7cd6c96d50d4f3e66f93a',
+        'out': '0f2679cbe0e8a6ea5e1223069da86fa316dc61f19db97471f7d398dffdd0b546',
     },
     'o2-visualize-1x2': {
         'out': '59c83ff2cffb1ddea338202dca2701e9006a0a85c548ed4b920fad36ea370a46',
@@ -272,25 +272,25 @@ GOLDENS = {
         'sample_0011/frame_002.pgm': 'f82107e82d5b25adacdfbe2ab6fff180ca87bb680101388110da5fdb9be7f142',
     },
     'o3-train-fisherface': {
-        'out': '1fb87a5c8000f86171787314b96b097cdd30c2532fcdc61171c9ba16fc6e15e4',
+        'out': 'a7744c295a168b36e597a3b7341b4f417c25067ee299d04e0780524d78d27f47',
     },
     'o3-train-gda': {
-        'out': '74f75620aa7dc32f658510388bcc1e67f6e30030dc3c5ffcf0e628d35a1063b2',
+        'out': '111bb339411bc414f232f7d2ae0f6f3189d3170c8af826a4a503acad72468f66',
     },
     'o3-train-gda-ranks': {
-        'out': 'ad4d22ed435d5ca235029eb50cee1f68c0e16b9d93664111d0670a32c1adcf5f',
+        'out': 'dce2a70c4caf720a5bc6330bcfb19afea0c50a9b1e2cf4fc78dd4c716996414d',
     },
     'o3-train-hopca': {
-        'out': '37ae357fdc8b5a783351539a2fcecf214c99b6daaae2478412d829047c3cfb84',
+        'out': 'e6777a7d269ac65615ac2c3f8e2ace3c6c2d7747fb1e2d1b9b2412e9fe9698a9',
     },
     'o3-train-mda': {
-        'out': 'c7f845e41b285293fb00301a68229a6b1dfd735779f90af390397b501dedbbad',
+        'out': 'bd6e9ea552603b54ec87ddd7b224b01f8394fcee00de5babfbe91c28d0eb28dd',
     },
     'o3-train-pca': {
-        'out': '23dbc9728a24b411c6ea342c76ac33838c052474305d048260789cf141b376c8',
+        'out': '9771f466a48744217be422aa2f53682ef8fae44d7ffc55e932dc66eebd0595c2',
     },
     'o3-visualize-pair': {
-        'out': 'c6d16d59fa14f4c1bb9938e453c0441a2789f8d50dbd2689e1c42c817339eddb',
+        'out': '2ce43cc2b354cc2e3ea3ea442705fc98c767a577e7e14e36b8a5a73434c85f60',
     },
 }
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -161,6 +163,18 @@ class TestRatioTraceEig:
         s_b = np.eye(3)
         with pytest.raises(SingularityError):
             ratio_trace_eig(s_b, s_w, 1, ridge=0.0)
+
+    @pytest.mark.parametrize("s_w,ridge", [
+        # ridge * tr(S_w) / n overflows, and inf * I puts NaN off the diagonal
+        (np.eye(3), 1e308),
+        # the shift is finite, but adding it overflows the largest diagonal entry
+        (np.diag([1.5e308, 1.0, 1.0]), 1.0),
+    ])
+    def test_overflowing_ridge_is_singular_naming_it(self, s_w, ridge):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            SingularityError, match=re.escape(f"ridge {ridge!r} ")
+        ):
+            ratio_trace_eig(np.eye(3), s_w, 1, ridge=ridge)
 
     def test_rank_deficient_with_ridge_succeeds(self):
         rng = np.random.default_rng(9)

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from tensorgda.training import (
     train_pca,
 )
 
-from model_files import read_model_file
+from model_files import read_model_file, write_model_file
 
 
 def assert_models_equal(a, b):
@@ -60,7 +61,7 @@ class TestModelContainer:
     def test_infinite_objective_trace_still_loads(self, tmp_path):
         data = synth_gaussian_classes(3, 6, (5, 4), 5.0, 1.0, seed=0)
         model = train_gda(data, TrainingConfig(target_dims=(2, 2)))
-        model.objective_trace = (math.inf,) + model.objective_trace[1:]
+        model = replace(model, objective_trace=(math.inf,) + model.objective_trace[1:])
         path = tmp_path / "model.json"
         save_model(model, path)
         assert load_model(path).objective_trace == model.objective_trace
@@ -72,7 +73,6 @@ class TestModelContainer:
             save_model(model, path)
             loaded = load_model(path)
             assert_models_equal(model, loaded)
-            assert np.array_equal(model.mean_vector, loaded.mean_vector)
             # loaded model classifies exactly like the original
             for i in range(3):
                 assert classify(model, data.sample(i)) == classify(
@@ -106,18 +106,27 @@ class TestModelContainer:
         with pytest.raises(DatasetError):
             load_model(path)
 
+    def test_mean_vector_is_an_unknown_key(self, tmp_path):
+        data = synth_gaussian_classes(3, 4, (4, 3), 4.0, 1.0, seed=12)
+        path = tmp_path / "model.json"
+        save_model(train_pca(data), path)
+        doc, payload = read_model_file(path)
+        doc["mean_vector"] = {"shape": [12]}
+        write_model_file(path, doc, payload + bytes(8 * 12))
+        with pytest.raises(DatasetError, match=r"has unknown key\(s\) mean_vector$"):
+            load_model(path)
+
     @pytest.mark.parametrize("train", [train_gda, train_pca])
     def test_document_stores_each_fact_once(self, train):
         data = synth_gaussian_classes(3, 4, (4, 3), 4.0, 1.0, seed=12)
         doc = json.loads(model_header(train(data)))
         assert sorted(doc) == [
             "combined", "config", "format", "gallery", "gallery_labels",
-            "hosvd_ranks", "kind", "mean_vector", "mode_energy",
+            "hosvd_ranks", "kind", "mode_energy",
             "objective_trace", "sample_shape", "subspace_change_trace",
             "version", "warnings",
         ]
-        assert doc["version"] == 5
-        assert (doc["mean_vector"] is None) == (doc["kind"] == "gda")
+        assert doc["version"] == 6
 
     @pytest.mark.parametrize("train", [train_gda, train_pca])
     def test_payload_is_the_arrays_raw_in_order(self, train, tmp_path):
@@ -127,9 +136,6 @@ class TestModelContainer:
         doc, payload = read_model_file(path)
         arrays = [*model.combined, model.gallery]
         blobs = [*doc["combined"], doc["gallery"]]
-        if model.mean_vector is not None:
-            arrays.append(model.mean_vector)
-            blobs.append(doc["mean_vector"])
         assert all(blob == {"shape": list(a.shape)} for blob, a in zip(blobs, arrays))
         assert payload == b"".join(a.astype("<f8").tobytes() for a in arrays)
 
@@ -194,7 +200,7 @@ def json_paths(node, path=()):
 
 def _shapes(document) -> list:
     """The shape lists of the header's array objects that still have one."""
-    blobs = [document.get("gallery"), document.get("mean_vector")]
+    blobs = [document.get("gallery")]
     if isinstance(document.get("combined"), list):
         blobs += document["combined"]
     return [b["shape"] for b in blobs if isinstance(b, dict) and isinstance(b.get("shape"), list)]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.linalg
 from tensorgda import tensor
 from tensorgda.datasets import synth_gaussian_classes
 from tensorgda.errors import ConfigurationError
-from tensorgda.evaluation import classify, split_indices
+from tensorgda.evaluation import classify, classify_many, split_indices, train_method
 from tensorgda.linalg import ratio_trace_eig
 from tensorgda.training import (
     LabeledTensorSet,
@@ -611,7 +612,46 @@ class TestTrainMda:
         assert model.gallery.shape == (1, 1, 6)
 
 
+def offset_8bit_set(seed):
+    """A 10-class order-2 set rounded to 8-bit pixel values about 128: every
+    sample lies far from the origin, as raw images do."""
+    data = synth_gaussian_classes(10, 6, (6, 5), 3.0, 1.0, seed=seed)
+    return LabeledTensorSet(np.clip(np.round(128 + 24 * data.samples), 0, 255), data.labels)
+
+
+class TestModelRecord:
+    def test_fields_cannot_be_assigned(self):
+        model = train_pca(offset_8bit_set(0))
+        with pytest.raises(FrozenInstanceError):
+            model.gallery = model.gallery.copy()
+
+    @pytest.mark.parametrize("method", ["gda", "mda", "hopca", "pca", "fisherface"])
+    def test_every_gallery_sample_finds_itself_at_distance_zero(self, method):
+        data = offset_8bit_set(1)
+        data = data.subset(split_indices(data, 3, 1, 0)[0])
+        model = train_method(method, data, TrainingConfig())
+        _, indices, distances = classify_many(model, data.samples)
+        assert indices.tolist() == list(range(data.n_samples))
+        assert distances.tolist() == [0.0] * data.n_samples
+
+
 class TestVectorBaselines:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("train", [train_pca, train_fisherface])
+    def test_predictions_match_a_centred_oracle_on_offset_data(self, train, seed):
+        data = offset_8bit_set(seed)
+        train_idx, test_idx = split_indices(data, 3, seed, 0)
+        model = train(data.subset(train_idx))
+        # the projector applied to vec(x) - m, m the training mean vector
+        vectors = data.samples.reshape(-1, data.n_samples, order="F")
+        mean = vectors[:, train_idx].mean(axis=1)
+        projected = model.combined[0].T @ (vectors - mean[:, None])
+        gallery, queries = projected[:, train_idx], projected[:, test_idx].T
+        oracle = np.array([np.linalg.norm(gallery - z[:, None], axis=0) for z in queries])
+        _, indices, distances = classify_many(model, data.subset(test_idx).samples)
+        assert indices.tolist() == np.argmin(oracle, axis=1).tolist()
+        np.testing.assert_allclose(distances, oracle.min(axis=1), rtol=1e-12)
+
     def test_pca_first_axis_on_diagonal_covariance(self):
         samples = [
             np.array([3.0, 0.0]),
