@@ -51,14 +51,11 @@ def _require_finite(a: np.ndarray, name: str, error=NumericInputError) -> None:
 def _fix_signs(vectors: np.ndarray, *coupled: np.ndarray) -> None:
     """Flip columns, in place, so each column's largest-magnitude entry is
     nonnegative (ties broken by lowest row index).  Matching columns of the
-    ``coupled`` matrices are flipped alongside."""
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        pivot = int(np.argmax(np.abs(col)))
-        if col[pivot] < 0.0:
-            vectors[:, j] = -col
-            for other in coupled:
-                other[:, j] = -other[:, j]
+    ``coupled`` matrices are flipped alongside, each column times 1.0 or -1.0."""
+    pivots = np.argmax(np.abs(vectors), axis=0)
+    signs = np.where(vectors[pivots, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
+    for matrix in (vectors, *coupled):
+        matrix *= signs
 
 
 def svd(a: np.ndarray) -> SvdResult:

@@ -12,13 +12,16 @@ fastest.  Under this convention the flattened form of a multi-mode product is
 
     unfold(Y, k) = A_k @ unfold(X, k) @ kron(A_{N-1}, ..., A_{k+1}, A_{k-1}, ..., A_0).T
 
-which is the identity every downstream scatter computation relies on.
+which is the identity the scatters rely on.  :func:`mode_product` computes it
+in place, as one batched GEMM on a C-contiguous ``(lead, I_k, rest)`` view.
 
 Elementwise arithmetic, norms, means and Kronecker products are plain numpy;
 no wrappers are provided.  All functions are pure and never mutate inputs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,9 +44,8 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     """
     t = np.asarray(t, dtype=np.float64)
     _check_mode(t, mode)
-    return np.reshape(
-        np.moveaxis(t, mode, 0), (t.shape[mode], -1), order="F"
-    )
+    columns = math.prod(t.shape[:mode] + t.shape[mode + 1:])
+    return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], columns), order="F")
 
 
 def fold(m: np.ndarray, mode: int, shape) -> np.ndarray:
@@ -58,13 +60,12 @@ def fold(m: np.ndarray, mode: int, shape) -> np.ndarray:
         raise DimensionError(
             f"matrix of shape {m.shape} is not a mode-{mode} unfolding of {shape}"
         )
-    moved = np.reshape(m, [shape[mode]] + rest, order="F")
-    return np.moveaxis(moved, 0, mode)
+    return np.moveaxis(np.reshape(m, [shape[mode]] + rest, order="F"), 0, mode)
 
 
 def mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
     """k-mode product ``t x_mode u``: contract ``u`` (J x I_mode) with the
-    ``mode`` axis of ``t``, replacing extent ``I_mode`` by ``J``."""
+    ``mode`` axis of ``t``, replacing extent ``I_mode`` by ``J``; C-contiguous."""
     t = np.asarray(t, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     _check_mode(t, mode)
@@ -72,9 +73,9 @@ def mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
         raise DimensionError(
             f"matrix {u.shape} cannot multiply mode {mode} of extent {t.shape[mode]}"
         )
-    new_shape = list(t.shape)
-    new_shape[mode] = u.shape[0]
-    return fold(u @ unfold(t, mode), mode, new_shape)
+    lead, rest = t.shape[:mode], t.shape[mode + 1:]
+    blocks = np.ascontiguousarray(t).reshape(math.prod(lead), t.shape[mode], math.prod(rest))
+    return np.matmul(u, blocks).reshape(lead + (len(u),) + rest)
 
 
 def multi_mode_product(t: np.ndarray, factors) -> np.ndarray:
@@ -95,17 +96,17 @@ def multi_mode_product(t: np.ndarray, factors) -> np.ndarray:
 
 def _per_sample_products(stack: np.ndarray, factors) -> np.ndarray:
     """:func:`multi_mode_product` of each sample of ``stack`` (samples on the
-    last axis), bit for bit as it is for that sample alone as a C-contiguous
-    array: one BLAS call per sample and mode, as one GEMM over the whole stack
-    rounds differently as its width changes."""
+    last axis), to rounding, and bit for bit as it is for that sample alone as
+    a C-contiguous one-sample stack: one BLAS call per sample and mode, as one
+    GEMM over the whole stack rounds differently as its width changes."""
     stack = np.asarray(stack, dtype=np.float64)
     n = stack.ndim  # axis 0 of z is the sample, axis 1 + k is mode k
     z = np.ascontiguousarray(stack.transpose([n - 1, *range(n - 1)]))
     for u, mode in factors:
         axis = mode + 1
         others = [a for a in range(n - 1, 0, -1) if a != axis]  # other modes, last first
-        # each sample's transposed unfolding, viewed or copied as unfold does
-        # (the layout picks the BLAS kernel): C over reversed modes is its order
+        # each sample's transposed unfolding, viewed or copied (the layout
+        # picks the BLAS kernel): C over reversed modes is its column order
         rows = z.transpose([0, *others, axis]).reshape(len(z), -1, z.shape[axis])
         product = np.matmul(u, rows.swapaxes(1, 2)).reshape(
             [len(z), len(u)] + [z.shape[a] for a in others])

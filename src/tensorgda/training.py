@@ -282,8 +282,9 @@ def scatter_matrices(
     ``projectors`` lists one matrix per mode; the entry at ``mode`` is
     ignored.  ``stacks`` is the :func:`deviation_stacks` pair, built from
     ``data`` when omitted.  Each stack is projected along every other mode
-    by one multi-mode product, and its scatter is one GEMM ``F @ F.T`` on
-    the mode-``mode`` unfolding ``F``.
+    by one multi-mode product, and its scatter is one GEMM ``F @ F.T``.  ``F``
+    is the mode-``mode`` unfolding up to a column order the sum does not see:
+    the projected stack with that mode moved first, a view for mode 0.
     This equals the textbook form that sandwiches the Kronecker product of
     the other projectors, without ever materializing it.
     """
@@ -299,7 +300,8 @@ def scatter_matrices(
     others = [(projectors[j].T, j) for j in range(n) if j != mode]
 
     def scatter(stack):
-        flat = tensor.unfold(tensor.multi_mode_product(stack, others), mode)
+        flat = np.moveaxis(tensor.multi_mode_product(stack, others), mode, 0)
+        flat = flat.reshape(len(flat), -1)
         return flat @ flat.T
 
     within, between = deviation_stacks(data) if stacks is None else stacks

@@ -135,7 +135,7 @@ def run_case(name, directory: Path) -> dict:
 # captured with numpy 2.4 / OpenBLAS 0.3.31 on x86-64
 GOLDENS = {
     'o2-classify-gda': {
-        'out': 'bc418cc2f7446bfad53a21c066bd5e15f06977add253c475adb0d09cfffcf785',
+        'out': 'ff9225bc6db3cb79b0bdcde7c3ecddde8e649315aff61944db39de02521943ff',
     },
     'o2-classify-pca': {
         'out': '9cea07ec99c2ef73a1db8f1bea9ede6a7eaa46079e3e4f7324fef4b4d59b30bf',
@@ -148,23 +148,23 @@ GOLDENS = {
     },
     'o2-evaluate-loo': {
         'report_loo_fisherface.txt': '26185ff46231a940653c62634138bfab069ec1a66a6851fd34212d2e0725d435',
-        'report_loo_gda.txt': '08ef15f491ba6e36ad1c3271c11ad10eec922dbe80f855a3efad2e6d9a8d1fc7',
+        'report_loo_gda.txt': 'e12c1ef274a13b9fe4f6f8f20f74b0d625b4556e1948ba958f79803b8dc233a3',
         'report_loo_hopca.txt': '6cf670884e224a3c20d3a9ba05607b1e5c79153fada35e3414c19772d922cfaf',
-        'report_loo_mda.txt': '7e5af5a46f646daa781d8371c1ab0ab45423d8b73ef4c1b2c1ac19212cfa98b7',
+        'report_loo_mda.txt': 'aff4526424de008dfa17b745099cb873d5481593a47797b774c724f9d07d4695',
         'report_loo_pca.txt': 'e76dc5f92240b543f25adf398b9950fd0e2f5e4b7a410ff59dd90b44661f0e8c',
     },
     'o2-evaluate-loo-unequal': {
         'report_loo_fisherface.txt': '5ce4a367064696b78453cd013d969a0ee0a7d4b48a936f54f7f4f73af15370e7',
-        'report_loo_gda.txt': '88011dbd96d0ce7843a63047b850c1d266b0cf11d9cf443be17a88b649850714',
+        'report_loo_gda.txt': '8730a91c1096653ddf3ea76c2ee8329cb53c5a451e93f634c64cf93035e3af04',
         'report_loo_hopca.txt': '342b5e36c3a0183056ccbb9431bf2a7ef533737c32fe5aed2fc494bb6b210912',
-        'report_loo_mda.txt': '3a2e9a26727539d169e30acf18eee8b69aad3dd18526cdcc019e052f30862c01',
+        'report_loo_mda.txt': 'c57ce4c8619fefe570b259ace93ae060a368a021e1688d338be9b1d34a740de0',
         'report_loo_pca.txt': 'e3b49643550250fec57f8f9bbf50c7f3ba40e6456e1ce4527a8a4fa6c948921f',
     },
     'o2-evaluate-split': {
         'report_split_fisherface.txt': '14efec3fc56b847f6cfc92785c0873e616f05bc1d88c1cab7928c62998f02d03',
-        'report_split_gda.txt': '88c25065602f8c1a7f04465d33c9f687ced73f7ebefcf0b0c2ebb5ca313cf3f7',
+        'report_split_gda.txt': 'd2c9188b07d1c5545ef77cdc3b684c4b6b8801b6ded67c38c8c67b4df210b36f',
         'report_split_hopca.txt': 'aa6bcacce4216641365f2273123ac403cdf275d89aff3269eb5df903ef05dbe1',
-        'report_split_mda.txt': '32715664138cad48acaf17a72c8d27fa9490a95a47b7d33e93289e125cdd7e3e',
+        'report_split_mda.txt': 'da1444c6e02b237f4b83400bf219605178646feb6328f0811a5943cda3811a6e',
         'report_split_pca.txt': 'db6ffaf7dfeb6dcb6f944c27d8865d3e7e5601c068a5b76981fcfa578f87b819',
     },
     'o2-synth': {
@@ -189,25 +189,25 @@ GOLDENS = {
         'sample_0017.pgm': '2a5fcb7daccdca9dee581f670921680292db236b91181f2aea0858eaa5ed0ddf',
     },
     'o2-train-fisherface': {
-        'out': '2b4b1b810b41c073f772c93720f2b6e8f724989c4204fe0296b18281bbd5d13c',
+        'out': 'f97c102f2e341b2094c1e81a7837875c0380a4f61f7b9687d80ed49322b920f9',
     },
     'o2-train-gda': {
-        'out': '0bd564ea4e554a5df1b31873a5e69449d7026a9c8692e2c8ff74afab40f4ec40',
+        'out': '6ec726053873894e58d3df7a3b2d56e3f958dda58544b16cf3e284e1f90645fc',
     },
     'o2-train-gda-flags': {
-        'out': '0e848494e8f26322c33caab73a141754a3643eea48797fa2a5f3fee1ea7b419e',
+        'out': '5103089b0e2a18bd140da54c29f99cd7a286ebbcb79b15f6c71b361168ec6d4c',
     },
     'o2-train-hopca': {
-        'out': '32a3f8b8b9a4c71ca9cda04cddf497856d11694fb3a4e521fe377d2c859d2e03',
+        'out': 'e882967dd561b564d20c970c8aedf0639f3bc965773dbcbfe1f90a13def88c12',
     },
     'o2-train-mda': {
-        'out': 'fbd318a95d5a4ffc908959e1c53ed275c5fda9cfe5d4405d3521994f25b1165d',
+        'out': '2251b15eb5f806065cc54a77cd233a7015b7f3ee4cadba5961cfed368e731224',
     },
     'o2-train-pca': {
-        'out': '0f2679cbe0e8a6ea5e1223069da86fa316dc61f19db97471f7d398dffdd0b546',
+        'out': 'ae997dbe4643451f1372777c9cf1c30034b5c9414d3bf37bdaf26d8c9f6f1da2',
     },
     'o2-visualize-1x2': {
-        'out': '59c83ff2cffb1ddea338202dca2701e9006a0a85c548ed4b920fad36ea370a46',
+        'out': '555a9e56934bf6e98f9948902eb607817c2441098dc32e9429f57d726a7bc462',
     },
     'o3-classify-hopca': {
         'out': '547f84641f98869dd73e53d3bad03e2b307d602becfd719456d769d377b04558',
@@ -220,16 +220,16 @@ GOLDENS = {
     },
     'o3-evaluate-loo': {
         'report_loo_fisherface.txt': '0f8b2111beaa25be634b077865f90fc397deb09cf2a8a7ca9647d6bcab5e6f4a',
-        'report_loo_gda.txt': 'd447ac7471ae976774eda776c7a0c759d6421e1f100b14de2bd12df72c5b760c',
+        'report_loo_gda.txt': '709686bc4db999fd3e06a0cd323d3673947d0da4a5299fbd501af9d94ec0f901',
         'report_loo_hopca.txt': '8020c1ffc5567e6aacd766f5cc4be5c704f33860865e7af83b3db65c05704b2d',
-        'report_loo_mda.txt': '0c3f52dc209560a4d2573fa785c3c60631be1cdbf20ef2c9d6d152d2ff6467af',
+        'report_loo_mda.txt': '7445642f4014135607e7a25c5c6250e9274849c02b306a48cea497c47e8e383d',
         'report_loo_pca.txt': '2c7b44b9da6693e53c71d124268c88691b1b490cfb33f03cc5eef9e3a61cb829',
     },
     'o3-evaluate-split': {
         'report_split_fisherface.txt': 'cd40e9254721c83aee645989c4630eb43efd7e776dae60e314af4a499b61d5ef',
-        'report_split_gda.txt': '5912c907dbf844c13b7064a5a64d1e3776a496de6f128f603abf353e43e268c9',
+        'report_split_gda.txt': '079e8701be2bf3b01b10a88d3586bbe2418225560b366e4edd7e5a9b77f16632',
         'report_split_hopca.txt': '25598c2d9bfd3c5e0fbec5d9bde9af9be878fac5b08c398fbefb96f0dad73480',
-        'report_split_mda.txt': '6d93eaeaad900d710b61e48524c6f4138bb5de1eaca89a1fce2c7936e7592c73',
+        'report_split_mda.txt': '8e9814166f4a33290624e86652e7cade4ccb18d4c3eea3fd75b7dfad505c4659',
         'report_split_pca.txt': '410d562e8bbc960d555b3f460f00ed2a790a97fe766b1b77ac44f077a45f54e5',
     },
     'o3-synth': {
@@ -272,22 +272,22 @@ GOLDENS = {
         'sample_0011/frame_002.pgm': 'f82107e82d5b25adacdfbe2ab6fff180ca87bb680101388110da5fdb9be7f142',
     },
     'o3-train-fisherface': {
-        'out': 'a7744c295a168b36e597a3b7341b4f417c25067ee299d04e0780524d78d27f47',
+        'out': '49ec0d0fdb064d5fa375e00c4308d33e08a2f72d689768f2d3974aa58e676500',
     },
     'o3-train-gda': {
-        'out': '111bb339411bc414f232f7d2ae0f6f3189d3170c8af826a4a503acad72468f66',
+        'out': '78c6c239d9c37b254a92f2538d1449187a74fca0083858a9fb23efe31911e4c9',
     },
     'o3-train-gda-ranks': {
-        'out': 'dce2a70c4caf720a5bc6330bcfb19afea0c50a9b1e2cf4fc78dd4c716996414d',
+        'out': '0ac9cbd087b756670e139284b63c1ff93649d3788adb3459ef214352eee08d4c',
     },
     'o3-train-hopca': {
-        'out': 'e6777a7d269ac65615ac2c3f8e2ace3c6c2d7747fb1e2d1b9b2412e9fe9698a9',
+        'out': '258774937b400a61f7fe005d6490700f12604e33f38267f837ade7f260d7b296',
     },
     'o3-train-mda': {
-        'out': 'bd6e9ea552603b54ec87ddd7b224b01f8394fcee00de5babfbe91c28d0eb28dd',
+        'out': '0d9db39936158b52bc88807f5bce910655799cea7070e3b78179fb309bb1b413',
     },
     'o3-train-pca': {
-        'out': '9771f466a48744217be422aa2f53682ef8fae44d7ffc55e932dc66eebd0595c2',
+        'out': '4f24f86125491e467a912048850ef815673cd5d112adb6dde75236a185034efd',
     },
     'o3-visualize-pair': {
         'out': '2ce43cc2b354cc2e3ea3ea442705fc98c767a577e7e14e36b8a5a73434c85f60',

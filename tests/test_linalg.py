@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from tensorgda.errors import DimensionError, NumericInputError, SingularityError
-from tensorgda.linalg import ratio_trace_eig, svd, sym_eig
+from tensorgda.linalg import _fix_signs, ratio_trace_eig, svd, sym_eig
 
 from oracles import principal_angles
 
@@ -14,6 +14,35 @@ def random_spd(rng, n, rank=None):
     rank = n if rank is None else rank
     a = rng.standard_normal((n, rank))
     return a @ a.T
+
+
+def fix_signs_by_column(vectors, *coupled):
+    """Oracle: the sign convention applied one column at a time."""
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        pivot = int(np.argmax(np.abs(col)))
+        if col[pivot] < 0.0:
+            vectors[:, j] = -col
+            for other in coupled:
+                other[:, j] = -other[:, j]
+
+
+class TestFixSigns:
+    @pytest.mark.parametrize("shape", [(55, 55), (9200, 56), (4, 7), (6, 1), (5, 0)])
+    def test_same_bytes_as_the_column_loop(self, shape):
+        rng = np.random.default_rng(shape[0] + shape[1])
+        vectors = rng.standard_normal(shape)
+        if shape[1] >= 3:
+            # ties of magnitude: the lowest row decides the sign
+            vectors[:2, 0] = np.array([-2.0, 2.0]) * np.abs(vectors[:, 0]).max()
+            vectors[:2, 1] = np.array([3.0, -3.0]) * np.abs(vectors[:, 1]).max()
+            vectors[:, 2] = 0.0
+        coupled = [rng.standard_normal((3, shape[1])), rng.standard_normal((shape[1] + 2, shape[1]))]
+        expect = [vectors.copy(), *(c.copy() for c in coupled)]
+        fix_signs_by_column(*expect)
+        _fix_signs(vectors, *coupled)
+        for got, want in zip([vectors, *coupled], expect):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSvd:

@@ -59,6 +59,14 @@ class TestUnfold:
         with pytest.raises(InvalidModeError):
             tensor.unfold(np.zeros((2, 2)), 2)
 
+    @pytest.mark.parametrize(
+        "shape, mode, expect", [((3, 0, 2), 1, (0, 6)), ((3, 0, 2), 0, (3, 0)), ((0, 2), 0, (0, 2))]
+    )
+    def test_zero_extent(self, shape, mode, expect):
+        got = tensor.unfold(np.zeros(shape), mode)
+        assert got.shape == expect
+        assert tensor.fold(got, mode, shape).shape == shape
+
 
 class TestFold:
     @pytest.mark.parametrize("shape,mode", [((3, 4, 2), 0), ((2, 2, 5), 2)])
@@ -108,6 +116,32 @@ class TestModeProduct:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             tensor.mode_product(np.zeros((3, 4)), np.zeros((2, 5)), 1)
+
+    @pytest.mark.parametrize(
+        "shape, u_shape, mode, expect",
+        [((3, 0, 2), (4, 0), 1, (3, 4, 2)), ((3, 0, 2), (5, 3), 0, (5, 0, 2)), ((0, 2), (3, 2), 1, (0, 3))],
+    )
+    def test_zero_extent(self, shape, u_shape, mode, expect):
+        got = tensor.mode_product(np.zeros(shape), np.ones(u_shape), mode)
+        np.testing.assert_array_equal(got, np.zeros(expect))
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 3), (3, 4, 5), (2, 3, 1, 4)])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_any_layout_gives_the_unfolded_product_c_contiguous(self, shape, layout):
+        rng = np.random.default_rng(len(shape))
+        if layout == "strided":
+            t = rng.standard_normal(shape[:-1] + (2 * shape[-1],))[..., ::2]
+        else:
+            t = np.asarray(rng.standard_normal(shape), order=layout)
+        before = t.copy()
+        for mode, extent in enumerate(shape):
+            u = rng.standard_normal((extent + 1, extent))
+            got = tensor.mode_product(t, u, mode)
+            new_shape = shape[:mode] + (extent + 1,) + shape[mode + 1:]
+            expect = tensor.fold(u @ tensor.unfold(t, mode), mode, new_shape)
+            assert got.flags.c_contiguous
+            np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+        assert np.array_equal(t, before)
 
     def test_unfolded_form(self):
         rng = np.random.default_rng(9)
@@ -166,9 +200,13 @@ class TestPerSampleProducts:
         stack = rng.standard_normal(shape + (18,))[..., ::2]
         got = tensor._per_sample_products(stack, factors)
         for i in range(9):
-            alone = tensor.multi_mode_product(stack[..., i].copy(), factors)
-            assert got[..., i].shape == alone.shape
+            alone = tensor._per_sample_products(np.ascontiguousarray(stack[..., i:i + 1]), factors)
+            assert got[..., i:i + 1].shape == alone.shape
             assert np.ascontiguousarray(got[..., i]).tobytes() == np.ascontiguousarray(alone).tobytes()
+            product = tensor.multi_mode_product(stack[..., i], factors)
+            np.testing.assert_allclose(
+                got[..., i], product, rtol=1e-12, atol=1e-12 * np.abs(product).max()
+            )
 
 
 @settings(max_examples=60, deadline=None)

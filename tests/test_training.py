@@ -15,6 +15,7 @@ from tensorgda.training import (
     TrainingConfig,
     class_means,
     default_target_dims,
+    deviation_stacks,
     eval_objective,
     hosvd_stage,
     k_mode_optimize,
@@ -184,6 +185,30 @@ class TestScatterMatrices:
                 np.testing.assert_allclose(
                     got_w, s_w, atol=1e-9 * max(1.0, np.linalg.norm(s_w))
                 )
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_any_stack_layout_matches_the_oracle(self, layout):
+        def relayout(a):
+            if layout == "strided":
+                wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+                wide[..., ::2] = a
+                return wide[..., ::2]
+            return np.asarray(a, order=layout)
+
+        rng = np.random.default_rng(8)
+        shape, dims = (4, 3, 5), (2, 3, 2)
+        labels = [2, 1, 3, 1, 2, 1, 3, 1, 1]
+        data = LabeledTensorSet(relayout(rng.standard_normal(shape + (len(labels),))), labels)
+        projectors = [np.linalg.qr(rng.standard_normal((s, d)))[0] for s, d in zip(shape, dims)]
+        stacks = tuple(relayout(s) for s in deviation_stacks(data))
+        for mode in range(3):
+            s_b, s_w = scatter_via_materialized_kronecker(data, projectors, mode)
+            for got_b, got_w in (
+                scatter_matrices(data, projectors, mode),
+                scatter_matrices(data, projectors, mode, stacks=stacks),
+            ):
+                np.testing.assert_allclose(got_b, s_b, atol=1e-12 * np.linalg.norm(s_b))
+                np.testing.assert_allclose(got_w, s_w, atol=1e-12 * np.linalg.norm(s_w))
 
     def test_trace_matches_objective_terms(self):
         """tr(S_B(k)) equals the objective numerator with an identity factor
