@@ -236,7 +236,11 @@ def _run_folds(
 ) -> ExperimentReport:
     """Train on each ``(train_idx, test_idx)`` fold and classify its test
     samples.  The report's headline is the mean fold accuracy;
-    ``report_fields`` fills the protocol-specific fields."""
+    ``report_fields`` fills the protocol-specific fields.
+
+    Each subset lives only through the call it is built for: the training
+    subset is freed before the test subset is built, and a fold's model
+    before the next fold trains, so no fold holds two of these at once."""
     classes = tuple(data.classes.tolist())
     confusion = np.zeros((len(classes), len(classes)), dtype=int)
     accuracies = []
@@ -245,21 +249,20 @@ def _run_folds(
     traces = []
     warnings = []
     for train_idx, test_idx in folds:
-        train_set = data.subset(train_idx)
-        test_set = data.subset(test_idx)
-        model = train_method(method, train_set, config)
-        correct = _count_correct(model, test_set, classes, confusion)
-        accuracies.append(100.0 * correct / test_set.n_samples)
+        model = train_method(method, data.subset(train_idx), config)
+        correct = _count_correct(model, data.subset(test_idx), classes, confusion)
+        accuracies.append(100.0 * correct / len(test_idx))
         dims_per_fold.append(model.projected_shape)
         # storage of the projected gallery plus the projectors, relative to
         # raw; a vectorized model's one projector is the order-1 case
         fractions.append(hopca_compression_fraction(
-            train_set.n_samples,
+            len(train_idx),
             [c.shape[0] for c in model.combined],
             [c.shape[1] for c in model.combined],
         ))
         traces.append(model.objective_trace)
         warnings.append(model.warnings)
+        del model
     return ExperimentReport(
         method=method,
         classes=classes,

@@ -165,9 +165,13 @@ class TrainingConfig:
                 raise ConfigurationError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
-# samples projected, queries screened or gallery rows centred at a time:
-# bounds the transients
+# queries screened or gallery rows centred at a time: bounds the transients
 _QUERY_BLOCK = 256
+
+# input bytes that GdaModel.project projects at a time, at least one sample:
+# its transients stay a few blocks however long the stack, and no output bit
+# depends on it, since each sample gets its own BLAS calls
+_PROJECT_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -234,17 +238,21 @@ class GdaModel:
 
     def project(self, samples: np.ndarray) -> np.ndarray:
         """Samples stacked on the last axis, ``sample_shape + (m,)``, projected
-        to one C-contiguous ``projected_shape + (m,)`` stack, ``_QUERY_BLOCK``
-        samples at a time (vectorized kinds: the column-major vector).  A
-        sample's bits do not depend on the batch it comes in."""
-        samples = np.asarray(samples, dtype=np.float64)
+        to one C-contiguous ``projected_shape + (m,)`` stack (vectorized
+        kinds: the column-major vector).  Blocks of at most ``_PROJECT_BYTES``
+        of float64 input, and at least one sample, are projected at a time,
+        each converted and copied alone, so the transients do not grow with
+        ``m``.  A sample's bits depend neither on the batch it comes in nor on
+        the block size."""
+        samples = np.asarray(samples)
         if samples.shape[:-1] != self.sample_shape:
             raise DimensionError(f"samples of shape {samples.shape} do not stack the "
                                  f"training shape {self.sample_shape} on the last axis")
         factors = [(p.T, k) for k, p in enumerate(self.combined)]
         projected = np.empty(self.projected_shape + samples.shape[-1:])
-        for start in range(0, samples.shape[-1], _QUERY_BLOCK):
-            chunk = slice(start, start + _QUERY_BLOCK)
+        step = max(1, _PROJECT_BYTES // (8 * max(1, math.prod(self.sample_shape))))
+        for start in range(0, samples.shape[-1], step):
+            chunk = slice(start, start + step)
             block = samples[..., chunk]
             if self.vectorized:
                 block = block.reshape(-1, block.shape[-1], order="F")
@@ -267,8 +275,11 @@ def deviation_stacks(data: LabeledTensorSet) -> tuple:
     axis: the within-class deviations ``X_i - M_c(i)`` in sample order, and
     the class-mean deviations ``sqrt(n_c) * (M_c - M)`` in class order."""
     per_class, global_mean = class_means(data)
+    # one class at a time into a C-contiguous copy: no full-size gathered means
+    within = data.samples.copy()
+    for c, mean in zip(data.classes, per_class):
+        within[..., data.labels == c] -= mean[..., None]
     per_class = np.stack(per_class, axis=-1)
-    within = data.samples - per_class[..., np.searchsorted(data.classes, data.labels)]
     between = (per_class - global_mean[..., None]) * np.sqrt(data.class_counts())
     return within, between
 
@@ -366,13 +377,19 @@ def _target_dims(config: TrainingConfig, extents, n_classes: int, after_hosvd=Fa
     return dims
 
 
-def k_mode_optimize(core_data: LabeledTensorSet, config: TrainingConfig) -> KModeResult:
+def k_mode_optimize(
+    core_data: LabeledTensorSet, config: TrainingConfig, stacks=None
+) -> KModeResult:
     """Alternating per-mode eigen updates of the discriminant factors.
 
     Factors start as truncated identities (the top HOSVD directions when a
     HOSVD stage preceded).  Each sweep updates modes in order, each update
     seeing the already-refreshed factors of lower modes; every pair comes
-    from deviation stacks built once.  The objective is read from pairs
+    from one :func:`deviation_stacks` pair, ``stacks``, built from
+    ``core_data`` when omitted.  Given, the sweeps read of ``core_data``
+    only its labels and sample shape, so a caller may drop the core once
+    its stacks exist and pass any set of that shape and those labels, such
+    as the within stack's.  The objective is read from pairs
     already built: first from sweep 1's first pair, then after each sweep
     from the last mode's pair under its new factor (no other factor has
     moved since).  Iteration stops once a sweep moves the objective ``Psi``
@@ -385,7 +402,8 @@ def k_mode_optimize(core_data: LabeledTensorSet, config: TrainingConfig) -> KMod
     shape = core_data.sample_shape
     dims = _target_dims(config, shape, core_data.n_classes)
     factors = [np.eye(shape[k])[:, : dims[k]] for k in range(n)]
-    stacks = deviation_stacks(core_data)
+    if stacks is None:
+        stacks = deviation_stacks(core_data)
     objective_trace = []
     change_trace = []
     stop_reason = "sweep_cap"
@@ -463,9 +481,16 @@ def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str
         leading = [np.ascontiguousarray(v[:, :d]) for v, d in zip(bases, dims)]
         return _fitted(data, kind, leading, **facts)
 
-    core_data = data if kind == "mda" else LabeledTensorSet(
-        decomposition.core, data.labels, data.subjects)
-    result = k_mode_optimize(core_data, config)
+    if kind == "mda":
+        stacks = deviation_stacks(data)
+    else:
+        # the sweeps read the core only through its deviation stacks: once
+        # they exist, dropping the decomposition frees its cached core
+        stacks = deviation_stacks(LabeledTensorSet(decomposition.core, data.labels))
+        del decomposition
+    # the within stack has the core's shape and labels, all the sweeps read of it
+    result = k_mode_optimize(LabeledTensorSet(stacks[0], data.labels), config, stacks=stacks)
+    del stacks  # freed before the gallery is projected
     warnings = []
     if result.stop_reason == "sweep_cap":
         warnings.append(

@@ -233,7 +233,9 @@ class TestBatchIndependence:
             axis=-1,
         )
         singles = [classify(model, queries[..., i]) for i in range(queries.shape[-1])]
-        monkeypatch.setattr(tr, "_QUERY_BLOCK", block or queries.shape[-1])
+        block = block or queries.shape[-1]  # queries screened and samples projected at a time
+        monkeypatch.setattr(tr, "_QUERY_BLOCK", block)
+        monkeypatch.setattr(tr, "_PROJECT_BYTES", block * queries[..., 0].nbytes)
         labels, indices, distances = classify_many(model, queries)
         assert [s[0] for s in singles] == labels.tolist()
         assert [s[1] for s in singles] == indices.tolist()
@@ -246,15 +248,16 @@ class TestBatchIndependence:
     @pytest.mark.parametrize("classes", [2, 3])
     @pytest.mark.parametrize("method", METHODS)
     def test_project_bits_do_not_depend_on_the_batch(self, method, classes):
-        data = synth_gaussian_classes(classes, 300 // classes, (6, 5), 3.0, 1.5, seed=48)
+        data = synth_gaussian_classes(classes, 300 // classes, (24, 20), 3.0, 1.5, seed=48)
         model = train_method(method, data, TrainingConfig(fisherface_pca_dims=12))
         samples = data.samples + np.random.default_rng(49).standard_normal(data.samples.shape)
         singles = [samples[..., i] for i in range(data.n_samples)]
         expected = np.stack([model.project(x[..., None])[..., 0] for x in singles], axis=-1)
         for x, column in zip(singles[:20], np.moveaxis(expected, -1, 0)):
             assert same_bits(model.project(x.copy()[..., None])[..., 0], column)
-        assert tr._QUERY_BLOCK == 256  # so the sizes below cross a block boundary
-        for size in (1, 2, 7, 256, 257, data.n_samples):
+        block = tr._PROJECT_BYTES // samples[..., 0].nbytes  # samples projected at a time
+        assert 7 < block < data.n_samples - 1  # so the sizes below straddle a block
+        for size in (1, 2, 7, block - 1, block, block + 1, data.n_samples):
             projected = model.project(samples[..., :size])
             assert projected.flags.c_contiguous
             assert same_bits(projected, expected[..., :size]), f"batch of {size}"
