@@ -9,7 +9,9 @@ header, and any other byte there is an error.  File pixels are row-major;
 ``load_image`` returns an ``H x W`` matrix indexed (row, column).  A frame
 directory becomes an ``H x W x T`` tensor: its files, symlinks followed,
 stacked in lexicographic filename order.  Entries that are not files, such
-as subdirectories, are skipped.
+as subdirectories, are skipped.  Every stack built here is held with its
+last axis outermost in memory, so each frame of a sequence and each sample
+of a set is written as one contiguous block (see ``LabeledTensorSet``).
 
 A manifest is a line-oriented text file: one ``path<TAB>label[<TAB>subject]``
 entry per line, ``#`` comments, and optional ``@key value`` directives
@@ -44,6 +46,8 @@ _MAXVAL_COMMENTS = re.compile(rb"(?:#[^\n]*(?:\n|\Z))*")
 _WHITESPACE = b" \t\n\r\f\v"
 # how much of a bad token an error message quotes
 _ECHO_BYTES = 32
+# bytes asked of each read of a graymap file: a whole frame in one read
+_READ_BYTES = 1 << 16
 
 
 def _unsigned(payload: bytes, end: int, names) -> tuple:
@@ -109,12 +113,26 @@ def parse_pgm(payload: bytes) -> np.ndarray:
     return pixels.astype(np.float64).reshape(height, width)
 
 
+def _read_file(path) -> bytes:
+    """The bytes of the file at ``path``, read to its end through a bare
+    descriptor, with no file object; errors are ``open``'s."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_BYTES):
+            chunks.append(chunk)
+    except IsADirectoryError as exc:  # a directory opens, and its read names no file
+        raise IsADirectoryError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def load_image(path) -> np.ndarray:
     """Load a P2/P5 graymap file as an ``H x W`` matrix."""
     path = os.fspath(path)  # a str or bytes path, never a file descriptor
     try:
-        with open(path, "rb", buffering=0) as handle:  # one read, no buffer object
-            payload = handle.read()
+        payload = _read_file(path)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     try:
@@ -176,10 +194,13 @@ def _is_frame(entry: os.DirEntry) -> bool:
 
 
 def load_sequence(directory, expected_t: int | None = None, seed: int | None = None) -> np.ndarray:
-    """Stack a directory of equal-size frames into an ``H x W x T`` tensor.
+    """Stack a directory of equal-size frames into an ``H x W x T`` tensor,
+    the ``np.moveaxis`` view of a ``T x H x W`` array: each frame one
+    contiguous block.
 
     Frames are the directory's files, symlinks followed; other entries are
-    skipped.  They load in lexicographic filename order.  When
+    skipped.  They load in lexicographic filename order, one
+    :func:`load_image` call each.  When
     ``expected_t`` is given, surplus frames are deleted via
     :func:`trim_to_length` (requires ``seed``); too few frames is an error.
     """
@@ -194,16 +215,17 @@ def load_sequence(directory, expected_t: int | None = None, seed: int | None = N
     if not names:
         raise DatasetError(f"{directory} contains no frames")
     prefix = os.path.join(directory, "")
-    sequence = None
+    frames = None  # (T, H, W): each frame one contiguous block
     for t, name in enumerate(names):
         frame = load_image(prefix + name)
-        if sequence is None:
-            sequence = np.empty(frame.shape + (len(names),))
-        elif frame.shape != sequence.shape[:2]:
+        if frames is None:
+            frames = np.empty((len(names),) + frame.shape)
+        elif frame.shape != frames.shape[1:]:
             raise DatasetError(
-                f"frame {prefix}{name} has size {frame.shape}, expected {sequence.shape[:2]}"
+                f"frame {prefix}{name} has size {frame.shape}, expected {frames.shape[1:]}"
             )
-        sequence[..., t] = frame
+        frames[t] = frame
+    sequence = np.moveaxis(frames, 0, -1)
     if expected_t is not None:
         t = sequence.shape[2]
         if t < expected_t:
@@ -261,13 +283,15 @@ def synth_gaussian_classes(
         )
     shape = tuple(int(s) for s in shape)
     rng = np.random.default_rng(seed)
-    samples = np.empty(shape + (n_classes * per_class,))
+    samples = np.empty((n_classes * per_class,) + shape)
     for c in range(n_classes):
         center = class_separation * rng.standard_normal(shape)
         for s in range(per_class):
-            samples[..., c * per_class + s] = center + noise * rng.standard_normal(shape)
+            samples[c * per_class + s] = center + noise * rng.standard_normal(shape)
     labels = np.repeat(np.arange(1, n_classes + 1), per_class)
-    return LabeledTensorSet(samples, labels, np.tile(np.arange(1, per_class + 1), n_classes))
+    return LabeledTensorSet(
+        np.moveaxis(samples, 0, -1), labels, np.tile(np.arange(1, per_class + 1), n_classes)
+    )
 
 
 # a manifest integer, by the graymap's digit rule plus an optional minus
@@ -340,25 +364,26 @@ def load_manifest(path) -> LabeledTensorSet:
     if not entries:
         raise DatasetError(f"manifest {path} lists no samples")
 
-    samples = None
+    samples = None  # (m,) + sample_shape: each sample one contiguous block
     for i, (lineno, entry_path, _, _) in enumerate(entries):
         if entry_path.is_dir():
             sample = load_sequence(entry_path, expected_t=frames, seed=trim_seed)
         else:
             sample = load_image(entry_path)
         if samples is None:
-            samples = np.empty(sample.shape + (len(entries),))
-        elif sample.shape != samples.shape[:-1]:
+            samples = np.empty((len(entries),) + sample.shape)
+        elif sample.shape != samples.shape[1:]:
             raise DatasetError(
                 f"{path}:{lineno}: sample {entry_path} has shape {sample.shape}, "
-                f"expected {samples.shape[:-1]}"
+                f"expected {samples.shape[1:]}"
             )
-        samples[..., i] = sample
+        samples[i] = sample
     _, _, labels, subjects = zip(*entries)
     have_subjects = any(s is not None for s in subjects)
     if have_subjects and not all(s is not None for s in subjects):
         raise DatasetError(f"manifest {path} mixes entries with and without subjects")
-    return LabeledTensorSet(samples, labels, subjects if have_subjects else None)
+    return LabeledTensorSet(np.moveaxis(samples, 0, -1), labels,
+                            subjects if have_subjects else None)
 
 
 def save_dataset(data: LabeledTensorSet, directory) -> Path:

@@ -42,7 +42,7 @@ from .evaluation import METHODS, ExperimentReport
 from .training import GdaModel, TrainingConfig, _is_number
 
 MODEL_FORMAT = "tensorgda-model"
-MODEL_VERSION = 7
+MODEL_VERSION = 8
 
 
 def _optional(convert):

@@ -1,4 +1,4 @@
-"""Dense N-way tensor algebra: unfolding, folding and k-mode products.
+"""Dense N-way tensor algebra: unfolding and k-mode products.
 
 A tensor is a ``numpy.ndarray`` of ``float64`` scalars.  The linearization
 contract used throughout the package is generalized column-major: the first
@@ -46,21 +46,6 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     _check_mode(t, mode)
     columns = math.prod(t.shape[:mode] + t.shape[mode + 1:])
     return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], columns), order="F")
-
-
-def fold(m: np.ndarray, mode: int, shape) -> np.ndarray:
-    """Inverse of :func:`unfold`: rebuild the tensor of ``shape`` from its
-    mode-``mode`` unfolding."""
-    m = np.asarray(m, dtype=np.float64)
-    shape = tuple(int(s) for s in shape)
-    if not 0 <= mode < len(shape):
-        raise InvalidModeError(f"mode {mode} invalid for shape {shape}")
-    rest = [s for i, s in enumerate(shape) if i != mode]
-    if m.ndim != 2 or m.shape[0] != shape[mode] or m.shape[1] != int(np.prod(rest)):
-        raise DimensionError(
-            f"matrix of shape {m.shape} is not a mode-{mode} unfolding of {shape}"
-        )
-    return np.moveaxis(np.reshape(m, [shape[mode]] + rest, order="F"), 0, mode)
 
 
 def mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:

@@ -36,7 +36,11 @@ class LabeledTensorSet:
 
     Samples are stacked along the last axis of ``samples`` (shape
     ``sample_shape + (m,)``); ``subjects`` optionally tags each sample with
-    an acquisition subject for leave-one-out protocols.
+    an acquisition subject for leave-one-out protocols.  The package's
+    builders hold the stack sample-major: each sample is one contiguous
+    block, and ``samples`` is the ``np.moveaxis`` view of an ``(m,) +
+    sample_shape`` array, as :meth:`subset`'s fancy indexing also returns
+    it.  Any layout is accepted, and no output bit depends on it.
     """
 
     def __init__(self, samples: np.ndarray, labels, subjects=None):
@@ -57,20 +61,6 @@ class LabeledTensorSet:
         self.samples = samples
         self.labels = labels
         self.subjects = subjects
-
-    @classmethod
-    def from_samples(cls, samples, labels, subjects=None) -> "LabeledTensorSet":
-        """Stack a list of same-shape tensors into a set."""
-        arrays = [np.asarray(s, dtype=np.float64) for s in samples]
-        if not arrays:
-            raise DatasetError("empty sample set")
-        shape = arrays[0].shape
-        for i, a in enumerate(arrays):
-            if a.shape != shape:
-                raise DimensionError(
-                    f"sample {i} has shape {a.shape}, expected {shape}"
-                )
-        return cls(np.stack(arrays, axis=-1), labels, subjects)
 
     @property
     def n_samples(self) -> int:
@@ -262,12 +252,15 @@ class GdaModel:
 
 def class_means(data: LabeledTensorSet):
     """Per-class mean tensors (ordered by sorted class label) and the
-    global mean."""
+    global mean.  The global mean is summed along a contiguous sample axis
+    whatever the stack's layout: numpy sums such an axis pairwise, but a
+    strided one, as in a sample-major stack, one sample at a time, in other
+    bits.  A class's fancy-indexed samples are sample-major in any layout."""
     means = [
         np.mean(data.samples[..., data.labels == c], axis=-1)
         for c in data.classes
     ]
-    return means, np.mean(data.samples, axis=-1)
+    return means, np.mean(np.ascontiguousarray(data.samples), axis=-1)
 
 
 def deviation_stacks(data: LabeledTensorSet) -> tuple:

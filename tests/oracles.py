@@ -1,6 +1,23 @@
-"""Reference computations that tests compare the package against."""
+"""Reference computations that tests compare the package against, and the
+sample sets they build."""
 
 import numpy as np
+
+from tensorgda.training import LabeledTensorSet
+
+
+def fold(m: np.ndarray, mode: int, shape) -> np.ndarray:
+    """Inverse of ``tensor.unfold``: the tensor of ``shape`` whose
+    mode-``mode`` unfolding is ``m``."""
+    rest = [s for i, s in enumerate(shape) if i != mode]
+    return np.moveaxis(np.reshape(m, [shape[mode]] + rest, order="F"), 0, mode)
+
+
+def stacked_set(samples, labels, subjects=None) -> LabeledTensorSet:
+    """A set of the same-shape tensors ``samples``, stacked sample-major as
+    the package's builders stack them: each sample one contiguous block."""
+    stack = np.stack([np.asarray(s, dtype=np.float64) for s in samples])
+    return LabeledTensorSet(np.moveaxis(stack, 0, -1), labels, subjects)
 
 
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:

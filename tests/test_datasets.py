@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tensorgda import datasets
 from tensorgda.datasets import (
     load_image,
     load_manifest,
@@ -515,6 +516,100 @@ class TestManifest:
         np.testing.assert_array_equal(samples[..., 3, 2], samples[..., 0, 1])
 
 
+def sample_major(stack):
+    """Whether each sample of ``stack`` (its last axis) is one contiguous block."""
+    return np.moveaxis(stack, -1, 0).flags.c_contiguous
+
+
+def write_frame_manifest(directory, lengths, frames, plain=False):
+    """A manifest of one sequence of 4x3 random frames per entry of
+    ``lengths``, headed ``@frames frames`` and ``@trim-seed 7``, with P2
+    frames when ``plain``; returns it and each sequence's frame paths."""
+    rng = np.random.default_rng(16)
+    lines, paths = [f"@frames {frames}", "@trim-seed 7"], []
+    for s, length in enumerate(lengths):
+        seq = directory / f"seq{s}"
+        seq.mkdir()
+        paths.append([])
+        for t in range(length):
+            pixels = rng.integers(0, 256, size=(4, 3))
+            path = seq / f"frame_{t}.pgm"
+            if plain:
+                path.write_bytes(b"P2\n3 4\n255\n" + " ".join(map(str, pixels.ravel())).encode())
+            else:
+                save_pgm(path, pixels)
+            paths[-1].append(path)
+        lines.append(f"seq{s}\t{s + 1}")
+    manifest = directory / "manifest.tsv"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest, paths
+
+
+class TestSampleMajorLayout:
+    """Every builder holds each sample, and each frame of a sequence, as
+    one contiguous block, with the values of a samples-last stack filled
+    one strided sample or frame at a time."""
+
+    @pytest.mark.parametrize("n_classes, per_class, shape", [
+        (3, 1, (4, 3)), (2, 3, (5,)), (2, 2, (4, 3, 2)),
+    ])
+    def test_synth(self, n_classes, per_class, shape):
+        data = synth_gaussian_classes(n_classes, per_class, shape, 2.0, 0.5, seed=3)
+        rng = np.random.default_rng(3)
+        expected = np.empty(shape + (n_classes * per_class,))
+        for c in range(n_classes):
+            center = 2.0 * rng.standard_normal(shape)
+            for s in range(per_class):
+                expected[..., c * per_class + s] = center + 0.5 * rng.standard_normal(shape)
+        assert sample_major(data.samples)
+        assert np.array_equal(data.samples, expected)
+
+    def test_image_manifest(self, tmp_path):
+        rng = np.random.default_rng(17)
+        lines = []
+        for i in range(5):
+            save_pgm(tmp_path / f"{i}.pgm", rng.integers(0, 256, size=(4, 3)))
+            lines.append(f"{i}.pgm\t{1 + i % 2}")
+        (tmp_path / "manifest.tsv").write_text("\n".join(lines) + "\n")
+        samples = load_manifest(tmp_path / "manifest.tsv").samples
+        expected = np.empty((4, 3, 5))
+        for i in range(5):
+            expected[..., i] = load_image(tmp_path / f"{i}.pgm")
+        assert sample_major(samples)
+        assert np.array_equal(samples, expected)
+
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_frame_manifest_with_a_trim_seed(self, tmp_path, plain):
+        manifest, paths = write_frame_manifest(tmp_path, [3, 5, 4], 3, plain)
+        samples = load_manifest(manifest).samples
+        expected = np.empty((4, 3, 3, 3))
+        for i, frames in enumerate(paths):
+            sequence = np.empty((4, 3, len(frames)))
+            for t, path in enumerate(frames):
+                sequence[..., t] = load_image(path)
+            expected[..., i] = trim_to_length(sequence, 3, 7)
+        assert sample_major(samples)
+        assert np.array_equal(samples, expected)
+        assert sample_major(load_sequence(tmp_path / "seq1"))
+
+    def test_each_frame_is_read_once(self, tmp_path, monkeypatch):
+        manifest, paths = write_frame_manifest(tmp_path, [4, 4, 4], 4)
+        reads = []
+        real = datasets.load_image
+        monkeypatch.setattr(datasets, "load_image", lambda path: reads.append(path) or real(path))
+        assert load_manifest(manifest).n_samples == 3
+        assert len(reads) == 3 * 4
+
+    @pytest.mark.parametrize("layout", ["sample-major", "C"])
+    def test_a_subset_is_sample_major(self, layout):
+        data = synth_gaussian_classes(3, 2, (4, 3), 2.0, 0.5, seed=5)
+        if layout == "C":
+            data = LabeledTensorSet(np.ascontiguousarray(data.samples), data.labels)
+        sub = data.subset([4, 0, 2])
+        assert sample_major(sub.samples)
+        assert np.array_equal(sub.samples, data.samples[..., [4, 0, 2]])
+
+
 class TestLoaderMessages:
     """Each error of the manifest loader, word for word."""
 
@@ -577,6 +672,14 @@ class TestLoaderMessages:
         with pytest.raises(DatasetError) as err:
             load_manifest(manifest)
         assert str(err.value) == f"cannot read {tmp_path}/a\0.pgm: embedded null byte"
+
+    def test_a_directory_is_not_an_image(self, tmp_path):
+        # a directory opens as a descriptor; only its read fails, naming no file
+        with pytest.raises(DatasetError) as err:
+            load_image(tmp_path)
+        assert str(err.value) == (
+            f"cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'"
+        )
 
 
 @pytest.fixture(scope="module")

@@ -23,6 +23,8 @@ from tensorgda.training import (
     train_pca,
 )
 
+from oracles import stacked_set
+
 
 def identity_model(shape):
     """A do-nothing multilinear model over the given sample shape."""
@@ -201,7 +203,7 @@ class TestLooProtocol:
                 samples.append(t.copy())
                 labels.append(c)
                 subjects.append(subject)
-        data = LabeledTensorSet.from_samples(samples, labels, subjects)
+        data = stacked_set(samples, labels, subjects)
         report = evaluate_loo(data, "hopca", TrainingConfig(target_dims=(2, 2)))
         assert report.mean_accuracy == 100.0
         assert report.macro_accuracy == 100.0
@@ -241,7 +243,7 @@ class TestExportProjection2d:
     def test_identity_on_two_entry_samples(self):
         rng = np.random.default_rng(23)
         samples = [rng.standard_normal((1, 2)) for _ in range(4)]
-        data = LabeledTensorSet.from_samples(samples, [1, 1, 2, 2])
+        data = stacked_set(samples, [1, 1, 2, 2])
         model = identity_model((1, 2))
         rows = export_projection_2d(model, data, plane="pair")
         for row, sample in zip(rows, samples):

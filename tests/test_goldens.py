@@ -150,7 +150,7 @@ GOLDENS = {
         'report_loo_fisherface.txt': '26185ff46231a940653c62634138bfab069ec1a66a6851fd34212d2e0725d435',
         'report_loo_gda.txt': 'e12c1ef274a13b9fe4f6f8f20f74b0d625b4556e1948ba958f79803b8dc233a3',
         'report_loo_hopca.txt': '6cf670884e224a3c20d3a9ba05607b1e5c79153fada35e3414c19772d922cfaf',
-        'report_loo_mda.txt': 'aff4526424de008dfa17b745099cb873d5481593a47797b774c724f9d07d4695',
+        'report_loo_mda.txt': '5eecc76c6df980cd47a2f1f893af4f353c7f805ec071e7809245a44d09c5211f',
         'report_loo_pca.txt': 'e76dc5f92240b543f25adf398b9950fd0e2f5e4b7a410ff59dd90b44661f0e8c',
     },
     'o2-evaluate-loo-unequal': {
@@ -164,7 +164,7 @@ GOLDENS = {
         'report_split_fisherface.txt': '14efec3fc56b847f6cfc92785c0873e616f05bc1d88c1cab7928c62998f02d03',
         'report_split_gda.txt': 'd2c9188b07d1c5545ef77cdc3b684c4b6b8801b6ded67c38c8c67b4df210b36f',
         'report_split_hopca.txt': 'aa6bcacce4216641365f2273123ac403cdf275d89aff3269eb5df903ef05dbe1',
-        'report_split_mda.txt': 'da1444c6e02b237f4b83400bf219605178646feb6328f0811a5943cda3811a6e',
+        'report_split_mda.txt': '39cc05370d942ff8d10d2a8f91e9eae4cbb27997f63839534c36e1e332e1d1cb',
         'report_split_pca.txt': 'db6ffaf7dfeb6dcb6f944c27d8865d3e7e5601c068a5b76981fcfa578f87b819',
     },
     'o2-synth': {
@@ -189,22 +189,22 @@ GOLDENS = {
         'sample_0017.pgm': '2a5fcb7daccdca9dee581f670921680292db236b91181f2aea0858eaa5ed0ddf',
     },
     'o2-train-fisherface': {
-        'out': 'f97c102f2e341b2094c1e81a7837875c0380a4f61f7b9687d80ed49322b920f9',
+        'out': '74ae0b3d3f6efb2b271dc32e79cfb5a986d31eb39371464a17e645fdca478807',
     },
     'o2-train-gda': {
-        'out': '6ec726053873894e58d3df7a3b2d56e3f958dda58544b16cf3e284e1f90645fc',
+        'out': '8a07a00d3b02150cc96f879de82cc7fbbdc8ad4b4d45730a892fe55191e46853',
     },
     'o2-train-gda-flags': {
-        'out': '5103089b0e2a18bd140da54c29f99cd7a286ebbcb79b15f6c71b361168ec6d4c',
+        'out': 'cd7d81d9aff88f061bd40c5439c5363f5e7645f84113dc4cceeda7ea18f17878',
     },
     'o2-train-hopca': {
-        'out': 'e882967dd561b564d20c970c8aedf0639f3bc965773dbcbfe1f90a13def88c12',
+        'out': 'b0b6c583907fcd8252303d7c8797488fea0bc4ef9fd1887fb96cbe7f9ebbde76',
     },
     'o2-train-mda': {
-        'out': '2251b15eb5f806065cc54a77cd233a7015b7f3ee4cadba5961cfed368e731224',
+        'out': 'b21a9ba93269eb97595ecf42079b3f2e7dd3a868a56931b6bf0289f07b225560',
     },
     'o2-train-pca': {
-        'out': 'ae997dbe4643451f1372777c9cf1c30034b5c9414d3bf37bdaf26d8c9f6f1da2',
+        'out': '1521751a1128c87fdae8fa6af7460fab7b11f147370548b751bcaf93d5b7e79b',
     },
     'o2-visualize-1x2': {
         'out': '555a9e56934bf6e98f9948902eb607817c2441098dc32e9429f57d726a7bc462',
@@ -222,14 +222,14 @@ GOLDENS = {
         'report_loo_fisherface.txt': '0f8b2111beaa25be634b077865f90fc397deb09cf2a8a7ca9647d6bcab5e6f4a',
         'report_loo_gda.txt': '709686bc4db999fd3e06a0cd323d3673947d0da4a5299fbd501af9d94ec0f901',
         'report_loo_hopca.txt': '8020c1ffc5567e6aacd766f5cc4be5c704f33860865e7af83b3db65c05704b2d',
-        'report_loo_mda.txt': '7445642f4014135607e7a25c5c6250e9274849c02b306a48cea497c47e8e383d',
+        'report_loo_mda.txt': '32d01caacb56561ff1927029edbf227d52d4742be55238b53abf17908e2839fb',
         'report_loo_pca.txt': '2c7b44b9da6693e53c71d124268c88691b1b490cfb33f03cc5eef9e3a61cb829',
     },
     'o3-evaluate-split': {
         'report_split_fisherface.txt': 'cd40e9254721c83aee645989c4630eb43efd7e776dae60e314af4a499b61d5ef',
         'report_split_gda.txt': '079e8701be2bf3b01b10a88d3586bbe2418225560b366e4edd7e5a9b77f16632',
         'report_split_hopca.txt': '25598c2d9bfd3c5e0fbec5d9bde9af9be878fac5b08c398fbefb96f0dad73480',
-        'report_split_mda.txt': '8e9814166f4a33290624e86652e7cade4ccb18d4c3eea3fd75b7dfad505c4659',
+        'report_split_mda.txt': '6798808487995f5eb5d72fef5e2f7b6b44f0e20427d943fe2a094ee53b4b80ea',
         'report_split_pca.txt': '410d562e8bbc960d555b3f460f00ed2a790a97fe766b1b77ac44f077a45f54e5',
     },
     'o3-synth': {
@@ -272,22 +272,22 @@ GOLDENS = {
         'sample_0011/frame_002.pgm': 'f82107e82d5b25adacdfbe2ab6fff180ca87bb680101388110da5fdb9be7f142',
     },
     'o3-train-fisherface': {
-        'out': '49ec0d0fdb064d5fa375e00c4308d33e08a2f72d689768f2d3974aa58e676500',
+        'out': '157138d8a350f736a9ba67f47fd6713cf2bef0711aed2fe42d2b297defc20471',
     },
     'o3-train-gda': {
-        'out': '78c6c239d9c37b254a92f2538d1449187a74fca0083858a9fb23efe31911e4c9',
+        'out': 'e0eefba7537221ddda104221e8d567565b2b52af81fc006bd4ece721a340f75b',
     },
     'o3-train-gda-ranks': {
-        'out': '0ac9cbd087b756670e139284b63c1ff93649d3788adb3459ef214352eee08d4c',
+        'out': '1694477371d93775acb15a116792abdce26473ec6091a33615900a9377850db5',
     },
     'o3-train-hopca': {
-        'out': '258774937b400a61f7fe005d6490700f12604e33f38267f837ade7f260d7b296',
+        'out': 'fa2fedb61aa367c9fe0248b06377335701f139c77d9284bab37d02281cc716d0',
     },
     'o3-train-mda': {
-        'out': '0d9db39936158b52bc88807f5bce910655799cea7070e3b78179fb309bb1b413',
+        'out': '916a6b045a41a1a4b4a48257943508542e534bb87e07f1d1db68f43734ca16f4',
     },
     'o3-train-pca': {
-        'out': '4f24f86125491e467a912048850ef815673cd5d112adb6dde75236a185034efd',
+        'out': '90d516863a4460d45d1b4d21baa30fa25a26a854c42178e9558d495273ebcabc',
     },
     'o3-visualize-pair': {
         'out': '2ce43cc2b354cc2e3ea3ea442705fc98c767a577e7e14e36b8a5a73434c85f60',

@@ -126,7 +126,7 @@ class TestModelContainer:
             "objective_trace", "sample_shape", "subspace_change_trace",
             "version", "warnings",
         ]
-        assert doc["version"] == 7
+        assert doc["version"] == 8
 
     @pytest.mark.parametrize("train", [train_gda, train_pca])
     def test_payload_is_the_arrays_raw_in_order(self, train, tmp_path):

@@ -10,6 +10,7 @@ from tensorgda.datasets import synth_gaussian_classes
 from tensorgda.errors import ConfigurationError
 from tensorgda.evaluation import classify, classify_many, split_indices, train_method
 from tensorgda.linalg import ratio_trace_eig
+from tensorgda.model_io import save_model
 from tensorgda.training import (
     LabeledTensorSet,
     TrainingConfig,
@@ -28,7 +29,7 @@ from tensorgda.training import (
     vector_pca,
 )
 
-from oracles import principal_angles
+from oracles import principal_angles, stacked_set
 
 
 def vector_lda_oracle(vectors, labels, d, ridge=1e-6):
@@ -61,23 +62,19 @@ def gaussian_vectors(rng, n_classes, per_class, dim, separation, noise):
         for _ in range(per_class):
             samples.append(center + noise * rng.standard_normal(dim))
             labels.append(c)
-    return LabeledTensorSet.from_samples(samples, labels)
+    return stacked_set(samples, labels)
 
 
 class TestLabeledTensorSet:
     def test_counts_and_classes(self):
-        data = LabeledTensorSet.from_samples(
+        data = stacked_set(
             [np.zeros((2, 2))] * 5, [3, 1, 3, 1, 3]
         )
         np.testing.assert_array_equal(data.classes, [1, 3])
         np.testing.assert_array_equal(data.class_counts(), [2, 3])
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(Exception):
-            LabeledTensorSet.from_samples([np.zeros((2, 2)), np.zeros((2, 3))], [1, 2])
-
     def test_subset_keeps_subjects(self):
-        data = LabeledTensorSet.from_samples(
+        data = stacked_set(
             [np.zeros((2,)) for _ in range(4)], [1, 1, 2, 2], subjects=[1, 2, 1, 2]
         )
         sub = data.subset([0, 3])
@@ -88,7 +85,7 @@ class TestClassMeans:
     def test_singleton_classes(self):
         rng = np.random.default_rng(0)
         samples = [rng.standard_normal((3, 2)) for _ in range(3)]
-        data = LabeledTensorSet.from_samples(samples, [1, 2, 3])
+        data = stacked_set(samples, [1, 2, 3])
         means, _ = class_means(data)
         for mean, sample in zip(means, samples):
             np.testing.assert_array_equal(mean, sample)
@@ -96,7 +93,7 @@ class TestClassMeans:
     def test_opposite_singletons_cancel(self):
         rng = np.random.default_rng(1)
         t = rng.standard_normal((2, 3))
-        data = LabeledTensorSet.from_samples([t, -t], [1, 2])
+        data = stacked_set([t, -t], [1, 2])
         _, overall = class_means(data)
         np.testing.assert_allclose(overall, np.zeros_like(t), atol=1e-16)
 
@@ -104,11 +101,26 @@ class TestClassMeans:
         rng = np.random.default_rng(2)
         samples = [rng.standard_normal((2, 2)) for _ in range(9)]
         labels = [1, 1, 2, 2, 2, 3, 3, 3, 3]
-        data = LabeledTensorSet.from_samples(samples, labels)
+        data = stacked_set(samples, labels)
         means, overall = class_means(data)
         counts = data.class_counts()
         weighted = sum(n * m for n, m in zip(counts, means)) / data.n_samples
         np.testing.assert_allclose(weighted, overall, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("method", ["gda", "mda", "hopca", "pca", "fisherface"])
+def test_model_bytes_do_not_depend_on_the_stack_layout(method, tmp_path):
+    """A C-contiguous stack and the sample-major stack of the same values
+    train to the same model file."""
+    data = synth_gaussian_classes(5, 6, (9, 7), 3.0, 1.0, seed=1)
+    c_stack = np.ascontiguousarray(data.samples)
+    sample_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(c_stack, -1, 0)), 0, -1)
+    written = []
+    for layout, samples in (("c", c_stack), ("sample-major", sample_major)):
+        model = train_method(method, LabeledTensorSet(samples, data.labels), None)
+        save_model(model, tmp_path / layout)
+        written.append((tmp_path / layout).read_bytes())
+    assert written[0] == written[1]
 
 
 def scatter_via_materialized_kronecker(data, projectors, mode):
@@ -154,7 +166,7 @@ class TestScatterMatrices:
 
     def test_equal_samples_give_zero_within(self):
         t = np.arange(6.0).reshape(2, 3)
-        data = LabeledTensorSet.from_samples([t, t, t - 5.0], [1, 1, 2])
+        data = stacked_set([t, t, t - 5.0], [1, 1, 2])
         _, s_w = scatter_matrices(data, [np.eye(2), np.eye(3)], 0)
         np.testing.assert_allclose(s_w, np.zeros((2, 2)), atol=1e-12)
 
@@ -166,13 +178,13 @@ class TestScatterMatrices:
         shape = (4, 3, 5)
         dims = (2, 2, 3)
         samples = [rng.standard_normal(shape) for _ in range(8)]
-        grouped = LabeledTensorSet.from_samples(samples, [1, 1, 1, 1, 2, 2, 2, 2])
+        grouped = stacked_set(samples, [1, 1, 1, 1, 2, 2, 2, 2])
         projectors = [
             np.linalg.qr(rng.standard_normal((shape[j], dims[j])))[0]
             for j in range(3)
         ]
         labels = [2, 1, 3, 1, 2, 1, 3, 1, 1]
-        interleaved = LabeledTensorSet.from_samples(
+        interleaved = stacked_set(
             [rng.standard_normal(shape) for _ in labels], labels
         )
         for data in (grouped, interleaved):
@@ -216,7 +228,7 @@ class TestScatterMatrices:
         rng = np.random.default_rng(4)
         shape = (4, 3, 3)
         samples = [rng.standard_normal(shape) for _ in range(9)]
-        data = LabeledTensorSet.from_samples(samples, [1, 1, 1, 2, 2, 2, 3, 3, 3])
+        data = stacked_set(samples, [1, 1, 1, 2, 2, 2, 3, 3, 3])
         dims = (2, 2, 2)
         projectors = [
             np.linalg.qr(rng.standard_normal((shape[j], dims[j])))[0]
@@ -257,14 +269,14 @@ class TestScatterMatrices:
 class TestEvalObjective:
     def test_zero_within_deviation_gives_inf(self):
         t = np.ones((2, 2))
-        data = LabeledTensorSet.from_samples([t, t, 2 * t, 2 * t], [1, 1, 2, 2])
+        data = stacked_set([t, t, 2 * t, 2 * t], [1, 1, 2, 2])
         factors = [np.eye(2), np.eye(2)]
         assert eval_objective(scatter_matrices(data, factors, 0), factors[0]) == math.inf
 
     def test_equal_class_means_give_zero(self):
         v = np.array([[1.0, 0.0], [0.0, -1.0]])
         w = np.array([[0.0, 2.0], [-2.0, 0.0]])
-        data = LabeledTensorSet.from_samples([v, -v, w, -w], [1, 1, 2, 2])
+        data = stacked_set([v, -v, w, -w], [1, 1, 2, 2])
         factors = [np.eye(2), np.eye(2)]
         assert eval_objective(scatter_matrices(data, factors, 0), factors[0]) == 0.0
 
@@ -272,7 +284,7 @@ class TestEvalObjective:
         rng = np.random.default_rng(5)
         shape = (3, 4)
         samples = [rng.standard_normal(shape) for _ in range(6)]
-        data = LabeledTensorSet.from_samples(samples, [1, 1, 2, 2, 3, 3])
+        data = stacked_set(samples, [1, 1, 2, 2, 3, 3])
         dims = (2, 2)
         factors = [
             np.linalg.qr(rng.standard_normal((shape[j], dims[j])))[0]
@@ -319,7 +331,7 @@ class TestKModeOptimize:
     )
     def test_objective_trace_matches_sample_loop(self, shape, labels):
         rng = np.random.default_rng(len(shape))
-        data = LabeledTensorSet.from_samples(
+        data = stacked_set(
             [rng.standard_normal(shape) + label for label in labels], labels
         )
         result = k_mode_optimize(data, TrainingConfig(target_dims=(2,) * len(shape)))
@@ -347,7 +359,7 @@ class TestKModeOptimize:
         base_b[2:, 2:] = 1.0
         samples = [base_a * (1 + 1e-4 * i) for i in range(4)]
         samples += [base_b * (1 + 1e-4 * i) for i in range(4)]
-        data = LabeledTensorSet.from_samples(samples, [1] * 4 + [2] * 4)
+        data = stacked_set(samples, [1] * 4 + [2] * 4)
         config = TrainingConfig(target_dims=(1, 1))
         result = k_mode_optimize(data, config)
         assert result.objective_trace[-1] > 1e3
@@ -400,7 +412,7 @@ class TestStopRule:
     def test_infinite_objective_never_settles(self):
         # singleton classes: zero within-class scatter, an objective of inf
         rng = np.random.default_rng(3)
-        data = LabeledTensorSet.from_samples(
+        data = stacked_set(
             [rng.standard_normal((4, 3)) for _ in range(3)], [1, 2, 3]
         )
         result = k_mode_optimize(data, TrainingConfig(conv_tol=1e9, max_iters=3))
@@ -605,7 +617,7 @@ class TestTrainGda:
     def test_singleton_class_warns(self):
         rng = np.random.default_rng(29)
         samples = [rng.standard_normal((4, 3)) for _ in range(5)]
-        data = LabeledTensorSet.from_samples(samples, [1, 1, 1, 1, 2])
+        data = stacked_set(samples, [1, 1, 1, 1, 2])
         model = train_gda(data, TrainingConfig(target_dims=(1, 1)))
         assert any("class 2" in w for w in model.warnings)
 
@@ -684,7 +696,7 @@ class TestVectorBaselines:
             np.array([0.0, 1.0]),
             np.array([0.0, -1.0]),
         ]
-        data = LabeledTensorSet.from_samples(samples, [1, 1, 2, 2])
+        data = stacked_set(samples, [1, 1, 2, 2])
         model = train_pca(data, TrainingConfig(pca_dims=1))
         np.testing.assert_allclose(np.abs(model.combined[0][:, 0]), [1, 0], atol=1e-12)
 
