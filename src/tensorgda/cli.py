@@ -8,7 +8,9 @@ subcommand reads the keys of its own flags and skips those only other
 subcommands take, and explicit command-line flags win.
 
 A failure prints one ``error:`` line to stderr and exits with its error
-class's ``exit_code`` (see ``errors``); an unwritable output file exits 3.
+class's ``exit_code`` (see ``errors``); an output file that cannot be
+opened or written exits 3.  A run whose stdout reader goes away, as in
+``tensorgda classify ... | head -n 1``, ends with no message and exit 141.
 All outputs are deterministic given the inputs and ``--seed``.  The
 library reads no clock: each command times itself at this boundary and
 prints one wall-clock line to stdout (``train`` its training, ``evaluate``
@@ -18,6 +20,7 @@ each method's protocol run, ``compress`` its HOSVD), never into a file.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import fields
@@ -37,7 +40,7 @@ from .evaluation import (
     write_projection_csv,
 )
 from .hosvd import hopca_compression_fraction, psnr, reconstruct
-from .model_io import format_report, load_model, save_model, save_report
+from .model_io import format_report, load_model, save_model, save_report, write_file
 from .training import TrainingConfig, hosvd_stage, vector_pca
 
 
@@ -125,7 +128,7 @@ def reject_flags(args, dests, context: str) -> None:
 def write_output(text: str, output, what: str) -> None:
     """``text`` to the file ``output``, announced as ``what``, else to stdout."""
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        write_file(output, [text.encode("utf-8")])
         print(f"{what} written to {output}")
     else:
         sys.stdout.write(text)
@@ -449,6 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit status when the reader of stdout goes away: 128 + SIGPIPE, what
+# a shell reports for a program that SIGPIPE ends
+CLOSED_STDOUT_EXIT = 128 + 13
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -463,6 +471,16 @@ def main(argv=None) -> int:
                 commands[args.command].set_defaults(**values)
                 args = parser.parse_args(argv)
             code = args.func(args)
+            sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+    except BrokenPipeError:
+        # the reader of stdout is gone, as in `tensorgda classify | head`:
+        # end quietly with the status of a death by SIGPIPE, stdout pointed at
+        # devnull so that the flush at exit cannot fail again (Python's
+        # documentation, "Note on SIGPIPE" in the signal module)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_STDOUT_EXIT
     except TensorGdaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -73,8 +73,10 @@ def _unsigned(payload: bytes, end: int, names) -> tuple:
     return values, end
 
 
-def parse_pgm(payload: bytes) -> np.ndarray:
-    """Decode PGM bytes into an ``H x W`` float matrix of 0..maxval values."""
+def _scan_header(payload: bytes) -> tuple:
+    """``(magic, width, height, maxval, end)`` of a graymap's checked header:
+    ``end`` is the offset just past the maxval of a P2, and just past the
+    whitespace byte that ends the header of a P5, where its raster starts."""
     match = _TOKEN.match(payload)
     magic, end = match[1], match.end()
     if magic not in (b"P2", b"P5"):
@@ -84,8 +86,6 @@ def parse_pgm(payload: bytes) -> np.ndarray:
         raise PgmParseError(f"invalid dimensions {width}x{height}", end)
     if not 0 < maxval <= 255:
         raise PgmParseError(f"maxval {maxval} outside 1..255", end)
-    count = width * height
-
     if magic == b"P5":
         # comments right after the maxval, then one whitespace byte
         end = _MAXVAL_COMMENTS.match(payload, end).end()
@@ -96,6 +96,29 @@ def parse_pgm(payload: bytes) -> np.ndarray:
                 f"expected whitespace before the raster, got {payload[end:end + 1]!r}", end
             )
         end += 1
+    return magic, width, height, maxval, end
+
+
+# the header bytes of the last P5 graymap parsed, through the whitespace
+# byte that ends it, and its (width, height, maxval).  The frames of a
+# sequence share one header, and a header's scan reads none of the bytes
+# after it, so a payload that starts with these bytes skips the scan.
+_last_p5 = (None, 0, 0, 0)
+
+
+def parse_pgm(payload: bytes) -> np.ndarray:
+    """Decode PGM bytes into an ``H x W`` float matrix of 0..maxval values."""
+    global _last_p5
+    header, width, height, maxval = _last_p5
+    if header is not None and payload.startswith(header):
+        magic, end = b"P5", len(header)
+    else:
+        magic, width, height, maxval, end = _scan_header(payload)
+        if magic == b"P5":
+            _last_p5 = (bytes(payload[:end]), width, height, maxval)
+    count = width * height
+
+    if magic == b"P5":
         raster = payload[end : end + count]
         end += len(raster)
         if len(raster) < count:

@@ -9,6 +9,7 @@ different methods evaluated with the same seed see identical splits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,16 +76,19 @@ def classify_many(model: GdaModel, samples: np.ndarray):
     do not depend on how the samples are batched.
 
     Only a few entries are computed directly.  The stack is projected by one
-    :meth:`GdaModel.project` call, exactly as the gallery was, and each block
-    of queries is screened against every entry at once by one float32 GEMM
-    about the gallery mean ``mu``: ``a_j = |g_j - mu|^2 - 2 fl32(z - mu) .
+    :meth:`GdaModel.project_rows` call, exactly as the gallery was, each
+    query one row flattened in C order like the gallery's, and each block of
+    query rows is screened against every gallery row at once by one float32
+    GEMM about the row mean ``mu``: ``a_j = |g_j - mu|^2 - 2 fl32(z - mu) .
     fl32(g_j - mu)``, with the norm and the subtraction in float64, which is
     ``|z - g_j|^2 - |z - mu|^2`` up to rounding (the expansion used by exact
     brute-force k-NN, Johnson, Douze & Jegou, IEEE Trans. Big Data 2019; a
     low-precision screen with a high-precision check as in Higham & Mary,
     Acta Numerica 2022).  Centring scales the rounding by the gallery's
     spread, not by its offset from the origin.  The candidates are the
-    entries with ``a_j <= min(a) + slack``; they are recomputed directly.
+    entries with ``a_j <= min(a) + slack``, the slack taken per query from
+    the scalars ``|z - mu|^2`` and ``min(a)``; their contiguous gallery rows
+    are recomputed directly.
 
     Why no excluded entry can equal or beat the winner.  Let ``x = z - mu``
     and ``y_j = g_j - mu`` exactly, so ``delta_j = |z - g_j|^2 = |x - y_j|^2``
@@ -130,41 +134,37 @@ def classify_many(model: GdaModel, samples: np.ndarray):
     """
     if model.gallery.size == 0:
         raise DatasetError("model has an empty gallery")
-    gallery, mean, sq_norms, max_sq_norm, centred32 = model.screen
-    # one query per row, flattened in C order like the gallery's columns
-    projected = model.project(samples).reshape(gallery.shape[0], -1).T
-    count = len(projected)
-    slack_factor = 2.0 * (gallery.shape[0] + 4)
-    indices = np.empty(count, dtype=np.intp)
-    distances = np.empty(count)
-    for start in range(0, count, training._QUERY_BLOCK):
+    gallery, (mean, sq_norms, max_sq_norm, rows32) = model.gallery, model.screen
+    projected = model.project_rows(samples)
+    slack_factor = 2.0 * (gallery.shape[1] + 4)
+    indices = np.empty(len(projected), dtype=np.intp)
+    distances = np.empty(len(projected))
+    for start in range(0, len(projected), training._QUERY_BLOCK):
         queries = projected[start : start + training._QUERY_BLOCK]
         # a query or entry beyond float32's range fails the bound below,
         # and then its screen row is never read
         with np.errstate(over="ignore", invalid="ignore"):
             centred = queries - mean
-            screen = sq_norms - 2.0 * (centred.astype(np.float32) @ centred32)
-        smallest = screen.min(axis=1)
-        scale = np.einsum("ij,ij->i", centred, centred) + max_sq_norm
-        bounded = np.isfinite(smallest) & (scale < _MAX32 / 4)
-        slack = slack_factor * (_EPS32 * scale + _ETA32)
-        for row, z in enumerate(queries):
-            if bounded[row]:
-                candidates = np.flatnonzero(screen[row] <= smallest[row] + slack[row])
-            else:
-                candidates = np.arange(gallery.shape[1])
-            indices[start + row], distances[start + row] = _nearest(gallery, z, candidates)
+            screen = sq_norms - 2.0 * (centred.astype(np.float32) @ rows32.T)
+            for row, (z, x, line) in enumerate(zip(queries, centred, screen), start):
+                smallest, scale = float(line.min()), float(x @ x) + max_sq_norm
+                if math.isfinite(smallest) and scale < _MAX32 / 4:
+                    slack = slack_factor * (_EPS32 * scale + _ETA32)
+                    candidates = (line <= smallest + slack).nonzero()[0]
+                else:
+                    candidates = np.arange(len(gallery))
+                indices[row], distances[row] = _nearest(gallery, z, candidates)
     return model.gallery_labels[indices], indices, distances
 
 
 def _nearest(gallery: np.ndarray, z: np.ndarray, candidates: np.ndarray):
-    """``(index, distance)`` of the direct-difference nearest candidate
-    column of ``gallery``; the lowest index wins among equal distances.
-    Each distance is one contiguous row reduction, so it depends only on
+    """``(index, distance)`` of the direct-difference nearest candidate row
+    of ``gallery``; the lowest index wins among equal distances.  Each
+    distance is one contiguous row reduction, so it depends only on
     ``(z, g_j)``."""
-    deltas = gallery.T[candidates] - z
-    distances = np.sqrt(np.sum(deltas * deltas, axis=1))
-    best = int(np.argmin(distances))
+    deltas = gallery[candidates] - z
+    distances = np.sqrt(np.add.reduce(np.square(deltas, out=deltas), axis=1))
+    best = int(distances.argmin())
     return candidates[best], distances[best]
 
 

@@ -6,8 +6,10 @@ stores each fact once: the served projectors ``combined``, not the factors
 they were multiplied from, and no flag that ``kind`` implies.  Each array
 appears in the header as its shape alone; its little-endian float64 buffer,
 in row-major (C) order, follows the newline, the arrays back to back in the
-order ``combined[0]``, ``combined[1]``, ..., ``gallery``.  Lengths follow
-from shapes, so there is no offset to go wrong.  A save/load round trip is
+order ``combined[0]``, ``combined[1]``, ..., ``gallery``.  The gallery is
+the model's ``(n, d)`` row matrix, one flattened entry per row, so both
+directions move its bytes as they are, with no copy.  Lengths follow from
+shapes, so there is no offset to go wrong.  A save/load round trip is
 bit-exact and repeated saves of the same model are byte-identical: a model
 holds no clock reading.  No kind stores a mean: projection is linear, so a
 shift shared by the gallery and the queries leaves every distance as it is.
@@ -42,7 +44,7 @@ from .evaluation import METHODS, ExperimentReport
 from .training import GdaModel, TrainingConfig, _is_number
 
 MODEL_FORMAT = "tensorgda-model"
-MODEL_VERSION = 8
+MODEL_VERSION = 9
 
 
 def _optional(convert):
@@ -215,16 +217,30 @@ def _check_consistency(model: GdaModel) -> None:
     if got != rows:
         raise ValueError(f"combined: projector rows {got} do not fit sample_shape "
                          f"{list(model.sample_shape)}")
-    gallery_shape = model.projected_shape + (len(model.gallery_labels),)
+    gallery_shape = (len(model.gallery_labels), math.prod(model.projected_shape))
     if model.gallery.shape != gallery_shape:
         raise ValueError(f"gallery: shape {model.gallery.shape}, expected {gallery_shape}")
 
 
+def write_file(path, chunks) -> None:
+    """Write the byte strings ``chunks`` to the file ``path``, in order.
+    A file that cannot be opened fails with ``open``'s error, which names
+    it; a write or flush that fails, say on a full disk, names no file, so
+    it raises a ``DatasetError`` that names ``path``."""
+    handle = open(path, "wb")
+    try:
+        with handle:
+            for chunk in chunks:
+                handle.write(chunk)
+    except OSError as exc:
+        raise DatasetError(f"cannot write {os.fspath(path)}: {exc.strerror or exc}") from exc
+
+
 def save_model(model: GdaModel, path) -> None:
-    with open(path, "wb") as handle:
-        handle.write(model_header(model).encode("ascii") + b"\n")
-        for array in _payload(vars(model)):
-            handle.write(np.ascontiguousarray(array, "<f8").data)
+    """Write ``model`` as one header line and its arrays' bytes, each array
+    passed to the file as the buffer it is, with no copy."""
+    arrays = (np.ascontiguousarray(a, "<f8").data for a in _payload(vars(model)))
+    write_file(path, [model_header(model).encode("ascii") + b"\n", *arrays])
 
 
 def _read_model(handle, path) -> GdaModel:
@@ -307,5 +323,4 @@ def report_to_text(report: ExperimentReport) -> str:
 
 
 def save_report(report: ExperimentReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(report_to_text(report))
+    write_file(path, [report_to_text(report).encode("utf-8")])

@@ -155,11 +155,12 @@ class TrainingConfig:
                 raise ConfigurationError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
-# queries screened or gallery rows centred at a time: bounds the transients
+# queries screened at a time: bounds the transients
 _QUERY_BLOCK = 256
 
-# input bytes that GdaModel.project projects at a time, at least one sample:
-# its transients stay a few blocks however long the stack, and no output bit
+# input bytes that GdaModel.project projects at a time, and gallery bytes
+# that GdaModel.screen centres at a time, at least one sample: the
+# transients stay a few blocks however long the stack, and no output bit
 # depends on it, since each sample gets its own BLAS calls
 _PROJECT_BYTES = 1 << 20
 
@@ -176,9 +177,11 @@ class GdaModel:
     column-major sample vector: no kind subtracts a mean, since a
     nearest-neighbour distance cannot see a shift shared by the gallery and
     the query.  Every field is a deterministic fact of the training run;
-    none is a clock reading.  ``gallery`` holds one projected sample per
-    index of its last axis.  A model is immutable: derive a changed one
-    with :func:`dataclasses.replace`, which builds its own :attr:`screen`.
+    none is a clock reading.  ``gallery`` is one C-contiguous ``(n, d)``
+    float64 matrix, ``d = prod(projected_shape)``: row ``j`` is training
+    sample ``j`` projected and flattened in C order, as :meth:`project_rows`
+    returns it.  A model is immutable: derive a changed one with
+    :func:`dataclasses.replace`, which builds its own :attr:`screen`.
     """
 
     kind: str
@@ -195,27 +198,26 @@ class GdaModel:
 
     @cached_property
     def screen(self) -> tuple:
-        """``(matrix, mean, sq_norms, max_sq_norm, centred32)``, the
-        classifier's view of the gallery, built once per model: the ``(d,
-        n)`` matrix, one column per sample flattened in C order (a view of a
-        C-contiguous gallery); the column mean; the float64 squared norms of
-        the centred columns ``g_j - mean`` and their maximum; and the
-        centred columns rounded to one C-contiguous float32 matrix."""
-        matrix = self.gallery.reshape(-1, self.gallery.shape[-1])
-        centred32 = np.empty(matrix.shape, dtype=np.float32)
-        sq_norms = np.zeros(matrix.shape[1])
+        """``(mean, sq_norms, max_sq_norm, rows32)``, the classifier's view of
+        the gallery rows, built once per model: the row mean; the float64
+        squared norms of the centred rows ``g_j - mean`` and their maximum;
+        and the centred rows rounded to one C-contiguous ``(n, d)`` float32
+        matrix."""
+        rows32 = np.empty(self.gallery.shape, dtype=np.float32)
+        sq_norms = np.empty(len(self.gallery))
         # a gallery beyond float32's range (or not finite) gets a norm that
         # sends every query to the direct scan, which never reads what these
         # arrays hold
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = matrix.mean(axis=1)
-            # a block of rows at a time: no full float64 centred copy
-            for start in range(0, len(matrix), _QUERY_BLOCK):
-                rows = slice(start, start + _QUERY_BLOCK)
-                block = matrix[rows] - mean[rows, None]
-                sq_norms += np.einsum("ij,ij->j", block, block)
-                centred32[rows] = block
-        return matrix, mean, sq_norms, float(sq_norms.max()), centred32
+            mean = self.gallery.mean(axis=0)
+            # _PROJECT_BYTES of rows at a time: no full float64 centred copy
+            step = max(1, _PROJECT_BYTES // max(1, 8 * self.gallery.shape[1]))
+            for start in range(0, len(rows32), step):
+                rows = slice(start, start + step)
+                block = self.gallery[rows] - mean
+                sq_norms[rows] = np.einsum("ij,ij->i", block, block)
+                rows32[rows] = block
+        return mean, sq_norms, float(sq_norms.max()), rows32
 
     @property
     def vectorized(self) -> bool:
@@ -228,18 +230,21 @@ class GdaModel:
 
     def project(self, samples: np.ndarray) -> np.ndarray:
         """Samples stacked on the last axis, ``sample_shape + (m,)``, projected
-        to one C-contiguous ``projected_shape + (m,)`` stack (vectorized
-        kinds: the column-major vector).  Blocks of at most ``_PROJECT_BYTES``
-        of float64 input, and at least one sample, are projected at a time,
-        each converted and copied alone, so the transients do not grow with
-        ``m``.  A sample's bits depend neither on the batch it comes in nor on
-        the block size."""
+        to a ``projected_shape + (m,)`` stack (vectorized kinds: the
+        column-major vector) held sample-major: it is the ``np.moveaxis``
+        view of one C-contiguous ``(m,) + projected_shape`` array, so each
+        projected sample is one contiguous block, a gallery row in C order.
+        Blocks of at most ``_PROJECT_BYTES`` of float64 input, and at least
+        one sample, are projected at a time, each converted and copied
+        alone, so the transients do not grow with ``m``.  A sample's bits
+        depend neither on the batch it comes in nor on the block size."""
         samples = np.asarray(samples)
         if samples.shape[:-1] != self.sample_shape:
             raise DimensionError(f"samples of shape {samples.shape} do not stack the "
                                  f"training shape {self.sample_shape} on the last axis")
         factors = [(p.T, k) for k, p in enumerate(self.combined)]
-        projected = np.empty(self.projected_shape + samples.shape[-1:])
+        projected = np.empty(samples.shape[-1:] + self.projected_shape)
+        projected = projected.transpose(*range(1, projected.ndim), 0)
         step = max(1, _PROJECT_BYTES // (8 * max(1, math.prod(self.sample_shape))))
         for start in range(0, samples.shape[-1], step):
             chunk = slice(start, start + step)
@@ -248,6 +253,13 @@ class GdaModel:
                 block = block.reshape(-1, block.shape[-1], order="F")
             projected[..., chunk] = tensor._per_sample_products(block, factors)
         return projected
+
+    def project_rows(self, samples: np.ndarray) -> np.ndarray:
+        """:meth:`project` of ``samples`` as one ``(m, d)`` row per sample,
+        flattened in C order as the gallery's rows are: a view, no copy."""
+        stack = self.project(samples)
+        rows = stack.transpose(-1, *range(stack.ndim - 1))
+        return rows.reshape(len(rows), math.prod(stack.shape[:-1]))
 
 
 def class_means(data: LabeledTensorSet):
@@ -438,7 +450,7 @@ def _singleton_warnings(data: LabeledTensorSet) -> tuple:
 def _fitted(data: LabeledTensorSet, kind: str, combined: list, warnings=(), **facts) -> GdaModel:
     """A model of ``kind`` serving ``combined``, warned of singleton classes
     ahead of ``warnings``, whose gallery is ``data`` projected by
-    :meth:`GdaModel.project`."""
+    :meth:`GdaModel.project_rows`."""
     model = GdaModel(
         kind=kind,
         sample_shape=data.sample_shape,
@@ -448,7 +460,7 @@ def _fitted(data: LabeledTensorSet, kind: str, combined: list, warnings=(), **fa
         warnings=_singleton_warnings(data) + tuple(warnings),
         **facts,
     )
-    return replace(model, gallery=model.project(data.samples))
+    return replace(model, gallery=model.project_rows(data.samples))
 
 
 def hosvd_stage(data: LabeledTensorSet, config: TrainingConfig):

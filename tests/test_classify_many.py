@@ -22,14 +22,15 @@ from tensorgda.training import GdaModel, TrainingConfig
 
 
 def identity_model(gallery):
-    """A vector model whose projection is the identity, over ``(d, n)``
-    gallery columns labeled 100, 101, ..."""
+    """A vector model whose projection is the identity, over the ``(d, n)``
+    columns the oracles read, labeled 100, 101, ...: its gallery holds
+    them as its C-contiguous ``(n, d)`` rows."""
     d, n = gallery.shape
     return GdaModel(
         kind="hopca",
         sample_shape=(d,),
         combined=[np.eye(d)],
-        gallery=gallery,
+        gallery=np.ascontiguousarray(gallery.T),
         gallery_labels=np.arange(100, 100 + n),
     )
 
@@ -47,10 +48,10 @@ def direct_scan(gallery, z):
 
 def parent_classify(model, x):
     """The direct scan as classification did it before the screen, over the
-    gallery in its own shape; the reference for non-finite queries."""
+    gallery rows; the reference for non-finite queries."""
     z = model.project(x[..., None])[..., 0]
-    deltas = model.gallery - z[..., None]
-    distances = np.sqrt(np.sum(deltas**2, axis=tuple(range(deltas.ndim - 1))))
+    deltas = model.gallery - z.ravel()
+    distances = np.sqrt(np.sum(deltas**2, axis=1))
     best = int(np.argmin(distances))
     return model.gallery_labels[best], best, float(distances[best])
 
@@ -259,9 +260,11 @@ class TestBatchIndependence:
         assert 7 < block < data.n_samples - 1  # so the sizes below straddle a block
         for size in (1, 2, 7, block - 1, block, block + 1, data.n_samples):
             projected = model.project(samples[..., :size])
-            assert projected.flags.c_contiguous
+            assert np.moveaxis(projected, -1, 0).flags.c_contiguous  # sample-major
             assert same_bits(projected, expected[..., :size]), f"batch of {size}"
-        assert same_bits(model.gallery, model.project(data.samples))
+        rows = np.moveaxis(model.project(data.samples), -1, 0)
+        assert same_bits(model.gallery, rows.reshape(data.n_samples, -1))
+        assert same_bits(model.project_rows(samples), np.moveaxis(expected, -1, 0))
         # samples interleaved (sample axis fastest): no sample is contiguous
         interleaved = np.moveaxis(np.asfortranarray(np.moveaxis(samples, -1, 0)), 0, -1)
         assert same_bits(model.project(interleaved), expected)
@@ -271,6 +274,14 @@ class TestBatchIndependence:
         labels, indices, distances = classify_many(model, np.empty((3, 0)))
         assert labels.size == indices.size == distances.size == 0
 
+    @pytest.mark.parametrize("method", ["gda", "pca"])
+    def test_empty_stack_of_a_trained_model(self, method):
+        data = synth_gaussian_classes(3, 4, (4, 3, 2), 4.0, 1.0, seed=52)
+        model = train_method(method, data, TrainingConfig())
+        labels, indices, distances = classify_many(model, np.empty(data.sample_shape + (0,)))
+        assert labels.shape == indices.shape == distances.shape == (0,)
+        assert labels.dtype == model.gallery_labels.dtype
+
     def test_stack_without_sample_axis_rejected(self):
         with pytest.raises(DimensionError):
             classify_many(identity_model(np.eye(3)), np.float64(1.0))
@@ -278,36 +289,48 @@ class TestBatchIndependence:
 
 class TestScreen:
     @pytest.mark.parametrize("method", ["gda", "mda", "hopca", "pca", "fisherface"])
-    def test_trained_gallery_is_viewed_centred_and_rounded_to_float32(self, method):
+    def test_gallery_rows_are_the_projected_samples_flattened(self, method):
         data = synth_gaussian_classes(3, 4, (4, 3), 4.0, 1.0, seed=47)
         model = train_method(method, data, TrainingConfig())
-        assert model.gallery.flags.c_contiguous
-        matrix, mean, sq_norms, max_sq_norm, centred32 = model.screen
-        assert np.shares_memory(matrix, model.gallery)
-        assert matrix.shape == (int(np.prod(model.projected_shape)), data.n_samples)
-        np.testing.assert_allclose(mean, matrix.mean(axis=1), rtol=1e-14)
-        centred = matrix - mean[:, None]
-        np.testing.assert_allclose(sq_norms, np.sum(centred * centred, axis=0), rtol=1e-14)
+        gallery = model.gallery
+        assert gallery.flags.c_contiguous and gallery.dtype == np.float64
+        assert gallery.shape == (data.n_samples, int(np.prod(model.projected_shape)))
+        for i in range(data.n_samples):
+            z = model.project(data.samples[..., i : i + 1].copy())[..., 0]
+            assert same_bits(gallery[i], z.ravel()), f"row {i}"
+        rows = model.project_rows(data.samples)
+        assert same_bits(rows, gallery) and rows.flags.c_contiguous
+
+    @pytest.mark.parametrize("method", ["gda", "mda", "hopca", "pca", "fisherface"])
+    def test_trained_gallery_is_centred_and_rounded_to_float32(self, method):
+        data = synth_gaussian_classes(3, 4, (4, 3), 4.0, 1.0, seed=47)
+        model = train_method(method, data, TrainingConfig())
+        gallery = model.gallery
+        mean, sq_norms, max_sq_norm, rows32 = model.screen
+        np.testing.assert_allclose(mean, gallery.mean(axis=0), rtol=1e-14)
+        centred = gallery - mean
+        np.testing.assert_allclose(sq_norms, np.sum(centred * centred, axis=1), rtol=1e-14)
         assert max_sq_norm == sq_norms.max()
-        # the only full-size arrays kept are the view and the float32 copy
-        assert mean.shape == matrix.shape[:1] and sq_norms.shape == matrix.shape[1:]
-        assert centred32.dtype == np.float32 and centred32.flags.c_contiguous
-        assert centred32.tobytes() == centred.astype(np.float32).tobytes()
+        # the only full-size array kept besides the gallery is the float32 copy
+        assert mean.shape == gallery.shape[1:] and sq_norms.shape == gallery.shape[:1]
+        assert rows32.shape == gallery.shape
+        assert rows32.dtype == np.float32 and rows32.flags.c_contiguous
+        assert rows32.tobytes() == centred.astype(np.float32).tobytes()
 
     def test_built_once_per_model_and_anew_for_a_replaced_gallery(self):
         model = identity_model(np.array([[1.0, 5.0], [0.0, 0.0]]))
         screen = model.screen
         assert classify(model, np.array([4.0, 0.0]))[1] == 1
         assert model.screen is screen
-        swapped = replace(model, gallery=np.array([[5.0, 1.0], [0.0, 0.0]]))
-        _, mean, sq_norms, max_sq_norm, centred32 = swapped.screen
+        swapped = replace(model, gallery=np.array([[5.0, 0.0], [1.0, 0.0]]))
+        mean, sq_norms, max_sq_norm, rows32 = swapped.screen
         assert (mean.tolist(), sq_norms.tolist(), max_sq_norm) == ([3.0, 0.0], [4.0, 4.0], 4.0)
-        assert centred32.tolist() == [[2.0, -2.0], [0.0, 0.0]]
+        assert rows32.tolist() == [[2.0, 0.0], [-2.0, 0.0]]
         assert classify(swapped, np.array([4.0, 0.0]))[1] == 0
         assert classify(model, np.array([4.0, 0.0]))[1] == 1
-        grown = replace(swapped, gallery=np.array([[1.0, 1.0, 4.0], [0.0, 0.0, 9.0]]),
+        grown = replace(swapped, gallery=np.array([[1.0, 0.0], [1.0, 0.0], [4.0, 9.0]]),
                         gallery_labels=np.array([7, 8, 9]))
-        assert grown.screen[2].tolist() == [10.0, 10.0, 40.0]
+        assert grown.screen[1].tolist() == [10.0, 10.0, 40.0]
         assert classify(grown, np.array([4.0, 8.0])) == (9, 2, 1.0)
 
 

@@ -1,6 +1,7 @@
 
 import base64
 import contextlib
+import errno
 import io
 import math
 import os
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tensorgda
-from tensorgda import cli
+from tensorgda import cli, model_io
 from tensorgda.cli import (
     build_parser,
     main,
@@ -947,19 +948,19 @@ class TestBadModelFile:
             doc["config"].update(seed=0, gram_crossover=32768)
 
         err = self._version_error(v1, tmp_path, capsys)
-        assert err == "error: MODEL has model version 1, expected 8\n"
+        assert err == "error: MODEL has model version 1, expected 9\n"
 
     def test_version_2_model_exits_3_with_one_line(self, tmp_path, capsys):
         def v2(doc, payload):
             doc.update(version=2, vectorized=False, hosvd_factors=[], disc_factors=[])
 
         err = self._version_error(v2, tmp_path, capsys)
-        assert err == "error: MODEL has model version 2, expected 8\n"
+        assert err == "error: MODEL has model version 2, expected 9\n"
 
     def test_version_3_model_exits_3_with_one_line(self, tmp_path, capsys):
         # same keys as version 4; its conv_tol bounded the U @ U.T change
         err = self._version_error(lambda doc, _: doc.update(version=3), tmp_path, capsys)
-        assert err == "error: MODEL has model version 3, expected 8\n"
+        assert err == "error: MODEL has model version 3, expected 9\n"
 
     def test_version_4_model_exits_3_with_one_line(self, tmp_path, capsys):
         def v4(doc, payload):
@@ -972,7 +973,7 @@ class TestBadModelFile:
             doc["version"] = 4
 
         err = self._version_error(v4, tmp_path, capsys)
-        assert err == "error: MODEL has model version 4, expected 8\n"
+        assert err == "error: MODEL has model version 4, expected 9\n"
 
     def test_version_5_model_exits_3_with_one_line(self, tmp_path, capsys):
         # version 5 also stored a mean vector, null for the multilinear kinds
@@ -980,21 +981,32 @@ class TestBadModelFile:
             doc.update(version=5, mean_vector=None)
 
         err = self._version_error(v5, tmp_path, capsys)
-        assert err == "error: MODEL has model version 5, expected 8\n"
+        assert err == "error: MODEL has model version 5, expected 9\n"
 
     def test_version_6_model_exits_3_with_one_line(self, tmp_path, capsys):
-        # same keys as version 8; its core and scatters rounded differently
+        # same keys as version 9; its core and scatters rounded differently
         err = self._version_error(lambda doc, _: doc.update(version=6), tmp_path, capsys)
-        assert err == "error: MODEL has model version 6, expected 8\n"
+        assert err == "error: MODEL has model version 6, expected 9\n"
 
     def test_version_7_model_exits_3_with_one_line(self, tmp_path, capsys):
-        # same keys as version 8; its mda global mean was summed in the stack's layout
+        # same keys as version 9; its mda global mean was summed in the stack's layout
         err = self._version_error(lambda doc, _: doc.update(version=7), tmp_path, capsys)
-        assert err == "error: MODEL has model version 7, expected 8\n"
+        assert err == "error: MODEL has model version 7, expected 9\n"
+
+    def test_version_8_model_exits_3_with_one_line(self, tmp_path, capsys):
+        # same keys as version 9; its gallery was projected_shape + (n,),
+        # one entry per index of the last axis
+        def v8(doc, payload):
+            n, _ = doc["gallery"]["shape"]
+            doc["gallery"]["shape"] = [blob["shape"][1] for blob in doc["combined"]] + [n]
+            doc["version"] = 8
+
+        err = self._version_error(v8, tmp_path, capsys)
+        assert err == "error: MODEL has model version 8, expected 9\n"
 
     def test_string_version_is_quoted(self, tmp_path, capsys):
-        err = self._version_error(lambda doc, _: doc.update(version="8"), tmp_path, capsys)
-        assert err == "error: MODEL has model version '8', expected 8\n"
+        err = self._version_error(lambda doc, _: doc.update(version="9"), tmp_path, capsys)
+        assert err == "error: MODEL has model version '9', expected 9\n"
 
 
 class TestNonFiniteTrainingValues:
@@ -1111,6 +1123,64 @@ def run_script(argv, cwd, command=("-m", "tensorgda.cli"), preexec_fn=None):
         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
         preexec_fn=preexec_fn,
     )
+
+
+def test_a_closed_stdout_ends_without_a_message(tmp_path):
+    # 12,000 prediction lines overfill the pipe, so the reader is gone by
+    # the time most of them are written
+    assert run(["train", "--synth", "c=3,per_class=4,shape=6x5", "--output", tmp_path / "m"]) == 0
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "tensorgda.cli", "classify", "--synth",
+         "c=3,per_class=4000,shape=6x5", "--model", str(tmp_path / "m")],
+        cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    ) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        status = child.wait(timeout=300)
+    assert first == b"index\tpredicted\tdistance\ttruth\n"
+    assert (status, err) == (141, b"")  # 128 + SIGPIPE, as the README says
+
+
+class NoSpaceLeft:
+    """A file opened for writing whose every write fails as on a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+
+@pytest.mark.parametrize("command", ["train", "classify", "evaluate"])
+def test_a_failed_write_names_its_path(command, tmp_path, monkeypatch, capsys):
+    synth = ["--synth", "c=3,per_class=4,shape=6x5"]
+    model = tmp_path / "m.tgda"
+    assert run(["train", *synth, "--output", model]) == 0
+    argv, path = {
+        "train": (["train", *synth, "--output", tmp_path / "n.tgda"], tmp_path / "n.tgda"),
+        "classify": (["classify", *synth, "--model", model, "--output", tmp_path / "p.tsv"],
+                     tmp_path / "p.tsv"),
+        "evaluate": (["evaluate", *synth, "--train-per-class", "2", "--trials", "1",
+                      "--output-dir", tmp_path / "r"], tmp_path / "r" / "report_split_gda.txt"),
+    }[command]
+
+    def full_disk_open(file, mode="r", **kwargs):
+        handle = open(file, mode, **kwargs)
+        return NoSpaceLeft(handle) if "w" in mode else handle
+
+    monkeypatch.setattr(model_io, "open", full_disk_open, raising=False)
+    capsys.readouterr()
+    assert run(argv) == 3
+    assert capsys.readouterr().err == f"error: cannot write {path}: No space left on device\n"
 
 
 class TestOverflow:

@@ -166,6 +166,77 @@ def test_parse_pgm_loads_or_raises_its_error(payload):
     assert image.min() >= 0 and image.max() <= 255
 
 
+def parse_outcome(payload):
+    """What ``parse_pgm`` makes of ``payload``: the pixels, or the message
+    and offset of its error."""
+    try:
+        return parse_pgm(payload).tolist()
+    except PgmParseError as exc:
+        return exc.message, exc.offset
+
+
+def cold_outcome(payload, monkeypatch):
+    """:func:`parse_outcome` with no P5 header memoized."""
+    monkeypatch.setattr(datasets, "_last_p5", (None, 0, 0, 0))
+    return parse_outcome(payload)
+
+
+class TestP5HeaderMemo:
+    HEADER = b"P5\n3 2\n200\n"
+
+    def test_a_frame_with_the_last_header_skips_the_scan(self, monkeypatch):
+        assert cold_outcome(self.HEADER + bytes(range(6)), monkeypatch) == [[0, 1, 2], [3, 4, 5]]
+        assert datasets._last_p5 == (self.HEADER, 3, 2, 200)
+
+        def no_scan(payload):
+            raise AssertionError("header scanned again")
+
+        monkeypatch.setattr(datasets, "_scan_header", no_scan)
+        assert parse_outcome(self.HEADER + bytes(range(10, 16))) == [[10, 11, 12], [13, 14, 15]]
+        # a raster that starts with a whitespace byte: the header still ends at the first
+        assert parse_outcome(self.HEADER + b"\n" + bytes(5)) == [[10, 0, 0], [0, 0, 0]]
+
+    @pytest.mark.parametrize("other", [
+        b"P5\n2 3\n200\n", b"P5\n3 2\n255\n", b"P5 3 2 200\n", b"P5\n3 2\n200#c\n\n",
+        b"P5\n3 2\n20\n", b"P5\n3 2\n2000\n", b"P2\n3 2\n200\n",
+    ])
+    def test_a_different_header_after_a_memoized_one(self, other, monkeypatch):
+        frame = other + (b"1 2 3 4 5 6\n" if other.startswith(b"P2") else bytes(range(1, 7)))
+        cold = cold_outcome(frame, monkeypatch)
+        parse_pgm(self.HEADER + bytes(6))
+        assert parse_outcome(frame) == cold
+        if other.startswith(b"P5") and not isinstance(cold, tuple):
+            assert datasets._last_p5[0] == other
+        elif other.startswith(b"P2"):
+            assert datasets._last_p5[0] == self.HEADER  # a plain frame leaves the memo
+
+    def test_a_pixel_beyond_a_memoized_maxval(self, monkeypatch):
+        frame = self.HEADER + bytes([0, 1, 2, 201, 4, 5])
+        cold = cold_outcome(frame, monkeypatch)
+        assert cold == ("pixel exceeds declared maxval", len(frame))
+        parse_pgm(self.HEADER + bytes(6))
+        assert parse_outcome(frame) == cold
+
+    @pytest.mark.parametrize("kept", [0, 1, 5])
+    def test_a_truncated_frame_after_a_memoized_header(self, kept, monkeypatch):
+        frame = self.HEADER + bytes(range(kept))
+        cold = cold_outcome(frame, monkeypatch)
+        assert cold == (f"raster truncated: {kept} of 6 bytes", len(frame))
+        parse_pgm(self.HEADER + bytes(6))
+        assert parse_outcome(frame) == cold
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(mutated_pgm(), st.integers(0, 40), st.binary(max_size=12), mutated_pgm())
+def test_a_memoized_header_parses_as_a_cold_one(first, cut, tail, other):
+    # the second graymap often starts with the first's header
+    for second in (first[:cut] + tail, other):
+        datasets._last_p5 = (None, 0, 0, 0)
+        cold = parse_outcome(second)
+        parse_outcome(first)
+        assert parse_outcome(second) == cold
+
+
 class TestSaveLoadRoundtrip:
     def test_face_sized_roundtrip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)

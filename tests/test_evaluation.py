@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -27,12 +28,13 @@ from oracles import stacked_set
 
 
 def identity_model(shape):
-    """A do-nothing multilinear model over the given sample shape."""
+    """A do-nothing multilinear model over the given sample shape, with no
+    gallery rows."""
     return GdaModel(
         kind="hopca",
         sample_shape=shape,
         combined=[np.eye(s) for s in shape],
-        gallery=np.empty(0),
+        gallery=np.empty((0, math.prod(shape))),
         gallery_labels=np.array([], dtype=int),
     )
 
@@ -84,7 +86,7 @@ class TestClassify:
             assert distance == 0.0
 
     def test_tie_breaks_to_lowest_index(self):
-        model = replace(identity_model((2,)), gallery=np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        model = replace(identity_model((2,)), gallery=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                         gallery_labels=np.array([7, 8, 9]))
         label, index, _ = classify(model, np.array([0.0, 0.0]))
         assert (label, index) == (7, 0)
@@ -97,10 +99,7 @@ class TestClassify:
             x = rng.standard_normal((3, 3))
             label, index, distance = classify(model, x)
             z = model.project(x[..., None])[..., 0]
-            scan = [
-                np.linalg.norm((model.gallery[..., i] - z).ravel())
-                for i in range(model.gallery.shape[-1])
-            ]
+            scan = [np.linalg.norm(row - z.ravel()) for row in model.gallery]
             assert index == int(np.argmin(scan))
             assert distance == pytest.approx(min(scan), rel=1e-12)
 
@@ -108,12 +107,12 @@ class TestClassify:
         data = synth_gaussian_classes(4, 6, (3, 3), 3.0, 1.0, seed=31)
         model = train_gda(data, TrainingConfig(target_dims=(2, 2)))
         rng = np.random.default_rng(32)
-        perm = rng.permutation(model.gallery.shape[-1])
+        perm = rng.permutation(len(model.gallery))
         permuted = GdaModel(
             kind=model.kind,
             sample_shape=model.sample_shape,
             combined=model.combined,
-            gallery=model.gallery[..., perm],
+            gallery=model.gallery[perm],
             gallery_labels=model.gallery_labels[perm],
         )
         for _ in range(10):

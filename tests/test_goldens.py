@@ -189,22 +189,22 @@ GOLDENS = {
         'sample_0017.pgm': '2a5fcb7daccdca9dee581f670921680292db236b91181f2aea0858eaa5ed0ddf',
     },
     'o2-train-fisherface': {
-        'out': '74ae0b3d3f6efb2b271dc32e79cfb5a986d31eb39371464a17e645fdca478807',
+        'out': '36b0763cdcedc8e3fc6a0c640847f0d3e6a0c32ac96b8c096a201bf16cc75153',
     },
     'o2-train-gda': {
-        'out': '8a07a00d3b02150cc96f879de82cc7fbbdc8ad4b4d45730a892fe55191e46853',
+        'out': 'abe816d8d69fbd9bffb0ea60d9403b4e26a12969e60377606404261421615126',
     },
     'o2-train-gda-flags': {
-        'out': 'cd7d81d9aff88f061bd40c5439c5363f5e7645f84113dc4cceeda7ea18f17878',
+        'out': '1bbe2df00e79c72ff594eb6da841a1a3a1a54dfc8e3a6485dcec111f1e372c3b',
     },
     'o2-train-hopca': {
-        'out': 'b0b6c583907fcd8252303d7c8797488fea0bc4ef9fd1887fb96cbe7f9ebbde76',
+        'out': 'fee53d90123c507adf6cd66774182bd62b9955755d667fcd50052a1417898103',
     },
     'o2-train-mda': {
-        'out': 'b21a9ba93269eb97595ecf42079b3f2e7dd3a868a56931b6bf0289f07b225560',
+        'out': 'b4030219680ee8e9ce2448965c3bd7324a9f76fd26beba41e8aaab20ac3094fc',
     },
     'o2-train-pca': {
-        'out': '1521751a1128c87fdae8fa6af7460fab7b11f147370548b751bcaf93d5b7e79b',
+        'out': 'af391574ef52d20bde88101d2027487b16d40b6cbe095161795a61bdf570ee60',
     },
     'o2-visualize-1x2': {
         'out': '555a9e56934bf6e98f9948902eb607817c2441098dc32e9429f57d726a7bc462',
@@ -272,22 +272,22 @@ GOLDENS = {
         'sample_0011/frame_002.pgm': 'f82107e82d5b25adacdfbe2ab6fff180ca87bb680101388110da5fdb9be7f142',
     },
     'o3-train-fisherface': {
-        'out': '157138d8a350f736a9ba67f47fd6713cf2bef0711aed2fe42d2b297defc20471',
+        'out': '4c307d47b5276cc1770e5c7be61eee649dc45e29bef96dcd2d6e5dc6fdfe62a1',
     },
     'o3-train-gda': {
-        'out': 'e0eefba7537221ddda104221e8d567565b2b52af81fc006bd4ece721a340f75b',
+        'out': '7f78e3ce0f5077c8c41624b8a87e20f3172b44fb8c2bd1cd427625b940c344a0',
     },
     'o3-train-gda-ranks': {
-        'out': '1694477371d93775acb15a116792abdce26473ec6091a33615900a9377850db5',
+        'out': '3f563f8e2fefaacc371f39c37f49ec320937d52e2682cd78ea30edb8810fb51e',
     },
     'o3-train-hopca': {
-        'out': 'fa2fedb61aa367c9fe0248b06377335701f139c77d9284bab37d02281cc716d0',
+        'out': '66c78c1ef4be04b7e4272b681b7fbdbe48f37376bcd123742ee6fb521114a27b',
     },
     'o3-train-mda': {
-        'out': '916a6b045a41a1a4b4a48257943508542e534bb87e07f1d1db68f43734ca16f4',
+        'out': '67042de5cbecaae1b1870129625f30da764f81cb85632f1f8edaceec2c1ba888',
     },
     'o3-train-pca': {
-        'out': '90d516863a4460d45d1b4d21baa30fa25a26a854c42178e9558d495273ebcabc',
+        'out': '2339dbf43acfe68b77278bbcaa82b316fe37e9ce95280fca422b15a7e055f4ab',
     },
     'o3-visualize-pair': {
         'out': '2ce43cc2b354cc2e3ea3ea442705fc98c767a577e7e14e36b8a5a73434c85f60',

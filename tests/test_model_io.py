@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from tensorgda.training import (
     TrainingConfig,
     train_fisherface,
     train_gda,
+    train_hopca,
     train_pca,
 )
 
@@ -50,6 +52,8 @@ class TestModelContainer:
         loaded = load_model(path)
         assert_models_equal(model, loaded)
         assert model_header(loaded) == model_header(model)
+        for a, b in zip([*model.combined, model.gallery], [*loaded.combined, loaded.gallery]):
+            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes())
 
     def test_repeated_saves_byte_identical(self, tmp_path):
         data = synth_gaussian_classes(3, 6, (5, 4), 5.0, 1.0, seed=1)
@@ -126,7 +130,7 @@ class TestModelContainer:
             "objective_trace", "sample_shape", "subspace_change_trace",
             "version", "warnings",
         ]
-        assert doc["version"] == 8
+        assert doc["version"] == 9
 
     @pytest.mark.parametrize("train", [train_gda, train_pca])
     def test_payload_is_the_arrays_raw_in_order(self, train, tmp_path):
@@ -137,7 +141,30 @@ class TestModelContainer:
         arrays = [*model.combined, model.gallery]
         blobs = [*doc["combined"], doc["gallery"]]
         assert all(blob == {"shape": list(a.shape)} for blob, a in zip(blobs, arrays))
+        # the gallery is stored as its rows: one flattened entry per row
+        assert doc["gallery"] == {"shape": [12, math.prod(model.projected_shape)]}
         assert payload == b"".join(a.astype("<f8").tobytes() for a in arrays)
+
+    def test_save_and_load_move_the_gallery_without_a_copy(self, tmp_path):
+        data = synth_gaussian_classes(4, 100, (12, 10), 3.0, 1.0, seed=14)
+        model = train_hopca(data, TrainingConfig(theta=1.0, target_dims=(12, 10)))
+        assert model.gallery.shape == (400, 120)
+        arrays = sum(a.nbytes for a in model.combined) + model.gallery.nbytes
+        path = tmp_path / "model.tgda"
+        tracemalloc.start()
+        try:
+            save_model(model, path)
+            saved = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = load_model(path)
+            loaded_peak = tracemalloc.get_traced_memory()[1] - saved
+        finally:
+            tracemalloc.stop()
+        assert saved < 64 * 1024
+        # each array once, plus its finiteness mask of one byte per entry
+        assert loaded_peak < 1.25 * arrays + 64 * 1024
+        assert loaded.gallery.flags.c_contiguous and loaded.gallery.flags.owndata
+        assert loaded.gallery.tobytes() == model.gallery.tobytes()
 
 
 class TestReportText:

@@ -578,7 +578,7 @@ class TestTrainGda:
     def test_gallery_shape(self):
         data = synth_gaussian_classes(3, 6, (5, 4, 3), 5.0, 1.0, seed=25)
         model = train_gda(data, TrainingConfig(target_dims=(2, 2, 2)))
-        assert model.gallery.shape == (2, 2, 2, data.n_samples)
+        assert model.gallery.shape == (data.n_samples, 2 * 2 * 2)
 
     def test_determinism(self):
         data = synth_gaussian_classes(4, 8, (5, 4), 5.0, 1.0, seed=26)
@@ -646,7 +646,7 @@ class TestTrainMda:
     def test_ridge_engages_when_extents_exceed_samples(self):
         data = synth_gaussian_classes(2, 3, (8, 9), 4.0, 1.0, seed=31)
         model = train_mda(data, TrainingConfig(target_dims=(1, 1)))
-        assert model.gallery.shape == (1, 1, 6)
+        assert model.gallery.shape == (6, 1 * 1)
 
 
 def offset_8bit_set(seed):
@@ -707,9 +707,7 @@ class TestVectorBaselines:
         for i in range(data.n_samples):
             for j in range(i + 1, data.n_samples):
                 original = np.linalg.norm(raw[:, i] - raw[:, j])
-                projected = np.linalg.norm(
-                    model.gallery[:, i] - model.gallery[:, j]
-                )
+                projected = np.linalg.norm(model.gallery[i] - model.gallery[j])
                 assert projected == pytest.approx(original, rel=1e-8)
 
     def test_pca_dims_bound(self):
