@@ -37,7 +37,6 @@ from .evaluation import (
     evaluate_split,
     export_projection_2d,
     train_method,
-    write_projection_csv,
 )
 from .hosvd import hopca_compression_fraction, psnr, reconstruct
 from .model_io import format_report, load_model, save_model, save_report, write_file
@@ -367,8 +366,8 @@ def cmd_visualize(args) -> int:
     else:
         model = train_method(args.method or "gda", data, build_config(args))
     rows = export_projection_2d(model, data, plane=args.plane)
-    write_projection_csv(rows, args.output)
-    print(f"{len(rows)} rows written to {args.output}")
+    text = "x,y,label\n" + "".join(f"{x!r},{y!r},{label}\n" for x, y, label in rows)
+    write_output(text, args.output, f"{len(rows)} rows")
     return 0
 
 

@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DatasetError, DimensionError, PgmParseError
+from .model_io import write_file
 from .training import LabeledTensorSet
 
 # one token after a run of separators: whitespace, and ``#`` comments that
@@ -173,9 +174,8 @@ def save_pgm(path, matrix: np.ndarray) -> None:
     if np.any(rounded != matrix) or matrix.min() < 0 or matrix.max() > 255:
         raise DatasetError("pixel values must be integers in 0..255")
     height, width = matrix.shape
-    with open(path, "wb") as handle:
-        handle.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        handle.write(rounded.astype(np.uint8).tobytes(order="C"))
+    write_file(path, [f"P5\n{width} {height}\n255\n".encode("ascii"),
+                      rounded.astype(np.uint8).tobytes(order="C")])
 
 
 def save_sample(directory, stem: str, sample: np.ndarray) -> str:
@@ -426,5 +426,5 @@ def save_dataset(data: LabeledTensorSet, directory) -> Path:
         subject = "" if data.subjects is None else f"\t{data.subjects[i]}"
         lines.append(f"{name}\t{data.labels[i]}{subject}")
     manifest = directory / "manifest.tsv"
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(manifest, [("\n".join(lines) + "\n").encode("utf-8")])
     return manifest

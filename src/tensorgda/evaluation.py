@@ -354,10 +354,3 @@ def export_projection_2d(model: GdaModel, data: LabeledTensorSet, plane: str = "
     z = model.project(data.samples).reshape(-1, data.n_samples, order="F")[:2].T
     return [(float(x), float(y), label) for (x, y), label in zip(z, data.labels)]
 
-
-def write_projection_csv(rows, path) -> None:
-    """Write 2D projection rows as comma-separated text with a header."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("x,y,label\n")
-        for x, y, label in rows:
-            handle.write(f"{x!r},{y!r},{label}\n")

@@ -169,13 +169,14 @@ def hosvd(samples: np.ndarray, ranks=None, theta: float | None = None) -> HosvdR
 
 def reconstruct(result: HosvdResult) -> np.ndarray:
     """Each sample of ``result.source`` projected onto every kept basis,
-    ``source x_k V_k V_k^T``, bit for bit as for that sample alone.  A square
-    orthonormal basis projects to the identity and is skipped, so a
-    full-rank reconstruction returns the source exactly."""
-    return tensor._per_sample_products(
-        result.source,
-        [(f @ f.T, k) for k, f in enumerate(result.factors) if f.shape[0] != f.shape[1]],
-    )
+    ``source x_k V_k V_k^T``, bit for bit as for that sample alone in any
+    layout (:func:`tensor.ring_products`).  A truncated basis passes
+    ``(V_k @ V_k.T).T`` as the transposed view it is, since a C-ordered copy
+    rounds order-1 products differently.  A square orthonormal basis
+    projects to the identity and is skipped, so a full-rank reconstruction
+    returns the source exactly."""
+    projectors = [None if f.shape[0] == f.shape[1] else (f @ f.T).T for f in result.factors]
+    return np.moveaxis(tensor.ring_products(np.moveaxis(result.source, -1, 0), projectors), 0, -1)
 
 
 def psnr(original: np.ndarray, degraded: np.ndarray) -> float:

@@ -44,7 +44,7 @@ from .evaluation import METHODS, ExperimentReport
 from .training import GdaModel, TrainingConfig, _is_number
 
 MODEL_FORMAT = "tensorgda-model"
-MODEL_VERSION = 9
+MODEL_VERSION = 10
 
 
 def _optional(convert):

@@ -14,6 +14,10 @@ fastest.  Under this convention the flattened form of a multi-mode product is
 
 which is the identity the scatters rely on.  :func:`mode_product` computes it
 in place, as one batched GEMM on a C-contiguous ``(lead, I_k, rest)`` view.
+:func:`ring_products` serves a sample-major ``(m,) + shape`` stack instead:
+one BLAS call per sample and mode, each on a view of the working stack, no
+matricization copy, so a sample's bits do not depend on the stack it is in.
+Model projection and HOSVD reconstruction both run on it.
 
 Elementwise arithmetic, norms, means and Kronecker products are plain numpy;
 no wrappers are provided.  All functions are pure and never mutate inputs.
@@ -79,23 +83,23 @@ def multi_mode_product(t: np.ndarray, factors) -> np.ndarray:
     return t
 
 
-def _per_sample_products(stack: np.ndarray, factors) -> np.ndarray:
-    """:func:`multi_mode_product` of each sample of ``stack`` (samples on the
-    last axis), to rounding, and bit for bit as it is for that sample alone as
-    a C-contiguous one-sample stack: one BLAS call per sample and mode, as one
-    GEMM over the whole stack rounds differently as its width changes."""
-    stack = np.asarray(stack, dtype=np.float64)
-    n = stack.ndim  # axis 0 of z is the sample, axis 1 + k is mode k
-    z = np.ascontiguousarray(stack.transpose([n - 1, *range(n - 1)]))
-    for u, mode in factors:
-        axis = mode + 1
-        others = [a for a in range(n - 1, 0, -1) if a != axis]  # other modes, last first
-        # each sample's transposed unfolding, viewed or copied (the layout
-        # picks the BLAS kernel): C over reversed modes is its column order
-        rows = z.transpose([0, *others, axis]).reshape(len(z), -1, z.shape[axis])
-        product = np.matmul(u, rows.swapaxes(1, 2)).reshape(
-            [len(z), len(u)] + [z.shape[a] for a in others])
-        # product's axes are z's axes [0, axis, *others]: view them back in order
-        order = [0, axis, *others]
-        z = product.transpose(sorted(range(n), key=order.__getitem__))
-    return z.transpose([*range(1, n), 0])
+def ring_products(samples: np.ndarray, matrices) -> np.ndarray:
+    """Each sample of the sample-major ``(m,) + shape`` stack ``samples``
+    times one matrix per data mode: sample ``i`` of the result is
+    ``samples[i] x_k matrices[k].T`` over every mode ``k``, where ``None``
+    leaves mode ``k`` as it is.
+
+    The modes go round a ring.  Mode ``k`` leads the C-contiguous working
+    stack, so ``z.reshape(m, I_k, -1)`` views each sample's C-ordered
+    mode-``k`` unfolding with no copy; its transpose times ``P_k`` puts the
+    new axis last, and after the last mode the axes are back in order.
+    ``np.matmul`` makes one BLAS call per sample, so each sample gets the
+    bits it gets alone, whatever the stack's width or layout."""
+    z = np.ascontiguousarray(samples, dtype=np.float64)
+    m, shape = len(z), []
+    for extent, p in zip(z.shape[1:], matrices):
+        z = z.reshape(m, extent, -1).swapaxes(1, 2)
+        if p is not None:
+            z = np.matmul(z, p)
+        shape.append(z.shape[-1])
+    return z.reshape(m, *shape)

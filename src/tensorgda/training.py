@@ -235,24 +235,22 @@ class GdaModel:
         view of one C-contiguous ``(m,) + projected_shape`` array, so each
         projected sample is one contiguous block, a gallery row in C order.
         Blocks of at most ``_PROJECT_BYTES`` of float64 input, and at least
-        one sample, are projected at a time, each converted and copied
-        alone, so the transients do not grow with ``m``.  A sample's bits
-        depend neither on the batch it comes in nor on the block size."""
+        one sample, go through :func:`tensor.ring_products` with
+        ``combined`` as it is, each converted alone, so the transients do
+        not grow with ``m``.  A sample's bits depend neither on the batch it
+        comes in, nor on the block size, nor on the stack's layout."""
         samples = np.asarray(samples)
         if samples.shape[:-1] != self.sample_shape:
             raise DimensionError(f"samples of shape {samples.shape} do not stack the "
                                  f"training shape {self.sample_shape} on the last axis")
-        factors = [(p.T, k) for k, p in enumerate(self.combined)]
         projected = np.empty(samples.shape[-1:] + self.projected_shape)
-        projected = projected.transpose(*range(1, projected.ndim), 0)
         step = max(1, _PROJECT_BYTES // (8 * max(1, math.prod(self.sample_shape))))
-        for start in range(0, samples.shape[-1], step):
-            chunk = slice(start, start + step)
-            block = samples[..., chunk]
+        for start in range(0, len(projected), step):
+            block = np.moveaxis(samples[..., start:start + step], -1, 0)
             if self.vectorized:
-                block = block.reshape(-1, block.shape[-1], order="F")
-            projected[..., chunk] = tensor._per_sample_products(block, factors)
-        return projected
+                block = block.reshape(len(block), -1, order="F")
+            projected[start:start + step] = tensor.ring_products(block, self.combined)
+        return np.moveaxis(projected, 0, -1)
 
     def project_rows(self, samples: np.ndarray) -> np.ndarray:
         """:meth:`project` of ``samples`` as one ``(m, d)`` row per sample,

@@ -948,19 +948,19 @@ class TestBadModelFile:
             doc["config"].update(seed=0, gram_crossover=32768)
 
         err = self._version_error(v1, tmp_path, capsys)
-        assert err == "error: MODEL has model version 1, expected 9\n"
+        assert err == "error: MODEL has model version 1, expected 10\n"
 
     def test_version_2_model_exits_3_with_one_line(self, tmp_path, capsys):
         def v2(doc, payload):
             doc.update(version=2, vectorized=False, hosvd_factors=[], disc_factors=[])
 
         err = self._version_error(v2, tmp_path, capsys)
-        assert err == "error: MODEL has model version 2, expected 9\n"
+        assert err == "error: MODEL has model version 2, expected 10\n"
 
     def test_version_3_model_exits_3_with_one_line(self, tmp_path, capsys):
         # same keys as version 4; its conv_tol bounded the U @ U.T change
         err = self._version_error(lambda doc, _: doc.update(version=3), tmp_path, capsys)
-        assert err == "error: MODEL has model version 3, expected 9\n"
+        assert err == "error: MODEL has model version 3, expected 10\n"
 
     def test_version_4_model_exits_3_with_one_line(self, tmp_path, capsys):
         def v4(doc, payload):
@@ -973,7 +973,7 @@ class TestBadModelFile:
             doc["version"] = 4
 
         err = self._version_error(v4, tmp_path, capsys)
-        assert err == "error: MODEL has model version 4, expected 9\n"
+        assert err == "error: MODEL has model version 4, expected 10\n"
 
     def test_version_5_model_exits_3_with_one_line(self, tmp_path, capsys):
         # version 5 also stored a mean vector, null for the multilinear kinds
@@ -981,20 +981,20 @@ class TestBadModelFile:
             doc.update(version=5, mean_vector=None)
 
         err = self._version_error(v5, tmp_path, capsys)
-        assert err == "error: MODEL has model version 5, expected 9\n"
+        assert err == "error: MODEL has model version 5, expected 10\n"
 
     def test_version_6_model_exits_3_with_one_line(self, tmp_path, capsys):
-        # same keys as version 9; its core and scatters rounded differently
+        # same keys as version 10; its core and scatters rounded differently
         err = self._version_error(lambda doc, _: doc.update(version=6), tmp_path, capsys)
-        assert err == "error: MODEL has model version 6, expected 9\n"
+        assert err == "error: MODEL has model version 6, expected 10\n"
 
     def test_version_7_model_exits_3_with_one_line(self, tmp_path, capsys):
-        # same keys as version 9; its mda global mean was summed in the stack's layout
+        # same keys as version 10; its mda global mean was summed in the stack's layout
         err = self._version_error(lambda doc, _: doc.update(version=7), tmp_path, capsys)
-        assert err == "error: MODEL has model version 7, expected 9\n"
+        assert err == "error: MODEL has model version 7, expected 10\n"
 
     def test_version_8_model_exits_3_with_one_line(self, tmp_path, capsys):
-        # same keys as version 9; its gallery was projected_shape + (n,),
+        # same keys as version 10; its gallery was projected_shape + (n,),
         # one entry per index of the last axis
         def v8(doc, payload):
             n, _ = doc["gallery"]["shape"]
@@ -1002,11 +1002,17 @@ class TestBadModelFile:
             doc["version"] = 8
 
         err = self._version_error(v8, tmp_path, capsys)
-        assert err == "error: MODEL has model version 8, expected 9\n"
+        assert err == "error: MODEL has model version 8, expected 10\n"
+
+    def test_version_9_model_exits_3_with_one_line(self, tmp_path, capsys):
+        # same keys as version 10; its per-sample products copied each
+        # unfolding, which rounds differently where a projected dim is 1
+        err = self._version_error(lambda doc, _: doc.update(version=9), tmp_path, capsys)
+        assert err == "error: MODEL has model version 9, expected 10\n"
 
     def test_string_version_is_quoted(self, tmp_path, capsys):
-        err = self._version_error(lambda doc, _: doc.update(version="9"), tmp_path, capsys)
-        assert err == "error: MODEL has model version '9', expected 9\n"
+        err = self._version_error(lambda doc, _: doc.update(version="10"), tmp_path, capsys)
+        assert err == "error: MODEL has model version '10', expected 10\n"
 
 
 class TestNonFiniteTrainingValues:
@@ -1160,7 +1166,8 @@ class NoSpaceLeft:
         self.handle.close()
 
 
-@pytest.mark.parametrize("command", ["train", "classify", "evaluate"])
+@pytest.mark.parametrize(
+    "command", ["train", "classify", "evaluate", "visualize", "synth", "compress"])
 def test_a_failed_write_names_its_path(command, tmp_path, monkeypatch, capsys):
     synth = ["--synth", "c=3,per_class=4,shape=6x5"]
     model = tmp_path / "m.tgda"
@@ -1171,6 +1178,11 @@ def test_a_failed_write_names_its_path(command, tmp_path, monkeypatch, capsys):
                      tmp_path / "p.tsv"),
         "evaluate": (["evaluate", *synth, "--train-per-class", "2", "--trials", "1",
                       "--output-dir", tmp_path / "r"], tmp_path / "r" / "report_split_gda.txt"),
+        "visualize": (["visualize", *synth, "--output", tmp_path / "v.csv"], tmp_path / "v.csv"),
+        "synth": (["synth", "--spec", synth[1], "--output-dir", tmp_path / "s"],
+                  tmp_path / "s" / "sample_0000.pgm"),
+        "compress": (["compress", *synth, "--theta", "0.9", "--save-reconstructions",
+                      tmp_path / "c"], tmp_path / "c" / "hopca_0000.pgm"),
     }[command]
 
     def full_disk_open(file, mode="r", **kwargs):

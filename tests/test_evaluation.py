@@ -13,7 +13,6 @@ from tensorgda.evaluation import (
     export_projection_2d,
     split_indices,
     train_method,
-    write_projection_csv,
 )
 from tensorgda.model_io import report_to_text
 from tensorgda.training import (
@@ -296,16 +295,6 @@ class TestExportProjection2d:
             export_projection_2d(model, data, plane="1x2")
         with pytest.raises(ConfigurationError):
             export_projection_2d(model, data, plane="pair")
-
-    def test_csv_writer(self, tmp_path):
-        data = synth_gaussian_classes(2, 3, (3, 4), 3.0, 1.0, seed=28)
-        model = train_gda(data, TrainingConfig(target_dims=(2, 2)))
-        rows = export_projection_2d(model, data, plane="pair")
-        out = tmp_path / "proj.csv"
-        write_projection_csv(rows, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "x,y,label"
-        assert len(lines) == data.n_samples + 1
 
 
 class TestMethodDispatch:

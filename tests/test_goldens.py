@@ -18,6 +18,7 @@ from tensorgda.cli import main
 
 ORDER2 = ["--synth", "c=3,per_class=6,shape=6x5,separation=6,noise=1", "--seed", "3"]
 ORDER3 = ["--synth", "c=3,per_class=4,shape=5x4x3,separation=6,noise=1", "--seed", "4"]
+TWO_CLASS = ["--synth", "c=2,per_class=6,shape=5x4x3,separation=6,noise=1", "--seed", "4"]
 METHODS = ["gda", "mda", "hopca", "pca", "fisherface"]
 
 
@@ -44,6 +45,8 @@ def _cases():
     cases["o3-train-gda-ranks"] = (
         ["train", *ORDER3, "--method", "gda", "--ranks", "3x3x2"], False
     )
+    # two classes: gda's default dims are C - 1 = 1 in every mode
+    cases["o3-train-gda-two-class"] = (["train", *TWO_CLASS, "--method", "gda"], False)
     cases["o2-compress-ranks"] = (
         ["compress", *ORDER2, "--ranks", "3x2", "--pca-components", "4"], False
     )
@@ -71,6 +74,7 @@ CLASSIFY = {
     "o2-classify-gda": (ORDER2[1], ORDER2[3], "gda"),
     "o2-classify-pca": (ORDER2[1], ORDER2[3], "pca"),
     "o3-classify-hopca": (ORDER3[1], ORDER3[3], "hopca"),
+    "o3-classify-gda-two-class": (TWO_CLASS[1], TWO_CLASS[3], "gda"),
 }
 
 
@@ -189,25 +193,28 @@ GOLDENS = {
         'sample_0017.pgm': '2a5fcb7daccdca9dee581f670921680292db236b91181f2aea0858eaa5ed0ddf',
     },
     'o2-train-fisherface': {
-        'out': '36b0763cdcedc8e3fc6a0c640847f0d3e6a0c32ac96b8c096a201bf16cc75153',
+        'out': 'f0171c126dea4dfdba983965394a20250f936d50e52262b28dd46fb38ce74186',
     },
     'o2-train-gda': {
-        'out': 'abe816d8d69fbd9bffb0ea60d9403b4e26a12969e60377606404261421615126',
+        'out': '1af903e236ec614c757507fc1b5e4c253f2b6735b6299035a12b7f13458da219',
     },
     'o2-train-gda-flags': {
-        'out': '1bbe2df00e79c72ff594eb6da841a1a3a1a54dfc8e3a6485dcec111f1e372c3b',
+        'out': '9282a0e596cbecc76e85760b2df347a1c89f08e4c56dba5f39dbca40b39c7b66',
     },
     'o2-train-hopca': {
-        'out': 'fee53d90123c507adf6cd66774182bd62b9955755d667fcd50052a1417898103',
+        'out': '48aaf3c42c307c926a6f6451a1f4b7fe19fda457a1cd532c526f4dd9331455ea',
     },
     'o2-train-mda': {
-        'out': 'b4030219680ee8e9ce2448965c3bd7324a9f76fd26beba41e8aaab20ac3094fc',
+        'out': '92a954d82debe3435d2cb9bad14e0afbadb3b4135de13779ca135ef8507b21a3',
     },
     'o2-train-pca': {
-        'out': 'af391574ef52d20bde88101d2027487b16d40b6cbe095161795a61bdf570ee60',
+        'out': '70cf54fdb08871000bfe6f0fbd159baba225481564f087d2424c317d7662d94f',
     },
     'o2-visualize-1x2': {
         'out': '555a9e56934bf6e98f9948902eb607817c2441098dc32e9429f57d726a7bc462',
+    },
+    'o3-classify-gda-two-class': {
+        'out': '7e5ecbddd95f98bba9737a34b07f294fe6adb144b41a6fc6c3bd067d7161881e',
     },
     'o3-classify-hopca': {
         'out': '547f84641f98869dd73e53d3bad03e2b307d602becfd719456d769d377b04558',
@@ -272,22 +279,25 @@ GOLDENS = {
         'sample_0011/frame_002.pgm': 'f82107e82d5b25adacdfbe2ab6fff180ca87bb680101388110da5fdb9be7f142',
     },
     'o3-train-fisherface': {
-        'out': '4c307d47b5276cc1770e5c7be61eee649dc45e29bef96dcd2d6e5dc6fdfe62a1',
+        'out': '488bde481c7650b1e93669f70ac540e6e8ab6b110031627cb113718df6979109',
     },
     'o3-train-gda': {
-        'out': '7f78e3ce0f5077c8c41624b8a87e20f3172b44fb8c2bd1cd427625b940c344a0',
+        'out': '66b3ec429c79eebc732ebfe903995f9cf1ee81bf3114b416a8d4263b6355a1a4',
     },
     'o3-train-gda-ranks': {
-        'out': '3f563f8e2fefaacc371f39c37f49ec320937d52e2682cd78ea30edb8810fb51e',
+        'out': '1f64fcd124f2f62f653ef270845acad1fb70ad18e94dda18ff16faed78972b37',
+    },
+    'o3-train-gda-two-class': {
+        'out': 'd3fb3157b03c87c54d352780d72fdab31d74a81cffe6950906a37af9bdd34179',
     },
     'o3-train-hopca': {
-        'out': '66c78c1ef4be04b7e4272b681b7fbdbe48f37376bcd123742ee6fb521114a27b',
+        'out': 'f19b20ae96e2a13c852d9dc6d45b16aaf98fcec64502860993914f46479ffa41',
     },
     'o3-train-mda': {
-        'out': '67042de5cbecaae1b1870129625f30da764f81cb85632f1f8edaceec2c1ba888',
+        'out': 'db0ccff06c55663ec1cd81b1f83a34e586cd8275f40d274985bf44600cc6c9bf',
     },
     'o3-train-pca': {
-        'out': '2339dbf43acfe68b77278bbcaa82b316fe37e9ce95280fca422b15a7e055f4ab',
+        'out': 'af60c40a61b1a860075d882376bf837f0c8153cdb3c949e6db988c92a7113f19',
     },
     'o3-visualize-pair': {
         'out': '2ce43cc2b354cc2e3ea3ea442705fc98c767a577e7e14e36b8a5a73434c85f60',

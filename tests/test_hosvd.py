@@ -334,6 +334,19 @@ class TestReconstruct:
             alone = reconstruct(replace(result, source=stack[..., i:i + 1]))
             np.testing.assert_array_equal(alone[..., 0], whole[..., i])
 
+    @pytest.mark.parametrize("shape, ranks", [((9,), (4,)), ((6, 5), (3, 5)), ((6, 5, 4), (3, 2, 4))])
+    def test_the_source_layout_leaves_every_bit(self, shape, ranks):
+        values = graded_tensor(shape + (7,), seed=17)
+        result = hosvd(values, ranks=ranks)
+        layouts = {
+            "C-contiguous": np.ascontiguousarray(values),
+            "sample-major": np.moveaxis(np.ascontiguousarray(np.moveaxis(values, -1, 0)), 0, -1),
+            "interleaved": np.repeat(values, 2, axis=-1)[..., ::2],
+        }
+        restored = {name: reconstruct(replace(result, source=source))
+                    for name, source in layouts.items()}
+        assert len({r.tobytes() for r in restored.values()}) == 1
+
 
 class TestPsnr:
     def test_identical_is_infinite(self):

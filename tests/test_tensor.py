@@ -181,25 +181,28 @@ class TestPerSampleProducts:
     @pytest.mark.parametrize(
         "shape, dims",
         [((32, 32), (29, 20)), ((6, 5), (1, 3)), ((8,), (3,)), ((10, 8, 6), (5, 1, 3)),
-         ((3, 1, 1, 3), (2, 1, 1, 2))],
+         ((3, 1, 1, 3), (2, 1, 1, 2)), ((8,), (1,)), ((6, 5, 4), (3, None, 2))],
     )
     @pytest.mark.parametrize("form", ["projector", "reconstruction"])
     def test_every_sample_gets_its_one_sample_bits(self, shape, dims, form):
         rng = np.random.default_rng(23)
-        bases = [np.linalg.qr(rng.standard_normal((s, d)))[0] for s, d in zip(shape, dims)]
-        if form == "projector":  # a served projector, applied transposed
-            factors = [(np.ascontiguousarray(b).T, k) for k, b in enumerate(bases)]
-        else:  # a compression round trip onto the basis
-            factors = [(b @ b.T, k) for k, b in enumerate(bases)]
+        bases = [None if d is None else np.linalg.qr(rng.standard_normal((s, d)))[0]
+                 for s, d in zip(shape, dims)]  # None: the mode is left as it is
+        if form == "projector":  # a served projector, as GdaModel.project passes it
+            matrices = [b if b is None else np.ascontiguousarray(b) for b in bases]
+        else:  # a compression round trip onto the basis, as reconstruct passes it
+            matrices = [b if b is None else (b @ b.T).T for b in bases]
+        factors = [(p.T, k) for k, p in enumerate(matrices) if p is not None]
         stack = rng.standard_normal(shape + (18,))[..., ::2]
-        got = tensor._per_sample_products(stack, factors)
+        samples = np.moveaxis(stack, -1, 0)
+        got = tensor.ring_products(samples, matrices)
         for i in range(9):
-            alone = tensor._per_sample_products(np.ascontiguousarray(stack[..., i:i + 1]), factors)
-            assert got[..., i:i + 1].shape == alone.shape
-            assert np.ascontiguousarray(got[..., i]).tobytes() == np.ascontiguousarray(alone).tobytes()
+            alone = tensor.ring_products(np.ascontiguousarray(samples[i:i + 1]), matrices)
+            assert got[i:i + 1].shape == alone.shape
+            assert got[i].tobytes() == alone.tobytes()
             product = tensor.multi_mode_product(stack[..., i], factors)
             np.testing.assert_allclose(
-                got[..., i], product, rtol=1e-12, atol=1e-12 * np.abs(product).max()
+                got[i], product, rtol=1e-12, atol=1e-12 * np.abs(product).max()
             )
 
 
