@@ -454,6 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
 # the exit status when the reader of stdout goes away: 128 + SIGPIPE, what
 # a shell reports for a program that SIGPIPE ends
 CLOSED_STDOUT_EXIT = 128 + 13
+# the exit status of a run that SIGINT (Ctrl-C) stops: 128 + SIGINT
+INTERRUPTED_EXIT = 128 + 2
 
 
 def main(argv=None) -> int:
@@ -480,6 +482,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return CLOSED_STDOUT_EXIT
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return INTERRUPTED_EXIT
     except TensorGdaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

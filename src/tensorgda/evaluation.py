@@ -76,8 +76,8 @@ def classify_many(model: GdaModel, samples: np.ndarray):
     do not depend on how the samples are batched.
 
     Only a few entries are computed directly.  The stack is projected by one
-    :meth:`GdaModel.project_rows` call, exactly as the gallery was, each
-    query one row flattened in C order like the gallery's, and each block of
+    :meth:`GdaModel.project` call, exactly as the gallery was, each query
+    one row flattened in C order like the gallery's, and each block of
     query rows is screened against every gallery row at once by one float32
     GEMM about the row mean ``mu``: ``a_j = |g_j - mu|^2 - 2 fl32(z - mu) .
     fl32(g_j - mu)``, with the norm and the subtraction in float64, which is
@@ -135,12 +135,15 @@ def classify_many(model: GdaModel, samples: np.ndarray):
     if model.gallery.size == 0:
         raise DatasetError("model has an empty gallery")
     gallery, (mean, sq_norms, max_sq_norm, rows32) = model.gallery, model.screen
-    projected = model.project_rows(samples)
+    projected = model.project(samples)
     slack_factor = 2.0 * (gallery.shape[1] + 4)
     indices = np.empty(len(projected), dtype=np.intp)
     distances = np.empty(len(projected))
-    for start in range(0, len(projected), training._QUERY_BLOCK):
-        queries = projected[start : start + training._QUERY_BLOCK]
+    # each of a block's float64 transients, its centred rows (d wide) and its
+    # screen lines (n wide), stays within _PROJECT_BYTES
+    step = max(1, training._PROJECT_BYTES // (8 * max(gallery.shape)))
+    for start in range(0, len(projected), step):
+        queries = projected[start : start + step]
         # a query or entry beyond float32's range fails the bound below,
         # and then its screen row is never read
         with np.errstate(over="ignore", invalid="ignore"):
@@ -350,7 +353,9 @@ def export_projection_2d(model: GdaModel, data: LabeledTensorSet, plane: str = "
         raise ConfigurationError(f"unknown plane {plane!r}; choose 1x2, 2x1 or pair")
     elif np.prod(model.projected_shape) < 2:
         raise ConfigurationError("plane 'pair' needs at least 2 projected coordinates")
-    # the first two column-major coordinates of each sample, one per row
-    z = model.project(data.samples).reshape(-1, data.n_samples, order="F")[:2].T
+    # the rows' columns that hold the first two column-major coordinates
+    shape = model.projected_shape
+    pair = np.ravel_multi_index(np.unravel_index([0, 1], shape, order="F"), shape)
+    z = model.project(data.samples)[:, pair]
     return [(float(x), float(y), label) for (x, y), label in zip(z, data.labels)]
 

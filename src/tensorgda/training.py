@@ -155,13 +155,12 @@ class TrainingConfig:
                 raise ConfigurationError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
-# queries screened at a time: bounds the transients
-_QUERY_BLOCK = 256
-
-# input bytes that GdaModel.project projects at a time, and gallery bytes
-# that GdaModel.screen centres at a time, at least one sample: the
-# transients stay a few blocks however long the stack, and no output bit
-# depends on it, since each sample gets its own BLAS calls
+# input bytes that GdaModel.project projects at a time, gallery bytes that
+# GdaModel.screen centres at a time, and query bytes, of centred rows or of
+# screen lines, that classify_many screens at a time, at least one sample:
+# the transients stay a few blocks however long the stack, and no output
+# bit depends on it, since each sample gets its own BLAS calls and the
+# screen only chooses which entries are measured directly
 _PROJECT_BYTES = 1 << 20
 
 
@@ -179,7 +178,7 @@ class GdaModel:
     the query.  Every field is a deterministic fact of the training run;
     none is a clock reading.  ``gallery`` is one C-contiguous ``(n, d)``
     float64 matrix, ``d = prod(projected_shape)``: row ``j`` is training
-    sample ``j`` projected and flattened in C order, as :meth:`project_rows`
+    sample ``j`` projected and flattened in C order, as :meth:`project`
     returns it.  A model is immutable: derive a changed one with
     :func:`dataclasses.replace`, which builds its own :attr:`screen`.
     """
@@ -230,12 +229,11 @@ class GdaModel:
 
     def project(self, samples: np.ndarray) -> np.ndarray:
         """Samples stacked on the last axis, ``sample_shape + (m,)``, projected
-        to a ``projected_shape + (m,)`` stack (vectorized kinds: the
-        column-major vector) held sample-major: it is the ``np.moveaxis``
-        view of one C-contiguous ``(m,) + projected_shape`` array, so each
-        projected sample is one contiguous block, a gallery row in C order.
-        Blocks of at most ``_PROJECT_BYTES`` of float64 input, and at least
-        one sample, go through :func:`tensor.ring_products` with
+        to one C-contiguous ``(m, d)`` row per sample, ``d =
+        prod(projected_shape)``: each projected sample (vectorized kinds: of
+        its column-major vector) flattened in C order, as the gallery's rows
+        are.  Blocks of at most ``_PROJECT_BYTES`` of float64 input, and at
+        least one sample, go through :func:`tensor.ring_products` with
         ``combined`` as it is, each converted alone, so the transients do
         not grow with ``m``.  A sample's bits depend neither on the batch it
         comes in, nor on the block size, nor on the stack's layout."""
@@ -250,14 +248,7 @@ class GdaModel:
             if self.vectorized:
                 block = block.reshape(len(block), -1, order="F")
             projected[start:start + step] = tensor.ring_products(block, self.combined)
-        return np.moveaxis(projected, 0, -1)
-
-    def project_rows(self, samples: np.ndarray) -> np.ndarray:
-        """:meth:`project` of ``samples`` as one ``(m, d)`` row per sample,
-        flattened in C order as the gallery's rows are: a view, no copy."""
-        stack = self.project(samples)
-        rows = stack.transpose(-1, *range(stack.ndim - 1))
-        return rows.reshape(len(rows), math.prod(stack.shape[:-1]))
+        return projected.reshape(len(projected), math.prod(self.projected_shape))
 
 
 def class_means(data: LabeledTensorSet):
@@ -287,29 +278,28 @@ def deviation_stacks(data: LabeledTensorSet) -> tuple:
     return within, between
 
 
-def scatter_matrices(
-    data: LabeledTensorSet, projectors, mode: int, stacks=None
-) -> tuple:
+def scatter_matrices(stacks: tuple, projectors, mode: int) -> tuple:
     """``(s_b, s_w)``, the between/within scatter along ``mode`` under the
-    other modes' projectors.
+    other modes' projectors, from the :func:`deviation_stacks` pair
+    ``stacks``; the order and sample shape are the within stack's.
 
     ``projectors`` lists one matrix per mode; the entry at ``mode`` is
-    ignored.  ``stacks`` is the :func:`deviation_stacks` pair, built from
-    ``data`` when omitted.  Each stack is projected along every other mode
-    by one multi-mode product, and its scatter is one GEMM ``F @ F.T``.  ``F``
-    is the mode-``mode`` unfolding up to a column order the sum does not see:
+    ignored.  Each stack is projected along every other mode by one
+    multi-mode product, and its scatter is one GEMM ``F @ F.T``.  ``F`` is
+    the mode-``mode`` unfolding up to a column order the sum does not see:
     the projected stack with that mode moved first, a view for mode 0.
     This equals the textbook form that sandwiches the Kronecker product of
     the other projectors, without ever materializing it.
     """
-    n = data.order
+    within, between = stacks
+    n = within.ndim - 1
     if not 0 <= mode < n:
         raise DimensionError(f"mode {mode} invalid for order-{n} data")
     for j in range(n):
-        if j != mode and projectors[j].shape[0] != data.sample_shape[j]:
+        if j != mode and projectors[j].shape[0] != within.shape[j]:
             raise DimensionError(
                 f"projector for mode {j} has {projectors[j].shape[0]} rows, "
-                f"expected {data.sample_shape[j]}"
+                f"expected {within.shape[j]}"
             )
     others = [(projectors[j].T, j) for j in range(n) if j != mode]
 
@@ -318,7 +308,6 @@ def scatter_matrices(
         flat = flat.reshape(len(flat), -1)
         return flat @ flat.T
 
-    within, between = deviation_stacks(data) if stacks is None else stacks
     return scatter(between), scatter(within)
 
 
@@ -380,40 +369,34 @@ def _target_dims(config: TrainingConfig, extents, n_classes: int, after_hosvd=Fa
     return dims
 
 
-def k_mode_optimize(
-    core_data: LabeledTensorSet, config: TrainingConfig, stacks=None
-) -> KModeResult:
-    """Alternating per-mode eigen updates of the discriminant factors.
+def k_mode_optimize(stacks: tuple, config: TrainingConfig) -> KModeResult:
+    """Alternating per-mode eigen updates of the discriminant factors, read
+    from the :func:`deviation_stacks` pair ``stacks`` alone: the sample
+    shape is the within stack's, the class count the between stack's last
+    extent.
 
     Factors start as truncated identities (the top HOSVD directions when a
     HOSVD stage preceded).  Each sweep updates modes in order, each update
-    seeing the already-refreshed factors of lower modes; every pair comes
-    from one :func:`deviation_stacks` pair, ``stacks``, built from
-    ``core_data`` when omitted.  Given, the sweeps read of ``core_data``
-    only its labels and sample shape, so a caller may drop the core once
-    its stacks exist and pass any set of that shape and those labels, such
-    as the within stack's.  The objective is read from pairs
-    already built: first from sweep 1's first pair, then after each sweep
-    from the last mode's pair under its new factor (no other factor has
-    moved since).  Iteration stops once a sweep moves the objective ``Psi``
-    by at most ``conv_tol`` relative, ``|Psi_s - Psi_{s-1}| <= conv_tol *
-    |Psi_{s-1}|`` (the MPCA rule of Lu, Plataniotis & Venetsanopoulos,
-    IEEE TNN 2008), or at ``max_iters`` sweeps.  A non-finite objective
-    never counts as settled.
+    seeing the already-refreshed factors of lower modes.  The objective is
+    read from pairs already built: first from sweep 1's first pair, then
+    after each sweep from the last mode's pair under its new factor (no
+    other factor has moved since).  Iteration stops once a sweep moves the
+    objective ``Psi`` by at most ``conv_tol`` relative, ``|Psi_s - Psi_{s-1}|
+    <= conv_tol * |Psi_{s-1}|`` (the MPCA rule of Lu, Plataniotis &
+    Venetsanopoulos, IEEE TNN 2008), or at ``max_iters`` sweeps.  A
+    non-finite objective never counts as settled.
     """
-    n = core_data.order
-    shape = core_data.sample_shape
-    dims = _target_dims(config, shape, core_data.n_classes)
+    shape = stacks[0].shape[:-1]
+    n = len(shape)
+    dims = _target_dims(config, shape, stacks[1].shape[-1])
     factors = [np.eye(shape[k])[:, : dims[k]] for k in range(n)]
-    if stacks is None:
-        stacks = deviation_stacks(core_data)
     objective_trace = []
     change_trace = []
     stop_reason = "sweep_cap"
     for _ in range(config.max_iters):
         previous = [u @ u.T for u in factors]
         for k in range(n):
-            pair = scatter_matrices(core_data, factors, k, stacks=stacks)
+            pair = scatter_matrices(stacks, factors, k)
             if not objective_trace:
                 objective_trace.append(eval_objective(pair, factors[k]))
             try:
@@ -448,7 +431,7 @@ def _singleton_warnings(data: LabeledTensorSet) -> tuple:
 def _fitted(data: LabeledTensorSet, kind: str, combined: list, warnings=(), **facts) -> GdaModel:
     """A model of ``kind`` serving ``combined``, warned of singleton classes
     ahead of ``warnings``, whose gallery is ``data`` projected by
-    :meth:`GdaModel.project_rows`."""
+    :meth:`GdaModel.project`."""
     model = GdaModel(
         kind=kind,
         sample_shape=data.sample_shape,
@@ -458,7 +441,7 @@ def _fitted(data: LabeledTensorSet, kind: str, combined: list, warnings=(), **fa
         warnings=_singleton_warnings(data) + tuple(warnings),
         **facts,
     )
-    return replace(model, gallery=model.project_rows(data.samples))
+    return replace(model, gallery=model.project(data.samples))
 
 
 def hosvd_stage(data: LabeledTensorSet, config: TrainingConfig):
@@ -491,8 +474,7 @@ def _train_multilinear(data: LabeledTensorSet, config: TrainingConfig, kind: str
         # they exist, dropping the decomposition frees its cached core
         stacks = deviation_stacks(LabeledTensorSet(decomposition.core, data.labels))
         del decomposition
-    # the within stack has the core's shape and labels, all the sweeps read of it
-    result = k_mode_optimize(LabeledTensorSet(stacks[0], data.labels), config, stacks=stacks)
+    result = k_mode_optimize(stacks, config)
     del stacks  # freed before the gallery is projected
     warnings = []
     if result.stop_reason == "sweep_cap":
@@ -556,7 +538,7 @@ def train_fisherface(data: LabeledTensorSet, config: TrainingConfig | None = Non
     """PCA to ``config.fisherface_pca_dims`` (default ``m - C``) then vector
     discriminant analysis to ``config.fisherface_lda_dims`` (default
     ``C - 1``) with ``config.ridge`` on the reduced vectors, whose scatters
-    come from :func:`scatter_matrices` on an order-1 set."""
+    come from :func:`scatter_matrices` on their order-1 deviation stacks."""
     config = config or TrainingConfig()
     n_classes = data.n_classes
     if n_classes < 2:
@@ -574,5 +556,6 @@ def train_fisherface(data: LabeledTensorSet, config: TrainingConfig | None = Non
             f"fisherface lda dims must lie in [1, {min(n_classes - 1, pca_dims)}]"
         )
     reduced = LabeledTensorSet(pca_basis.T @ centered, data.labels)
-    lda_basis = ratio_trace_eig(*scatter_matrices(reduced, [None], 0), lda_dims, config.ridge)
+    pair = scatter_matrices(deviation_stacks(reduced), [None], 0)
+    lda_basis = ratio_trace_eig(*pair, lda_dims, config.ridge)
     return _fitted(data, "fisherface", [pca_basis @ lda_basis])

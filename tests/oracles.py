@@ -20,6 +20,13 @@ def stacked_set(samples, labels, subjects=None) -> LabeledTensorSet:
     return LabeledTensorSet(np.moveaxis(stack, 0, -1), labels, subjects)
 
 
+def project_one(model, x) -> np.ndarray:
+    """``model``'s projection of the one sample ``x`` as a tensor of the
+    projected shape: its one :meth:`GdaModel.project` row, unflattened in C
+    order, as the gallery's rows are flattened."""
+    return model.project(np.asarray(x)[..., None])[0].reshape(model.projected_shape)
+
+
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Canonical angles (radians, ascending) between the column spans of
     ``a`` and ``b``.

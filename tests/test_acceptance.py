@@ -26,6 +26,7 @@ from tensorgda.hosvd import (
 from tensorgda.training import (
     LabeledTensorSet,
     TrainingConfig,
+    deviation_stacks,
     hosvd_stage,
     k_mode_optimize,
     scatter_matrices,
@@ -193,7 +194,7 @@ def test_scatter_correctness():
                 for i in np.flatnonzero(data.labels == c):
                     flat = tensor.unfold(data.samples[..., i] - means[idx], mode)
                     s_w += flat @ sandwich @ flat.T
-            got_b, got_w = scatter_matrices(data, projectors, mode)
+            got_b, got_w = scatter_matrices(deviation_stacks(data), projectors, mode)
             np.testing.assert_allclose(
                 got_b, s_b, atol=1e-9 * max(1.0, np.linalg.norm(s_b))
             )
@@ -268,7 +269,7 @@ def test_convergence_bookkeeping():
         gda_core = LabeledTensorSet(hosvd_stage(data, config).core, data.labels)
         for trainer, core in ((train_gda, gda_core), (train_mda, data)):
             model = trainer(data, config)
-            result = k_mode_optimize(core, config)
+            result = k_mode_optimize(deviation_stacks(core), config)
             assert result.objective_trace == model.objective_trace
             assert result.stop_reason == "tolerance"
             assert len(result.objective_trace) - 1 < 10

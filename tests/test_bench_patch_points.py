@@ -2,11 +2,14 @@
 
 ``perfbench/tracing.py`` replaces module attributes with timing wrappers
 and reads each one through ``vars(owner)``, so deleting or renaming one of
-them breaks ``perfbench/run.py --trace 1`` with a ``KeyError``.  This test
-fails first instead.
+them breaks ``perfbench/run.py --trace 1`` with a ``KeyError``.  Where a
+wrapper records a mode, it reads it as the positional argument at a fixed
+index, so moving that parameter would file spans under the wrong mode.
+These tests fail first instead.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -37,3 +40,14 @@ def test_every_patch_point_exists():
         if attr not in vars(owner)
     ]
     assert missing == []
+
+
+def test_every_mode_index_names_a_mode_parameter():
+    indexed = [p for p in _load_tracing()._patch_points() if p[3] is not None]
+    assert indexed
+    wrong = []
+    for owner, attr, _, index in indexed:
+        params = list(inspect.signature(vars(owner)[attr]).parameters)
+        if params[index:index + 1] != ["mode"]:
+            wrong.append(f"{getattr(owner, '__name__', owner)}.{attr}{params} at {index}")
+    assert wrong == []

@@ -49,8 +49,7 @@ def direct_scan(gallery, z):
 def parent_classify(model, x):
     """The direct scan as classification did it before the screen, over the
     gallery rows; the reference for non-finite queries."""
-    z = model.project(x[..., None])[..., 0]
-    deltas = model.gallery - z.ravel()
+    deltas = model.gallery - model.project(x[..., None])[0]
     distances = np.sqrt(np.sum(deltas**2, axis=1))
     best = int(np.argmin(distances))
     return model.gallery_labels[best], best, float(distances[best])
@@ -234,9 +233,8 @@ class TestBatchIndependence:
             axis=-1,
         )
         singles = [classify(model, queries[..., i]) for i in range(queries.shape[-1])]
-        block = block or queries.shape[-1]  # queries screened and samples projected at a time
-        monkeypatch.setattr(tr, "_QUERY_BLOCK", block)
-        monkeypatch.setattr(tr, "_PROJECT_BYTES", block * queries[..., 0].nbytes)
+        block = block or queries.shape[-1]  # queries screened at a time
+        monkeypatch.setattr(tr, "_PROJECT_BYTES", block * 8 * max(model.gallery.shape))
         labels, indices, distances = classify_many(model, queries)
         assert [s[0] for s in singles] == labels.tolist()
         assert [s[1] for s in singles] == indices.tolist()
@@ -253,18 +251,16 @@ class TestBatchIndependence:
         model = train_method(method, data, TrainingConfig(fisherface_pca_dims=12))
         samples = data.samples + np.random.default_rng(49).standard_normal(data.samples.shape)
         singles = [samples[..., i] for i in range(data.n_samples)]
-        expected = np.stack([model.project(x[..., None])[..., 0] for x in singles], axis=-1)
-        for x, column in zip(singles[:20], np.moveaxis(expected, -1, 0)):
-            assert same_bits(model.project(x.copy()[..., None])[..., 0], column)
+        expected = np.concatenate([model.project(x[..., None]) for x in singles])
+        for x, row in zip(singles[:20], expected):
+            assert same_bits(model.project(x.copy()[..., None])[0], row)
         block = tr._PROJECT_BYTES // samples[..., 0].nbytes  # samples projected at a time
         assert 7 < block < data.n_samples - 1  # so the sizes below straddle a block
         for size in (1, 2, 7, block - 1, block, block + 1, data.n_samples):
             projected = model.project(samples[..., :size])
-            assert np.moveaxis(projected, -1, 0).flags.c_contiguous  # sample-major
-            assert same_bits(projected, expected[..., :size]), f"batch of {size}"
-        rows = np.moveaxis(model.project(data.samples), -1, 0)
-        assert same_bits(model.gallery, rows.reshape(data.n_samples, -1))
-        assert same_bits(model.project_rows(samples), np.moveaxis(expected, -1, 0))
+            assert projected.flags.c_contiguous  # one row per sample
+            assert same_bits(projected, expected[:size]), f"batch of {size}"
+        assert same_bits(model.gallery, model.project(data.samples))
         # samples interleaved (sample axis fastest): no sample is contiguous
         interleaved = np.moveaxis(np.asfortranarray(np.moveaxis(samples, -1, 0)), 0, -1)
         assert same_bits(model.project(interleaved), expected)
@@ -296,9 +292,9 @@ class TestScreen:
         assert gallery.flags.c_contiguous and gallery.dtype == np.float64
         assert gallery.shape == (data.n_samples, int(np.prod(model.projected_shape)))
         for i in range(data.n_samples):
-            z = model.project(data.samples[..., i : i + 1].copy())[..., 0]
-            assert same_bits(gallery[i], z.ravel()), f"row {i}"
-        rows = model.project_rows(data.samples)
+            z = model.project(data.samples[..., i : i + 1].copy())[0]
+            assert same_bits(gallery[i], z), f"row {i}"
+        rows = model.project(data.samples)
         assert same_bits(rows, gallery) and rows.flags.c_contiguous
 
     @pytest.mark.parametrize("method", ["gda", "mda", "hopca", "pca", "fisherface"])

@@ -1150,6 +1150,22 @@ def test_a_closed_stdout_ends_without_a_message(tmp_path):
     assert (status, err) == (141, b"")  # 128 + SIGPIPE, as the README says
 
 
+def test_an_interrupt_ends_with_one_line(tmp_path):
+    # the timer starts once the imports are done, so SIGINT lands inside the
+    # evaluation, which 10^8 trials keep busy for far longer than a second
+    script = (
+        "import os, signal, sys, threading\n"
+        "from tensorgda.cli import main\n"
+        "threading.Timer(1.0, os.kill, (os.getpid(), signal.SIGINT)).start()\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["evaluate", "--synth", "c=3,per_class=4,shape=6x5", "--train-per-class", "2",
+            "--trials", "100000000", "--output-dir", tmp_path / "r"]
+    result = run_script(argv, tmp_path, command=("-c", script))
+    assert (result.returncode, result.stderr) == (130, "error: interrupted\n")  # 128 + SIGINT
+    assert not (tmp_path / "r").exists()
+
+
 class NoSpaceLeft:
     """A file opened for writing whose every write fails as on a full disk."""
 

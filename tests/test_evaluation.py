@@ -23,7 +23,7 @@ from tensorgda.training import (
     train_pca,
 )
 
-from oracles import stacked_set
+from oracles import project_one, stacked_set
 
 
 def identity_model(shape):
@@ -43,13 +43,13 @@ class TestProject:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 4))
         model = identity_model((3, 4))
-        np.testing.assert_array_equal(model.project(x[..., None])[..., 0], x)
+        np.testing.assert_array_equal(project_one(model, x), x)
 
     def test_zero_tensor(self):
         data = synth_gaussian_classes(2, 4, (4, 3), 3.0, 1.0, seed=1)
         model = train_gda(data, TrainingConfig(target_dims=(1, 1)))
         np.testing.assert_array_equal(
-            model.project(np.zeros((4, 3))[..., None])[..., 0], np.zeros((1, 1))
+            project_one(model, np.zeros((4, 3))), np.zeros((1, 1))
         )
 
     def test_matches_sequential_products_any_order(self):
@@ -57,14 +57,14 @@ class TestProject:
         model = train_gda(data, TrainingConfig(target_dims=(2, 2)))
         rng = np.random.default_rng(3)
         x = rng.standard_normal((5, 4))
-        forward = model.project(x[..., None])[..., 0]
+        forward = project_one(model, x)
         reverse = (model.combined[0].T @ x) @ model.combined[1]
         np.testing.assert_allclose(forward, reverse, rtol=1e-12, atol=1e-14)
 
     def test_shape_mismatch(self):
         model = identity_model((3, 4))
         with pytest.raises(Exception):
-            model.project(np.zeros((4, 3))[..., None])[..., 0]
+            model.project(np.zeros((4, 3))[..., None])
 
 
 class TestClassify:
@@ -97,7 +97,7 @@ class TestClassify:
         for _ in range(20):
             x = rng.standard_normal((3, 3))
             label, index, distance = classify(model, x)
-            z = model.project(x[..., None])[..., 0]
+            z = project_one(model, x)
             scan = [np.linalg.norm(row - z.ravel()) for row in model.gallery]
             assert index == int(np.argmin(scan))
             assert distance == pytest.approx(min(scan), rel=1e-12)
@@ -285,8 +285,18 @@ class TestExportProjection2d:
         data = synth_gaussian_classes(3, 5, (4, 4), 4.0, 1.0, seed=26)
         model = train_pca(data, TrainingConfig(pca_dims=3))
         rows = export_projection_2d(model, data, plane="pair")
-        z = model.project(data.sample(0)[..., None])[..., 0]
+        z = project_one(model, data.sample(0))
         assert rows[0][0] == float(z[0]) and rows[0][1] == float(z[1])
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (1, 2, 2)])
+    def test_order3_pair_is_the_first_two_column_major_entries(self, dims):
+        data = synth_gaussian_classes(3, 4, (5, 4, 3), 4.0, 1.0, seed=28)
+        model = train_gda(data, TrainingConfig(target_dims=dims, theta=1.0))
+        assert model.projected_shape == dims
+        rows = export_projection_2d(model, data, plane="pair")
+        for i, (x, y, _) in enumerate(rows):
+            z = project_one(model, data.sample(i)).ravel(order="F")
+            assert (x, y) == (z[0], z[1]), f"sample {i}"
 
     def test_incompatible_plane_rejected(self):
         data = synth_gaussian_classes(2, 4, (3, 3), 3.0, 1.0, seed=27)

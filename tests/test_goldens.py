@@ -5,13 +5,22 @@ the SHA-256 of every file it writes with the digest recorded here.  The
 inputs are small (order 2 and order 3), so the linear algebra stays on
 single-block BLAS paths whose bits do not depend on the thread count.  A
 change that alters an output on purpose bumps the format version and
-records new digests, printed by ``python tests/test_goldens.py``.
+records new digests, printed by ``python tests/test_goldens.py`` with the
+build they were captured on.
+
+The digests hold on that build.  Other GEMM, QR and eigensolver kernels
+round the last bits differently, so a mismatch names both builds: the
+numpy version, the OpenBLAS version and the OpenBLAS core, which the CPU
+or ``OPENBLAS_CORETYPE`` chooses at run time.
 """
 
+import contextlib
+import ctypes
 import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tensorgda.cli import main
@@ -136,7 +145,28 @@ def run_case(name, directory: Path) -> dict:
     }
 
 
-# captured with numpy 2.4 / OpenBLAS 0.3.31 on x86-64
+def build() -> dict:
+    """The numpy version, the OpenBLAS version and the OpenBLAS core this
+    interpreter runs, each ``unknown`` where numpy does not say."""
+    found = {"numpy": np.__version__, "openblas": "unknown", "core": "unknown"}
+    with contextlib.suppress(TypeError, KeyError):  # numpy < 1.26 has no dicts
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" in blas["name"]:
+            found["openblas"] = blas["version"]
+    # numpy's wheels bundle OpenBLAS beside the package; asking the library
+    # numpy already loaded gives the core it chose
+    package = Path(np.__file__).parent
+    for library in [*package.parent.glob("numpy.libs/*openblas*"),
+                    *package.glob(".dylibs/*openblas*")]:
+        with contextlib.suppress(OSError, AttributeError):
+            corename = ctypes.CDLL(str(library)).scipy_openblas_get_corename64_
+            corename.restype = ctypes.c_char_p
+            found["core"] = corename().decode()
+    return found
+
+
+CAPTURED_ON = {"numpy": "2.4.6", "openblas": "0.3.31.188.0", "core": "SkylakeX"}
+
 GOLDENS = {
     'o2-classify-gda': {
         'out': 'ff9225bc6db3cb79b0bdcde7c3ecddde8e649315aff61944db39de02521943ff',
@@ -307,7 +337,8 @@ GOLDENS = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_match_golden(name, tmp_path, capsys):
-    assert run_case(name, tmp_path / name) == GOLDENS[name]
+    assert run_case(name, tmp_path / name) == GOLDENS[name], (
+        f"captured on {CAPTURED_ON}, running on {build()}")
 
 
 def test_every_case_has_a_golden():
@@ -321,7 +352,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as scratch, contextlib.redirect_stdout(io.StringIO()):
         digests = {name: run_case(name, Path(scratch) / name) for name in sorted(CASES)}
-    sys.stdout.write("GOLDENS = {\n")
+    sys.stdout.write(f"CAPTURED_ON = {build()!r}\n\nGOLDENS = {{\n")
     for name, files in digests.items():
         sys.stdout.write(f"    {name!r}: {{\n")
         for file, digest in files.items():

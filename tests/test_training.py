@@ -150,7 +150,7 @@ class TestScatterMatrices:
     def test_vector_case_reduces_to_classical_lda_scatters(self):
         rng = np.random.default_rng(3)
         data = gaussian_vectors(rng, 3, 5, 6, separation=2.0, noise=1.0)
-        got_b, got_w = scatter_matrices(data, [np.eye(6)], 0)
+        got_b, got_w = scatter_matrices(deviation_stacks(data), [np.eye(6)], 0)
         vectors = data.samples
         overall = vectors.mean(axis=1)
         s_b = np.zeros((6, 6))
@@ -167,7 +167,7 @@ class TestScatterMatrices:
     def test_equal_samples_give_zero_within(self):
         t = np.arange(6.0).reshape(2, 3)
         data = stacked_set([t, t, t - 5.0], [1, 1, 2])
-        _, s_w = scatter_matrices(data, [np.eye(2), np.eye(3)], 0)
+        _, s_w = scatter_matrices(deviation_stacks(data), [np.eye(2), np.eye(3)], 0)
         np.testing.assert_allclose(s_w, np.zeros((2, 2)), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -189,7 +189,7 @@ class TestScatterMatrices:
         )
         for data in (grouped, interleaved):
             for mode in range(3):
-                got_b, got_w = scatter_matrices(data, projectors, mode)
+                got_b, got_w = scatter_matrices(deviation_stacks(data), projectors, mode)
                 s_b, s_w = scatter_via_materialized_kronecker(data, projectors, mode)
                 np.testing.assert_allclose(
                     got_b, s_b, atol=1e-9 * max(1.0, np.linalg.norm(s_b))
@@ -216,8 +216,8 @@ class TestScatterMatrices:
         for mode in range(3):
             s_b, s_w = scatter_via_materialized_kronecker(data, projectors, mode)
             for got_b, got_w in (
-                scatter_matrices(data, projectors, mode),
-                scatter_matrices(data, projectors, mode, stacks=stacks),
+                scatter_matrices(deviation_stacks(data), projectors, mode),
+                scatter_matrices(stacks, projectors, mode),
             ):
                 np.testing.assert_allclose(got_b, s_b, atol=1e-12 * np.linalg.norm(s_b))
                 np.testing.assert_allclose(got_w, s_w, atol=1e-12 * np.linalg.norm(s_w))
@@ -237,7 +237,7 @@ class TestScatterMatrices:
         per_class, overall = class_means(data)
         counts = data.class_counts()
         for mode in range(3):
-            s_b, s_w = scatter_matrices(data, projectors, mode)
+            s_b, s_w = scatter_matrices(deviation_stacks(data), projectors, mode)
             factors = list(projectors)
             factors[mode] = np.eye(shape[mode])
             transposed = [(u.T, k) for k, u in enumerate(factors)]
@@ -271,14 +271,16 @@ class TestEvalObjective:
         t = np.ones((2, 2))
         data = stacked_set([t, t, 2 * t, 2 * t], [1, 1, 2, 2])
         factors = [np.eye(2), np.eye(2)]
-        assert eval_objective(scatter_matrices(data, factors, 0), factors[0]) == math.inf
+        pair = scatter_matrices(deviation_stacks(data), factors, 0)
+        assert eval_objective(pair, factors[0]) == math.inf
 
     def test_equal_class_means_give_zero(self):
         v = np.array([[1.0, 0.0], [0.0, -1.0]])
         w = np.array([[0.0, 2.0], [-2.0, 0.0]])
         data = stacked_set([v, -v, w, -w], [1, 1, 2, 2])
         factors = [np.eye(2), np.eye(2)]
-        assert eval_objective(scatter_matrices(data, factors, 0), factors[0]) == 0.0
+        pair = scatter_matrices(deviation_stacks(data), factors, 0)
+        assert eval_objective(pair, factors[0]) == 0.0
 
     def test_against_direct_loop(self):
         rng = np.random.default_rng(5)
@@ -300,7 +302,8 @@ class TestEvalObjective:
             for j in np.flatnonzero(data.labels == c):
                 z = factors[0].T @ (data.samples[..., j] - means[i]) @ factors[1]
                 den += float(np.sum(z**2))
-        got = eval_objective(scatter_matrices(data, factors, 0), factors[0])
+        got = eval_objective(scatter_matrices(deviation_stacks(data), factors, 0),
+                             factors[0])
         assert got == pytest.approx(num / den, rel=1e-10)
 
 
@@ -334,7 +337,8 @@ class TestKModeOptimize:
         data = stacked_set(
             [rng.standard_normal(shape) + label for label in labels], labels
         )
-        result = k_mode_optimize(data, TrainingConfig(target_dims=(2,) * len(shape)))
+        config = TrainingConfig(target_dims=(2,) * len(shape))
+        result = k_mode_optimize(deviation_stacks(data), config)
         initial = [np.eye(s)[:, :2] for s in shape]
         assert result.objective_trace[0] == pytest.approx(
             objective_via_sample_loop(data, initial), rel=1e-10
@@ -348,7 +352,7 @@ class TestKModeOptimize:
         rng = np.random.default_rng(seed)
         data = gaussian_vectors(rng, 3, 8, 10, separation=3.0, noise=1.0)
         config = TrainingConfig(target_dims=(2,))
-        result = k_mode_optimize(data, config)
+        result = k_mode_optimize(deviation_stacks(data), config)
         oracle = vector_lda_oracle(data.samples, data.labels, 2, ridge=config.ridge)
         assert principal_angles(result.factors[0], oracle).max() <= 1e-6
 
@@ -361,7 +365,7 @@ class TestKModeOptimize:
         samples += [base_b * (1 + 1e-4 * i) for i in range(4)]
         data = stacked_set(samples, [1] * 4 + [2] * 4)
         config = TrainingConfig(target_dims=(1, 1))
-        result = k_mode_optimize(data, config)
+        result = k_mode_optimize(deviation_stacks(data), config)
         assert result.objective_trace[-1] > 1e3
         means, overall = class_means(data)
         projected = [
@@ -372,13 +376,13 @@ class TestKModeOptimize:
 
     def test_objective_final_at_least_initial(self):
         data = synth_gaussian_classes(4, 8, (5, 4), 5.0, 1.0, seed=11)
-        result = k_mode_optimize(data, TrainingConfig())
+        result = k_mode_optimize(deviation_stacks(data), TrainingConfig())
         assert result.objective_trace[-1] >= result.objective_trace[0]
 
     def test_dims_validation(self):
         data = synth_gaussian_classes(2, 3, (3, 3), 2.0, 1.0, seed=0)
         with pytest.raises(ConfigurationError):
-            k_mode_optimize(data, TrainingConfig(target_dims=(4, 1)))
+            k_mode_optimize(deviation_stacks(data), TrainingConfig(target_dims=(4, 1)))
 
 
 class TestStopRule:
@@ -386,14 +390,14 @@ class TestStopRule:
 
     def test_huge_tolerance_stops_after_one_sweep(self):
         data = synth_gaussian_classes(3, 5, (5, 4), 4.0, 1.0, seed=0)
-        result = k_mode_optimize(data, TrainingConfig(conv_tol=1e9))
+        result = k_mode_optimize(deviation_stacks(data), TrainingConfig(conv_tol=1e9))
         assert (len(result.objective_trace) - 1, result.stop_reason) == (1, "tolerance")
 
     @pytest.mark.parametrize("trainer", [train_gda, train_mda])
     def test_zero_tolerance_reaches_the_cap_and_warns(self, trainer):
         data = synth_gaussian_classes(3, 5, (5, 4), 4.0, 1.0, seed=0)
         config = TrainingConfig(conv_tol=0.0, max_iters=4)
-        result = k_mode_optimize(data, config)
+        result = k_mode_optimize(deviation_stacks(data), config)
         assert (len(result.objective_trace) - 1, result.stop_reason) == (4, "sweep_cap")
         model = trainer(data, config)
         assert len(model.objective_trace) == 5
@@ -402,7 +406,7 @@ class TestStopRule:
 
     def test_stops_when_the_relative_change_is_within_tolerance(self):
         data = synth_gaussian_classes(3, 5, (5, 4), 4.0, 1.0, seed=1)
-        result = k_mode_optimize(data, TrainingConfig(conv_tol=1e-3))
+        result = k_mode_optimize(deviation_stacks(data), TrainingConfig(conv_tol=1e-3))
         assert result.stop_reason == "tolerance"
         *_, before, last = result.objective_trace
         assert abs(last - before) <= 1e-3 * abs(before)
@@ -415,11 +419,11 @@ class TestStopRule:
         data = stacked_set(
             [rng.standard_normal((4, 3)) for _ in range(3)], [1, 2, 3]
         )
-        result = k_mode_optimize(data, TrainingConfig(conv_tol=1e9, max_iters=3))
+        config = TrainingConfig(conv_tol=1e9, max_iters=3)
+        result = k_mode_optimize(deviation_stacks(data), config)
         assert result.objective_trace == (math.inf,) * 4
         assert (len(result.objective_trace) - 1, result.stop_reason) == (3, "sweep_cap")
-        assert any("cap of max_iters = 3" in w for w in train_mda(
-            data, TrainingConfig(conv_tol=1e9, max_iters=3)).warnings)
+        assert any("cap of max_iters = 3" in w for w in train_mda(data, config).warnings)
 
     def test_hopca_runs_no_sweeps_and_never_warns(self):
         data = synth_gaussian_classes(3, 5, (5, 4), 4.0, 1.0, seed=0)
@@ -503,7 +507,7 @@ class TestTrainGda:
         gda_full = train_gda(train, full)
         hopca = train_hopca(train, full)
         core = LabeledTensorSet(hosvd_stage(train, full).core, train.labels)
-        for k, u in enumerate(k_mode_optimize(core, full).factors):
+        for k, u in enumerate(k_mode_optimize(deviation_stacks(core), full).factors):
             assert u.shape == (kept[k], kept[k])
             assert abs(np.linalg.det(u)) > 1e-12  # square invertible
         for i in range(test.n_samples):
@@ -531,7 +535,7 @@ class TestTrainGda:
         decomposition = hosvd_stage(data, config)
         core = LabeledTensorSet(decomposition.core, data.labels)
         dims = default_target_dims(decomposition.kept_ranks[:2], data.n_classes)
-        disc = k_mode_optimize(core, TrainingConfig(target_dims=dims)).factors
+        disc = k_mode_optimize(deviation_stacks(core), TrainingConfig(target_dims=dims)).factors
         for p, v, u in zip(model.combined, decomposition.factors, disc):
             np.testing.assert_allclose(p, v @ u, atol=1e-12)
 
@@ -569,7 +573,7 @@ class TestTrainGda:
             data.samples, [(f.T, k) for k, f in enumerate(decomposition.factors[:2])]
         )
         dims = default_target_dims(decomposition.kept_ranks[:2], data.n_classes)
-        result = k_mode_optimize(LabeledTensorSet(core, data.labels),
+        result = k_mode_optimize(deviation_stacks(LabeledTensorSet(core, data.labels)),
                                  TrainingConfig(target_dims=dims))
         for p, v, u in zip(model.combined, decomposition.factors, result.factors):
             np.testing.assert_array_equal(p, v @ u)
@@ -638,7 +642,7 @@ class TestTrainMda:
         assert model.combined[0].shape == (5, 2)
         assert model.combined[1].shape == (4, 2)
         # no HOSVD stage: the projectors are the discriminant factors
-        disc = k_mode_optimize(data, TrainingConfig(target_dims=(2, 2))).factors
+        disc = k_mode_optimize(deviation_stacks(data), TrainingConfig(target_dims=(2, 2))).factors
         for p, u in zip(model.combined, disc):
             np.testing.assert_array_equal(p, u)
             assert p.flags.c_contiguous
